@@ -35,7 +35,7 @@ from .neural import (
     mlp_train,
 )
 from .pipeline import PipelineConfig, run, run_ae, run_evaluate, run_fs, run_rrw
-from .ranking import ALGORITHMS, FeatureRanking, rank
+from .ranking import ALGORITHMS, CountTable, FeatureRanking, rank
 from .rrw import RRwWeights, apply_weights, avg_f1_cv, rrw_scores
 from .selection import (
     EliminationTrace,

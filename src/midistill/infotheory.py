@@ -91,6 +91,24 @@ def _entropy_from_counts(counts: np.ndarray) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
+def row_entropies(counts: np.ndarray) -> np.ndarray:
+    """``_entropy_from_counts`` of every row of a 2-D count array, bit for bit.
+
+    Zero cells are dropped as there; rows left with the same number of cells
+    are stacked and summed along their last axis, which numpy sums pairwise
+    row by row exactly as it sums one 1-D array.  A row of zeros gives 0.
+    """
+    out = np.zeros(len(counts))
+    nonzero = counts > 0
+    widths = nonzero.sum(axis=1)
+    totals = counts.sum(axis=1)
+    for width in np.unique(widths[widths > 0]):
+        rows = np.flatnonzero(widths == width)
+        p = counts[rows][nonzero[rows]].reshape(rows.size, width) / totals[rows, None]
+        out[rows] = -(p * np.log2(p)).sum(axis=1)
+    return out
+
+
 def entropy(x: DiscreteColumn) -> float:
     """Shannon entropy H(X) in bits of the empirical bin distribution."""
     return _entropy_from_counts(np.bincount(x.codes, minlength=x.k))

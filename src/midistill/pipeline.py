@@ -29,7 +29,7 @@ from .neural import (
     mlp_train,
     model_to_json,
 )
-from .ranking import ALGORITHMS, FeatureRanking, rank
+from .ranking import ALGORITHMS, CountTable, FeatureRanking
 from .rrw import apply_weights, avg_f1_cv, rrw_scores
 from .selection import backward_eliminate, extract_optimized, tampering_audit
 
@@ -63,9 +63,9 @@ class PipelineConfig:
             v = getattr(self, name)
             if not 0.0 <= v < 1.0:
                 raise ConfigError(f"{name} must be in [0, 1), got {v}")
-        for name in ("n_bins", "folds", "epochs", "batch"):
+        for name, least in (("n_bins", 2), ("folds", 2), ("epochs", 0), ("batch", 1)):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < (2 if name in ("n_bins", "folds") else 0):
+            if not isinstance(v, int) or v < least:
                 raise ConfigError(f"invalid {name}: {v}")
         if self.binning_strategy not in ("equal_width", "equal_frequency"):
             raise ConfigError(f"unknown binning strategy {self.binning_strategy!r}")
@@ -133,13 +133,15 @@ def run_fs(config: PipelineConfig) -> dict:
     surviving = audit.passing()
 
     traces, post_bfe, rankings = {}, {}, {}
+    if surviving:
+        with _stage("count_table"):
+            table = CountTable(normalized.take(sp.learn_idx), binning)
     for alg in surviving:
         with _stage(f"backward_eliminate[{alg}]"):
             traces[alg] = backward_eliminate(
-                normalized, alg, sp, config.gamma, binning=binning, beta=config.beta)
-        with _stage(f"rank_full[{alg}]"):
-            rankings[alg] = rank(normalized.take(sp.learn_idx), binning, alg,
-                                 beta=config.beta)
+                normalized, alg, sp, config.gamma, binning=binning, beta=config.beta,
+                table=table)
+        rankings[alg] = traces[alg].ranking
 
     # second gate: drop algorithms whose reduced-set metrics fall below gamma
     final_suite = []
@@ -203,7 +205,12 @@ def _load_fs_report(config: PipelineConfig) -> dict:
     if not config.fs_report:
         raise ConfigError(f"mode={config.mode} requires --fs-report from a prior fs run")
     with open(config.fs_report, encoding="utf-8") as fh:
-        report = json.load(fh)
+        try:
+            report = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"fs report {config.fs_report} is not valid JSON: {exc}") from None
+    if not isinstance(report, dict):
+        raise ConfigError(f"fs report {config.fs_report} is not a JSON object")
     if not report.get("final_suite") or not report.get("optimized_features"):
         raise ConfigError("fs report has no surviving algorithms / optimized features")
     return report
@@ -211,26 +218,35 @@ def _load_fs_report(config: PipelineConfig) -> dict:
 
 def run_rrw(config: PipelineConfig) -> dict:
     """Cross-validated F1 per surviving algorithm, RRw weights, and the
-    re-weighted optimized dataset."""
+    re-weighted optimized dataset.  Algorithms that kept the same feature
+    set share one cross-validation: its gates are identical."""
     config.validate()
     if config.mode != "rrw":
         raise ConfigError("run_rrw requires mode=rrw")
     fs_report = _load_fs_report(config)
     optimized_features = fs_report["optimized_features"]
+    try:
+        own_features = {alg: tuple(fs_report["traces"][alg]["optimized_features"])
+                        for alg in fs_report["final_suite"]}
+        entries = {alg: [(e["feature"], e["score"])
+                         for e in fs_report["rankings"][alg]["entries"]
+                         if e["feature"] in optimized_features]
+                   for alg in fs_report["final_suite"]}
+    except (KeyError, TypeError) as exc:
+        raise ConfigError(f"fs report {config.fs_report} lacks the traces or rankings "
+                          f"of its final suite ({exc!r})") from None
     _, normalized, sp = _load_normalized(config)
 
     pairs = []
     avg_f1 = {}
-    for alg in fs_report["final_suite"]:
-        own_features = fs_report["traces"][alg]["optimized_features"]
-        with _stage(f"avg_f1_cv[{alg}]"):
-            f1 = avg_f1_cv(normalized.select_features(own_features),
-                           k=config.folds, seed=config.seed)
-        avg_f1[alg] = f1
-        entries = [(e["feature"], e["score"])
-                   for e in fs_report["rankings"][alg]["entries"]
-                   if e["feature"] in optimized_features]
-        pairs.append((FeatureRanking(alg, tuple(entries)), f1))
+    f1_of_features = {}
+    for alg, features in own_features.items():
+        if features not in f1_of_features:
+            with _stage(f"avg_f1_cv[{alg}]"):
+                f1_of_features[features] = avg_f1_cv(
+                    normalized.select_features(features), k=config.folds, seed=config.seed)
+        avg_f1[alg] = f1_of_features[features]
+        pairs.append((FeatureRanking(alg, tuple(entries[alg])), avg_f1[alg]))
 
     with _stage("rrw_scores"):
         weights = rrw_scores(pairs)

@@ -10,21 +10,13 @@ selection order into a complete ranking.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
 from .dataset import Dataset
-from .errors import DataError
-from .infotheory import (
-    BinningConfig,
-    DiscreteColumn,
-    conditional_mutual_information,
-    discretize,
-    entropy,
-    joint_entropy,
-    mutual_information,
-    pair_column,
-)
+from .errors import DataError, UnknownFeature
+from .infotheory import BinningConfig, discretize, row_entropies
 
 ALGORITHMS = ("mRMR", "MIFS", "CIFE", "JMI", "CMIM", "DISR")
 
@@ -32,6 +24,10 @@ ALGORITHMS = ("mRMR", "MIFS", "CIFE", "JMI", "CMIM", "DISR")
 # the smallest original column index, so rankings don't flip on last-ulp
 # differences between equivalent arithmetic paths
 TIE_TOLERANCE = 1e-12
+
+# column pairs are turned into quantities in chunks of about this many count
+# cells, so the temporaries stay small next to the table itself
+PAIR_CHUNK_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -62,147 +58,186 @@ class FeatureRanking:
         }
 
 
-class MICache:
-    """Memoized information quantities over one discretized dataset.
+class CountTable:
+    """Per-class marginal and pairwise joint counts of one discretized row
+    set, and every information quantity the six criteria take from them.
 
-    The greedy criteria only ever need pairwise quantities between a
-    candidate and an already-selected feature, so caching keeps a full
-    ranking at O(F^2) histogram passes instead of O(F^3).
+    All six criteria are functions of I(X_i;c), I(X_i;X_j), I(X_i;X_j|c) and
+    the (X_i,X_j,c) table (Brown et al., JMLR 2012), and per-class pairwise
+    counts hold all four.  So one table, counted once with ``np.bincount``,
+    serves every criterion and every column subset: the audit ranks all
+    criteria of a fold on one table, and elimination ranks every step of
+    every criterion on one table of the learn rows.  The discretized codes
+    are dropped after counting; the counts, each column's ``k`` and the
+    quantities are kept.
+
+    Codes are padded to a common width; padded cells stay zero and entropies
+    skip zero cells.  Each quantity feeds the entropy the same non-zero
+    cells, in the same order, as the row-level estimators in ``infotheory``,
+    so the values match them bit for bit: pairs in (min, max) column order,
+    (x, label) cells interleaved as ``x*2+y``, and conditional terms summed
+    over strata in ascending code order, weighted ``n_z / n``.
+
+    Quantities: ``relevance[i]`` = I(X_i;c), ``single_sr[i]`` = SR(X_i;c),
+    and F x F matrices ``mi`` = I(X_i;X_j), ``cmi_pair_given_label`` =
+    I(X_i;X_j|c), ``cmi_label_given_feature`` = I(X_i;c|X_j) (row i, column
+    j) and ``symmetrical_relevance`` = SR((X_i,X_j);c).
     """
 
     def __init__(self, dataset: Dataset, binning: BinningConfig):
-        self.cols: list[DiscreteColumn] = [
-            discretize(dataset.X[:, i], binning, name)
-            for i, name in enumerate(dataset.feature_names)
-        ]
-        self.label = DiscreteColumn(dataset.labels, 2, "label")
-        self._rel: dict[int, float] = {}
-        self._mi: dict[tuple[int, int], float] = {}
-        self._cmi_pair_given_label: dict[tuple[int, int], float] = {}
-        self._cmi_label_given_feature: dict[tuple[int, int], float] = {}
-        self._sr_pair: dict[tuple[int, int], float] = {}
+        self.binning = binning
+        self.names = dataset.feature_names
+        self.n = dataset.n_samples
+        y = dataset.labels
+        cols = [discretize(dataset.X[:, i], binning, name)
+                for i, name in enumerate(self.names)]
+        self.k = tuple(c.k for c in cols)
+        f, w = len(cols), max(self.k, default=1)
+        # marginal[i, x, c] and, for pair p = (a, b) with a < b, joint[p, x_a, x_b, c]
+        self.label_counts = np.bincount(y, minlength=2)
+        self.marginal = np.zeros((f, w, 2), dtype=np.int64)
+        for i, c in enumerate(cols):
+            self.marginal[i] = np.bincount(c.codes * 2 + y, minlength=2 * w).reshape(w, 2)
+        self.pairs = np.array(list(combinations(range(f), 2)), dtype=np.intp).reshape(-1, 2)
+        self.joint = np.zeros((len(self.pairs), w, w, 2), dtype=np.int64)
+        for p, (a, b) in enumerate(self.pairs):
+            self.joint[p] = np.bincount((cols[a].codes * w + cols[b].codes) * 2 + y,
+                                        minlength=2 * w * w).reshape(w, w, 2)
 
-    def relevance(self, i: int) -> float:
-        """I(X_i; c)"""
-        if i not in self._rel:
-            self._rel[i] = mutual_information(self.cols[i], self.label)
-        return self._rel[i]
+        self._h_label = row_entropies(self.label_counts[None])[0]
+        self._h = row_entropies(self.marginal.sum(axis=2))
+        h_with_label = row_entropies(self.marginal.reshape(f, -1))
+        self.relevance = _clamp(self._h + self._h_label - h_with_label)
+        self.single_sr = _ratio(self.relevance, h_with_label)
+        # H(X_i | c) per class, and per stratum x_i = z: H(c | z) and n_z / n
+        self._h_in_class = row_entropies(
+            self.marginal.transpose(0, 2, 1).reshape(2 * f, w)).reshape(f, 2)
+        self._h_label_in_stratum = row_entropies(self.marginal.reshape(f * w, 2)).reshape(f, w)
+        self._stratum_weight = self.marginal.sum(axis=2) / self.n
 
-    def mi(self, i: int, j: int) -> float:
-        """I(X_i; X_j)"""
-        key = (min(i, j), max(i, j))
-        if key not in self._mi:
-            self._mi[key] = mutual_information(self.cols[key[0]], self.cols[key[1]])
-        return self._mi[key]
+        self.mi, self.cmi_pair_given_label, self.cmi_label_given_feature, \
+            self.symmetrical_relevance = (np.zeros((f, f)) for _ in range(4))
+        chunk = max(1, PAIR_CHUNK_CELLS // (2 * w * w))
+        for start in range(0, len(self.pairs), chunk):
+            self._pair_quantities(slice(start, start + chunk))
 
-    def cmi_pair_given_label(self, i: int, j: int) -> float:
-        """I(X_i; X_j | c)"""
-        key = (min(i, j), max(i, j))
-        if key not in self._cmi_pair_given_label:
-            self._cmi_pair_given_label[key] = conditional_mutual_information(
-                self.cols[key[0]], self.cols[key[1]], self.label
-            )
-        return self._cmi_pair_given_label[key]
+    def _pair_quantities(self, chunk: slice) -> None:
+        a, b = self.pairs[chunk].T
+        cells = self.joint[chunk]
+        m, w = len(cells), cells.shape[1]
+        pair_counts = cells.sum(axis=3)
+        h_ab = row_entropies(pair_counts.reshape(m, -1))
+        h_abc = row_entropies(cells.reshape(m, -1))
+        self.mi[a, b] = self.mi[b, a] = _clamp(self._h[a] + self._h[b] - h_ab)
+        self.symmetrical_relevance[a, b] = self.symmetrical_relevance[b, a] = _ratio(
+            _clamp(h_ab + self._h_label - h_abc), h_abc)
 
-    def cmi_label_given_feature(self, i: int, j: int) -> float:
-        """I(X_i; c | X_j) -- not symmetric in (i, j)."""
-        if (i, j) not in self._cmi_label_given_feature:
-            self._cmi_label_given_feature[(i, j)] = conditional_mutual_information(
-                self.cols[i], self.label, self.cols[j]
-            )
-        return self._cmi_label_given_feature[(i, j)]
+        total = np.zeros(m)
+        for c, n_c in enumerate(self.label_counts):
+            if n_c:
+                h_ab_in_class = row_entropies(cells[..., c].reshape(m, -1))
+                total = total + (n_c / self.n) * _clamp(
+                    self._h_in_class[a, c] + self._h_in_class[b, c] - h_ab_in_class)
+        self.cmi_pair_given_label[a, b] = self.cmi_pair_given_label[b, a] = _clamp(total)
 
-    def symmetrical_relevance(self, i: int, j: int) -> float:
-        """SR((X_i,X_j); c) = I((X_i,X_j);c) / H(X_i,X_j,c), product-coded pair."""
-        key = (min(i, j), max(i, j))
-        if key not in self._sr_pair:
-            pair = pair_column(self.cols[key[0]], self.cols[key[1]])
-            denom = joint_entropy(pair, self.label)
-            num = mutual_information(pair, self.label)
-            self._sr_pair[key] = num / denom if denom > 0 else 0.0
-        return self._sr_pair[key]
+        # I(X_i; c | X_j) both ways; strata[p, z] holds the (x_i, c) cells
+        # and x_counts[p, z] the x_i counts where X_j = z
+        for i, j, strata, x_counts in (
+                (a, b, cells.transpose(0, 2, 1, 3), pair_counts.transpose(0, 2, 1)),
+                (b, a, cells, pair_counts)):
+            h_x = row_entropies(x_counts.reshape(m * w, w)).reshape(m, w)
+            h_xc = row_entropies(strata.reshape(m * w, 2 * w)).reshape(m, w)
+            terms = _clamp(h_x + self._h_label_in_stratum[j] - h_xc)
+            total = np.zeros(m)
+            for z in range(w):  # an empty stratum has weight 0 and adds +0.0
+                total = total + self._stratum_weight[j, z] * terms[:, z]
+            self.cmi_label_given_feature[i, j] = _clamp(total)
 
-    def single_sr(self, i: int) -> float:
-        """SR(X_i; c) = I(X_i;c) / H(X_i,c); the empty-set DISR score."""
-        denom = joint_entropy(self.cols[i], self.label)
-        return self.relevance(i) / denom if denom > 0 else 0.0
+    def positions(self, names) -> list[int]:
+        """Column indices of the given feature names."""
+        missing = [n for n in names if n not in self.names]
+        if missing:
+            raise UnknownFeature(", ".join(missing))
+        return [self.names.index(n) for n in names]
 
 
-def criterion_score(algorithm: str, cache: MICache, i: int, selected: list[int],
-                    beta: float = 1.0) -> float:
-    """Score candidate i given the already-selected index list."""
-    rel = cache.relevance(i)
-    if algorithm == "mRMR":
-        if not selected:
-            return rel
-        return rel - sum(cache.mi(i, j) for j in selected) / len(selected)
-    if algorithm == "MIFS":
-        return rel - beta * sum(cache.mi(i, j) for j in selected)
-    if algorithm == "CIFE":
-        return rel - sum(
-            cache.mi(i, j) - cache.cmi_pair_given_label(i, j) for j in selected
-        )
-    if algorithm == "JMI":
-        if not selected:
-            return rel
-        return rel - sum(
-            cache.mi(i, j) - cache.cmi_pair_given_label(i, j) for j in selected
-        ) / len(selected)
+def _clamp(v: np.ndarray) -> np.ndarray:
+    """max(0.0, v) per element, the estimators' clamp against rounding."""
+    return np.where(v > 0, v, 0.0)
+
+
+def _ratio(num: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """num / denom where denom > 0, else 0."""
+    return np.divide(num, denom, out=np.zeros_like(num), where=denom > 0)
+
+
+def _pair_terms(table: CountTable, algorithm: str) -> np.ndarray:
+    """The term each criterion adds per (candidate, selected) pair."""
+    if algorithm in ("mRMR", "MIFS"):
+        return table.mi
+    if algorithm in ("CIFE", "JMI"):
+        return table.mi - table.cmi_pair_given_label
     if algorithm == "CMIM":
-        if not selected:
-            return rel
-        return min(cache.cmi_label_given_feature(i, j) for j in selected)
-    if algorithm == "DISR":
-        if not selected:
-            return cache.single_sr(i)
-        return sum(cache.symmetrical_relevance(i, j) for j in selected)
-    raise DataError(f"unknown ranking algorithm {algorithm!r}")
+        return table.cmi_label_given_feature
+    return table.symmetrical_relevance
 
 
-def rank(dataset: Dataset, binning: BinningConfig, algorithm: str,
-         beta: float = 1.0) -> FeatureRanking:
-    """Run one criterion's greedy forward selection to exhaustion."""
+def criterion_score(algorithm: str, rel: np.ndarray, first: np.ndarray,
+                    acc: np.ndarray, n_selected: int, beta: float = 1.0) -> np.ndarray:
+    """Scores of the remaining candidates at one greedy step, from their
+    relevance, their empty-set score and the running sum (CMIM: min) of
+    their terms against the ``n_selected`` features already selected."""
+    if algorithm == "MIFS":
+        return rel - beta * acc
+    if algorithm == "CIFE":
+        return rel - acc
+    if n_selected == 0:
+        return first
+    if algorithm in ("mRMR", "JMI"):
+        return rel - acc / n_selected
+    return acc
+
+
+def rank(data: Dataset | CountTable, binning: BinningConfig, algorithm: str,
+         beta: float = 1.0, columns=None) -> FeatureRanking:
+    """Run one criterion's greedy forward selection to exhaustion.
+
+    ``data`` is a Dataset, counted here, or a CountTable counted with
+    ``binning``.  ``columns`` restricts the ranking to those features, given
+    in table order; the result equals ranking the projected dataset.
+    Each candidate keeps a running sum (CMIM: a running min) of its terms
+    against the selected features, added in selection order.
+    """
     if algorithm not in ALGORITHMS:
         raise DataError(f"unknown ranking algorithm {algorithm!r}")
-    if dataset.n_features < 1:
+    if isinstance(data, CountTable):
+        table = data
+        if table.binning != binning:
+            raise DataError("count table was built with a different binning")
+    else:
+        table = CountTable(data, binning)
+    idx = table.positions(table.names if columns is None else columns)
+    if not idx:
         raise DataError("need at least one feature to rank")
-    cache = MICache(dataset, binning)
-    remaining = list(range(dataset.n_features))
-    selected: list[int] = []
+    if any(p >= q for p, q in zip(idx, idx[1:])):
+        raise DataError("columns must keep the count table's order")
+
+    rel = table.relevance[idx]
+    first = table.single_sr[idx] if algorithm == "DISR" else rel
+    terms = _pair_terms(table, algorithm)[np.ix_(idx, idx)]
+    acc = np.full(len(idx), np.inf) if algorithm == "CMIM" else np.zeros(len(idx))
+    remaining = list(range(len(idx)))
     entries: list[tuple[str, float]] = []
-    while remaining:
-        scores = [criterion_score(algorithm, cache, i, selected, beta) for i in remaining]
-        top = max(scores)
-        best = next(p for p, s in enumerate(scores) if s >= top - TIE_TOLERANCE)
-        idx = remaining.pop(best)
-        selected.append(idx)
-        entries.append((dataset.feature_names[idx], float(scores[best])))
+    for n_selected in range(len(idx)):
+        cand = np.array(remaining)
+        scores = criterion_score(algorithm, rel[cand], first[cand], acc[cand],
+                                 n_selected, beta)
+        best = int(np.argmax(scores >= scores.max() - TIE_TOLERANCE))
+        pos = remaining.pop(best)
+        acc = np.minimum(acc, terms[:, pos]) if algorithm == "CMIM" else acc + terms[:, pos]
+        entries.append((table.names[idx[pos]], float(scores[best])))
     params = {"n_bins": binning.n_bins, "strategy": binning.strategy.value,
               "tie_rule": f"smallest_column_index(tol={TIE_TOLERANCE})"}
     if algorithm == "MIFS":
         params["beta"] = beta
     return FeatureRanking(algorithm, tuple(entries), params)
-
-
-def rank_mrmr(dataset, binning):
-    return rank(dataset, binning, "mRMR")
-
-
-def rank_mifs(dataset, binning, beta: float = 1.0):
-    return rank(dataset, binning, "MIFS", beta=beta)
-
-
-def rank_cife(dataset, binning):
-    return rank(dataset, binning, "CIFE")
-
-
-def rank_jmi(dataset, binning):
-    return rank(dataset, binning, "JMI")
-
-
-def rank_cmim(dataset, binning):
-    return rank(dataset, binning, "CMIM")
-
-
-def rank_disr(dataset, binning):
-    return rank(dataset, binning, "DISR")

@@ -5,8 +5,6 @@ by the linear classifier, yielding the minimal surviving feature set.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,15 +14,7 @@ from .errors import DataError, FeatureSetMismatch
 from .infotheory import BinningConfig
 from .metrics import ClassifierMetrics, compute_metrics
 from .neural import gate_predict, gate_train
-from .ranking import FeatureRanking, rank
-
-
-def max_workers() -> int:
-    """Parallelism cap from MIDISTILL_THREADS (default: single-threaded)."""
-    try:
-        return max(1, int(os.environ.get("MIDISTILL_THREADS", "1")))
-    except ValueError:
-        return 1
+from .ranking import CountTable, FeatureRanking, rank
 
 
 @dataclass(frozen=True)
@@ -67,6 +57,8 @@ class EliminationTrace:
     ``stopped_at`` is the 1-based index of the first failing evaluation
     (None if the gate never failed).  ``optimized_features`` is the feature
     set present at the last passing evaluation, of size ``mdrt``.
+    ``ranking`` is step 1's ranking of all initial features on the learn
+    rows; it is not part of ``to_json``.
     """
 
     algorithm: str
@@ -75,6 +67,7 @@ class EliminationTrace:
     steps: tuple[ElimStep, ...]
     stopped_at: int | None
     optimized_features: tuple[str, ...]
+    ranking: FeatureRanking | None = field(default=None, compare=False, repr=False)
 
     @property
     def mdrt(self) -> int:
@@ -130,7 +123,8 @@ def tampering_audit(dataset: Dataset, algorithms, folds: int = 5, seed: int = 0,
                     beta: float = 1.0) -> TamperingAudit:
     """Inject the three random features, rank each fold with each algorithm,
     and pass an algorithm iff all three random features' fold-averaged ranks
-    fall in the bottom ``threshold`` fraction of positions."""
+    fall in the bottom ``threshold`` fraction of positions.  Each fold is
+    counted once and its table serves every algorithm."""
     if folds < 2:
         raise DataError("need at least 2 folds")
     binning = binning or BinningConfig()
@@ -139,25 +133,17 @@ def tampering_audit(dataset: Dataset, algorithms, folds: int = 5, seed: int = 0,
     perm = np.random.default_rng(seed).permutation(tampered.n_samples)
     parts = [tampered.take(chunk) for chunk in np.array_split(perm, folds)]
 
-    algorithms = list(algorithms)
-    jobs = [(alg, part) for alg in algorithms for part in parts]
-
-    def _run(job):
-        alg, part = job
-        return rank(part, binning, alg, beta=beta)
-
-    workers = max_workers()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run, jobs))
-    else:
-        results = [_run(job) for job in jobs]
+    fold_rankings = {alg: [] for alg in algorithms}
+    for part in parts:
+        table = CountTable(part, binning)
+        for alg, rankings in fold_rankings.items():
+            rankings.append(rank(table, binning, alg, beta=beta))
+        del table  # one fold's table alive at a time
 
     cutoff = (1.0 - threshold) * n_total  # positions strictly above are "bottom"
     per_algorithm = {}
-    for ai, alg in enumerate(algorithms):
-        fold_rankings = results[ai * folds:(ai + 1) * folds]
-        means = average_fold_ranks(fold_rankings)
+    for alg, rankings in fold_rankings.items():
+        means = average_fold_ranks(rankings)
         rand_means = {name: means[name] for name in RESERVED_RANDOM_NAMES}
         per_algorithm[alg] = {
             "avg_ranks": rand_means,
@@ -168,29 +154,37 @@ def tampering_audit(dataset: Dataset, algorithms, folds: int = 5, seed: int = 0,
 
 def backward_eliminate(dataset: Dataset, algorithm: str, split: DataSplit,
                        gamma: float, binning: BinningConfig | None = None,
-                       beta: float = 1.0) -> EliminationTrace:
+                       beta: float = 1.0,
+                       table: CountTable | None = None) -> EliminationTrace:
     """Iteratively drop the lowest-ranked feature while the gate classifier
     keeps accuracy, precision and recall at or above gamma on the test split.
 
     Rankings and gate training use the learn split only; metrics come from
-    the test split.  The loop stops at the first failing evaluation or when
-    a single feature remains.
+    the test split.  Every step ranks a column subset of one count table of
+    the learn rows: ``table`` if given (it must count exactly those rows, so
+    several criteria can share it), else one counted here.  The loop stops at
+    the first failing evaluation or when a single feature remains.
     """
     if not 0 <= gamma < 1:
         raise DataError("gamma must be in [0, 1)")
     if dataset.n_features < 2:
         raise DataError("need at least 2 features to eliminate")
     binning = binning or BinningConfig()
+    learn_rows, test_rows = split.learn_idx, split.test_idx
+    if table is None:
+        table = CountTable(dataset.take(learn_rows), binning)
+    elif table.names != dataset.feature_names or table.n != len(learn_rows):
+        raise DataError("count table does not cover this dataset's learn rows")
 
     current = list(dataset.feature_names)
     steps: list[ElimStep] = []
     stopped_at = None
     last_passing = list(current)
-    learn_rows, test_rows = split.learn_idx, split.test_idx
+    first_ranking = None
 
     while len(current) >= 2:
-        view = dataset.select_features(current)
-        ranking = rank(view.take(learn_rows), binning, algorithm, beta=beta)
+        ranking = rank(table, binning, algorithm, beta=beta, columns=current)
+        first_ranking = first_ranking or ranking
         lowest = ranking.features[-1]
         current.remove(lowest)
 
@@ -211,6 +205,7 @@ def backward_eliminate(dataset: Dataset, algorithm: str, split: DataSplit,
         steps=tuple(steps),
         stopped_at=stopped_at,
         optimized_features=tuple(last_passing),
+        ranking=first_ranking,
     )
 
 

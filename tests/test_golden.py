@@ -1,0 +1,74 @@
+"""Golden report digests: the sha256 of every report and optimized CSV from
+one desk-scale fs → rrw → ae → evaluate chain, run through the CLI.
+
+These digests are the "unchanged behaviour" gate for refactors and speedups.
+Re-pin them only when a change alters a report on purpose, and record why.
+
+Each mode runs in a subprocess with ``OPENBLAS_NUM_THREADS=1``: the gate's
+full-batch reduction is split across BLAS threads, so its last bits depend
+on the thread count.  All paths are relative to a temporary working
+directory, so no report embeds a temporary path.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from midistill.dataset import write_csv
+
+from conftest import planted_dataset
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+GOLDEN = {
+    "fs/fs_report.json":
+        "63efcea7f1989889d8ff4f9ba1ddf08efdf2866605a7cd4db89f67902b1f2375",
+    "fs/optimized.csv":
+        "0eab0f9cad4eb790436c8002e1a5b8129cd1e02da884e553abb322fb7be73cf3",
+    "rrw/rrw_report.json":
+        "0a08a5eaf4c4ae7384daecebf3ff57f5b520ff854d505d79d4db50ddb33c39c8",
+    "rrw/rrw_optimized.csv":
+        "192653388f6b9b521d77ed5220759131eee61e8b5d79646ec9526b50dd597b99",
+    "ae/ae_report.json":
+        "e0b0b167d2884ce7c86233dce2d79f6edda8bbcba4ccc7767331db88bf56f148",
+    "evaluate/evaluate_report.json":
+        "a3475c5b099fefd8057790f7524e314194c5293222b356dd40d5f5a0996784ea",
+}
+
+COMMANDS = (
+    ["fs", "--input", "planted.csv", "--out", "fs", "--seed", "3",
+     "--gamma", "0.85", "--tamper-threshold", "0.6"],
+    ["rrw", "--input", "planted.csv", "--out", "rrw", "--seed", "3",
+     "--fs-report", "fs/fs_report.json"],
+    ["ae", "--input", "planted.csv", "--out", "ae", "--seed", "3",
+     "--fs-report", "fs/fs_report.json", "--epochs", "3"],
+    ["evaluate", "--input", "rrw/rrw_optimized.csv", "--out", "evaluate",
+     "--seed", "3", "--epochs", "3"],
+)
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def chain_dir(tmp_path_factory):
+    work = tmp_path_factory.mktemp("golden")
+    write_csv(planted_dataset(5, 3, 600, seed=3), work / "planted.csv", "label")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    for args in COMMANDS:
+        done = subprocess.run([sys.executable, "-m", "midistill.cli", *args],
+                              cwd=work, env=env, capture_output=True, text=True)
+        assert done.returncode == 0, (args[0], done.stderr)
+    return work
+
+
+@pytest.mark.parametrize("artifact", sorted(GOLDEN))
+def test_golden_digest(chain_dir, artifact):
+    assert _sha256(chain_dir / artifact) == GOLDEN[artifact]

@@ -10,9 +10,11 @@ from midistill.infotheory import (
     conditional_mutual_information,
     discretize,
     entropy,
+    _entropy_from_counts,
     joint_entropy,
     joint_entropy3,
     mutual_information,
+    row_entropies,
 )
 
 from oracles import bf_cmi, bf_entropy, bf_mi
@@ -62,6 +64,22 @@ class TestEntropy:
 
     def test_three_quarters(self):
         assert entropy(dc([0, 0, 0, 1])) == pytest.approx(0.8112781244591328, abs=1e-12)
+
+
+class TestRowEntropies:
+    def test_rows_equal_one_vector_entropies_bit_for_bit(self, rng):
+        # widths past 8 and 128 reach numpy's blocked and recursive pairwise
+        # sums; zero cells, dropped first, move the remaining cells' places
+        for width in (1, 2, 7, 8, 9, 15, 16, 17, 40, 127, 128, 129, 200, 300):
+            for density in (0.3, 1.0):
+                counts = rng.integers(1, 5000, size=(200, width))
+                counts *= rng.random((200, width)) < density
+                counts[counts.sum(axis=1) == 0, 0] = 1
+                expected = np.array([_entropy_from_counts(row) for row in counts])
+                assert row_entropies(counts).tobytes() == expected.tobytes()
+
+    def test_zero_row_is_zero(self):
+        assert row_entropies(np.array([[0, 0, 0], [2, 0, 2]])).tolist() == [0.0, 1.0]
 
 
 class TestJointEntropy:

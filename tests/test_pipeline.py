@@ -224,3 +224,43 @@ class TestCli:
         cli_main(["fs", "--input", str(path), "--out", str(tmp_path),
                   "--tamper-threshold", "0.99", "--algorithms", "mRMR"])
         assert "training failure" in capsys.readouterr().err
+
+
+class TestCliExitCodes:
+    """Bad flags and bad fs reports end in exit code 1 with a one-line
+    message, never a traceback."""
+
+    def _config_error(self, capsys, argv):
+        code = cli_main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("configuration error: ")
+        assert err.count("\n") == 1
+        return err
+
+    def _rrw(self, planted_csv, tmp_path, report_text):
+        report = tmp_path / "fs_report.json"
+        report.write_text(report_text, encoding="utf-8")
+        return ["rrw", "--input", planted_csv, "--fs-report", str(report),
+                "--out", str(tmp_path / "out")]
+
+    def test_batch_zero(self, planted_csv, tmp_path, capsys):
+        err = self._config_error(capsys, ["evaluate", "--input", planted_csv,
+                                          "--batch", "0", "--out", str(tmp_path)])
+        assert "batch" in err
+
+    def test_report_not_json(self, planted_csv, tmp_path, capsys):
+        err = self._config_error(capsys, self._rrw(planted_csv, tmp_path, "{not json"))
+        assert "not valid JSON" in err
+
+    def test_report_is_a_list(self, planted_csv, tmp_path, capsys):
+        err = self._config_error(capsys, self._rrw(planted_csv, tmp_path, "[1, 2]"))
+        assert "not a JSON object" in err
+
+    def test_report_without_traces_or_rankings(self, fs_run, planted_csv, tmp_path,
+                                               capsys):
+        fs_report, _ = fs_run
+        stripped = {k: v for k, v in fs_report.items() if k not in ("traces", "rankings")}
+        err = self._config_error(capsys, self._rrw(planted_csv, tmp_path,
+                                                   json.dumps(stripped)))
+        assert "traces or rankings" in err

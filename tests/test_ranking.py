@@ -3,19 +3,20 @@ import json
 import numpy as np
 import pytest
 
-from midistill.errors import DataError
-from midistill.infotheory import BinningConfig
-from midistill.ranking import (
-    ALGORITHMS,
-    MICache,
-    criterion_score,
-    rank,
-    rank_mifs,
-    rank_mrmr,
+from midistill.errors import DataError, UnknownFeature
+from midistill.infotheory import (
+    BinningConfig,
+    DiscreteColumn,
+    conditional_mutual_information,
+    discretize,
+    joint_entropy,
+    mutual_information,
+    pair_column,
 )
+from midistill.ranking import ALGORITHMS, CountTable, rank
 
 from conftest import make_dataset
-from oracles import bf_greedy_ranking, bf_mi
+from oracles import bf_cmi, bf_entropy, bf_greedy_ranking, bf_mi
 
 BINNING = BinningConfig(4, "equal_frequency")
 
@@ -48,7 +49,7 @@ class TestCriterionBehaviour:
     def test_single_feature(self, rng):
         data = make_dataset({"only": rng.integers(0, 2, 32).astype(float)},
                             rng.integers(0, 2, 32))
-        r = rank_mrmr(data, BINNING)
+        r = rank(data, BINNING, "mRMR")
         assert len(r.entries) == 1
         assert r.entries[0][1] == pytest.approx(
             bf_mi(data.X[:, 0].astype(int).tolist(), data.labels.tolist()), abs=1e-12)
@@ -59,7 +60,7 @@ class TestCriterionBehaviour:
         b = labels  # exact copy of a
         c = [0, 1, 0, 1, 1, 0, 1, 0]  # independent of labels
         data = make_dataset({"a": a, "b": b, "c": c}, labels)
-        r = rank_mrmr(data, BINNING)
+        r = rank(data, BINNING, "mRMR")
         assert r.features[0] == "a"
         # the redundant copy's selection-time score collapses to rel - penalty = 0
         score_b = dict(r.entries)["b"]
@@ -67,7 +68,7 @@ class TestCriterionBehaviour:
 
     def test_mifs_beta_zero_sorts_by_relevance(self, rng):
         data = random_discrete_dataset(rng, n_features=5, n_samples=48)
-        r = rank_mifs(data, BINNING, beta=0.0)
+        r = rank(data, BINNING, "MIFS", beta=0.0)
         rels = [bf_mi(data.column(n).astype(int).tolist(), data.labels.tolist())
                 for n in r.features]
         assert all(rels[i] >= rels[i + 1] - 1e-12 for i in range(len(rels) - 1))
@@ -109,8 +110,7 @@ class TestCriterionBehaviour:
         # alone, a constant carries no normalized relevance, so despite the
         # favourable tie position it cannot be selected first
         assert r.features[0] != "const"
-        cache = MICache(data, BINNING)
-        assert cache.single_sr(0) == pytest.approx(0.0, abs=1e-12)
+        assert CountTable(data, BINNING).single_sr[0] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestEngineProperties:
@@ -133,16 +133,21 @@ class TestEngineProperties:
     def test_mrmr_equals_mifs_with_dynamic_beta(self, rng):
         for _ in range(10):
             data = random_discrete_dataset(rng, n_features=6, n_samples=56)
-            cache = MICache(data, BINNING)
+            table = CountTable(data, BINNING)
             remaining = list(range(data.n_features))
             selected = []
             while remaining:
-                mrmr = [criterion_score("mRMR", cache, i, selected) for i in remaining]
+                redundancy = [sum(table.mi[i, j] for j in selected) for i in remaining]
+                mrmr = [table.relevance[i] - (r / len(selected) if selected else 0.0)
+                        for i, r in zip(remaining, redundancy)]
                 beta = 1.0 / len(selected) if selected else 0.0
-                mifs = [criterion_score("MIFS", cache, i, selected, beta=beta)
-                        for i in remaining]
+                mifs = [table.relevance[i] - beta * r
+                        for i, r in zip(remaining, redundancy)]
                 assert int(np.argmax(mrmr)) == int(np.argmax(mifs))
                 selected.append(remaining.pop(int(np.argmax(mrmr))))
+            # the greedy engine picks the same order as this hand-driven loop
+            assert rank(table, BINNING, "mRMR").features == [
+                data.feature_names[i] for i in selected]
 
     def test_unknown_algorithm(self, rng):
         data = random_discrete_dataset(rng)
@@ -151,8 +156,151 @@ class TestEngineProperties:
 
     def test_json_serialization(self, rng):
         data = random_discrete_dataset(rng, n_features=4, n_samples=32)
-        doc = rank_mifs(data, BINNING, beta=0.5).to_json()
+        doc = rank(data, BINNING, "MIFS", beta=0.5).to_json()
         doc = json.loads(json.dumps(doc))
         assert doc["algorithm"] == "MIFS"
         assert doc["params"]["beta"] == 0.5
         assert [e["rank"] for e in doc["entries"]] == [1, 2, 3, 4]
+
+
+def _codes(data, binning):
+    return [discretize(data.X[:, i], binning).codes.tolist()
+            for i in range(data.n_features)]
+
+
+class TestCountTable:
+    """Every quantity of the count table against the brute-force oracles."""
+
+    def _check_against_oracles(self, data, binning):
+        table = CountTable(data, binning)
+        cols, label = _codes(data, binning), data.labels.tolist()
+        f = data.n_features
+        for i in range(f):
+            assert table.relevance[i] == pytest.approx(bf_mi(cols[i], label), abs=1e-9)
+            h = bf_entropy(cols[i], label)
+            single = bf_mi(cols[i], label) / h if h > 0 else 0.0
+            assert table.single_sr[i] == pytest.approx(single, abs=1e-9)
+            for j in range(f):
+                if i == j:
+                    continue
+                assert table.mi[i, j] == pytest.approx(bf_mi(cols[i], cols[j]), abs=1e-9)
+                assert table.cmi_pair_given_label[i, j] == pytest.approx(
+                    bf_cmi(cols[i], cols[j], label), abs=1e-9)
+                assert table.cmi_label_given_feature[i, j] == pytest.approx(
+                    bf_cmi(cols[i], label, cols[j]), abs=1e-9)
+                pair = list(zip(cols[i], cols[j]))
+                h = bf_entropy(pair, label)
+                sr = bf_mi(pair, label) / h if h > 0 else 0.0
+                assert table.symmetrical_relevance[i, j] == pytest.approx(sr, abs=1e-9)
+
+    def test_quantities_match_oracles(self, rng):
+        for _ in range(10):
+            data = random_discrete_dataset(rng)
+            self._check_against_oracles(data, BINNING)
+
+    def test_quantities_equal_row_estimators_bit_for_bit(self, rng):
+        # the counts feed the entropy the same vectors, in the same order, as
+        # the row-level estimators, so equality is exact, not approximate
+        for trial in range(8):
+            data = random_discrete_dataset(rng)
+            if trial % 2:
+                data = make_dataset({f"x{i}": rng.random(70) for i in range(4)},
+                                    rng.integers(0, 2, 70))
+            table = CountTable(data, BINNING)
+            cols = [discretize(data.X[:, i], BINNING) for i in range(data.n_features)]
+            label = DiscreteColumn(data.labels, 2)
+            for i in range(data.n_features):
+                rel = mutual_information(cols[i], label)
+                assert table.relevance[i] == rel
+                h = joint_entropy(cols[i], label)
+                assert table.single_sr[i] == (rel / h if h > 0 else 0.0)
+                for j in range(data.n_features):
+                    if i == j:
+                        continue
+                    a, b = cols[min(i, j)], cols[max(i, j)]
+                    assert table.mi[i, j] == mutual_information(a, b)
+                    assert table.cmi_pair_given_label[i, j] == \
+                        conditional_mutual_information(a, b, label)
+                    assert table.cmi_label_given_feature[i, j] == \
+                        conditional_mutual_information(cols[i], label, cols[j])
+                    pair = pair_column(a, b)
+                    h = joint_entropy(pair, label)
+                    assert table.symmetrical_relevance[i, j] == \
+                        (mutual_information(pair, label) / h if h > 0 else 0.0)
+
+    def test_binned_continuous_columns(self, rng):
+        data = make_dataset({f"x{i}": rng.random(90) for i in range(4)},
+                            rng.integers(0, 2, 90))
+        self._check_against_oracles(data, BinningConfig(5, "equal_width"))
+
+    def test_constant_column(self, rng):
+        labels = rng.integers(0, 2, 40)
+        data = make_dataset({"const": np.full(40, 2.5), "a": rng.integers(0, 3, 40),
+                             "b": labels}, labels)
+        table = CountTable(data, BINNING)
+        assert table.k[0] == 1
+        assert table.relevance[0] == 0.0
+        assert table.mi[0, 1] == 0.0
+        self._check_against_oracles(data, BINNING)
+
+    def test_single_class_rows(self, rng):
+        data = make_dataset({f"c{i}": rng.integers(0, 4, 30) for i in range(3)},
+                            np.ones(30, dtype=int))
+        table = CountTable(data, BINNING)
+        assert table.relevance[1] == 0.0
+        assert table.cmi_label_given_feature[0, 2] == 0.0
+        self._check_against_oracles(data, BINNING)
+        for algorithm in ALGORITHMS:
+            assert sorted(rank(table, BINNING, algorithm).features) == ["c0", "c1", "c2"]
+
+    def test_counts_are_the_row_histograms(self, rng):
+        data = random_discrete_dataset(rng, n_features=3, n_samples=50)
+        table = CountTable(data, BINNING)
+        cols = _codes(data, BINNING)
+        assert table.n == 50
+        assert table.label_counts.tolist() == np.bincount(data.labels, minlength=2).tolist()
+        # cells past a column's k are padding and stay zero
+        w = max(table.k)
+        assert table.pairs.tolist() == [[0, 1], [0, 2], [1, 2]]
+        for p, (a, b) in enumerate(table.pairs):
+            expected = np.zeros((w, w, 2), dtype=np.int64)
+            for xa, xb, c in zip(cols[a], cols[b], data.labels):
+                expected[xa, xb, c] += 1
+            assert table.joint[p].tolist() == expected.tolist()
+            assert table.marginal[a].tolist() == expected.sum(axis=1).tolist()
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_subset_ranking_equals_projected_dataset(self, algorithm, rng):
+        for _ in range(8):
+            data = random_discrete_dataset(rng, n_features=int(rng.integers(3, 8)),
+                                           n_samples=int(rng.integers(20, 80)))
+            table = CountTable(data, BINNING)
+            keep = sorted(rng.choice(data.n_features,
+                                     int(rng.integers(1, data.n_features + 1)),
+                                     replace=False))
+            subset = [data.feature_names[i] for i in keep]
+            shared = rank(table, BINNING, algorithm, beta=0.5, columns=subset)
+            projected = rank(data.select_features(subset), BINNING, algorithm, beta=0.5)
+            assert shared.entries == projected.entries
+            assert shared.params == projected.params
+
+    def test_table_ranking_equals_dataset_ranking(self, rng):
+        data = random_discrete_dataset(rng, n_features=6, n_samples=60)
+        table = CountTable(data, BINNING)
+        for algorithm in ALGORITHMS:
+            assert rank(table, BINNING, algorithm).entries == \
+                rank(data, BINNING, algorithm).entries
+
+    def test_column_subset_must_keep_table_order(self, rng):
+        table = CountTable(random_discrete_dataset(rng, n_features=4), BINNING)
+        with pytest.raises(DataError, match="order"):
+            rank(table, BINNING, "JMI", columns=["c2", "c0"])
+        with pytest.raises(UnknownFeature):
+            rank(table, BINNING, "JMI", columns=["c0", "nope"])
+        with pytest.raises(DataError):
+            rank(table, BINNING, "JMI", columns=[])
+
+    def test_binning_must_match_table(self, rng):
+        table = CountTable(random_discrete_dataset(rng), BINNING)
+        with pytest.raises(DataError, match="binning"):
+            rank(table, BinningConfig(8, "equal_frequency"), "mRMR")

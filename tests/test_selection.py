@@ -6,7 +6,7 @@ import pytest
 from midistill.dataset import apply_minmax, fit_minmax, minmax_normalize, split
 from midistill.errors import DataError, FeatureSetMismatch
 from midistill.infotheory import BinningConfig
-from midistill.ranking import FeatureRanking, rank
+from midistill.ranking import ALGORITHMS, CountTable, FeatureRanking, rank
 from midistill.selection import (
     average_fold_ranks,
     backward_eliminate,
@@ -129,6 +129,31 @@ class TestBackwardEliminate:
         a = backward_eliminate(data, "MIFS", sp, 0.9, binning=BINNING)
         b = backward_eliminate(data, "MIFS", sp, 0.9, binning=BINNING)
         assert a.to_json() == b.to_json()
+
+    def test_shared_table_matches_per_step_ranking(self, planted_norm):
+        # every step ranks a column subset of one learn-row table; the result
+        # equals ranking each step's projected learn rows from scratch
+        data, sp = planted_norm
+        table = CountTable(data.take(sp.learn_idx), BINNING)
+        for algorithm in ALGORITHMS:
+            trace = backward_eliminate(data, algorithm, sp, 0.0, binning=BINNING,
+                                       table=table)
+            assert trace.to_json() == backward_eliminate(
+                data, algorithm, sp, 0.0, binning=BINNING).to_json()
+            assert trace.ranking.entries == rank(
+                data.take(sp.learn_idx), BINNING, algorithm).entries
+            current = list(data.feature_names)
+            for step in trace.steps:
+                projected = data.select_features(current).take(sp.learn_idx)
+                assert rank(projected, BINNING, algorithm).features[-1] == \
+                    step.removed_feature
+                current.remove(step.removed_feature)
+
+    def test_table_of_other_rows_rejected(self, planted_norm):
+        data, sp = planted_norm
+        with pytest.raises(DataError, match="count table"):
+            backward_eliminate(data, "mRMR", sp, 0.9, binning=BINNING,
+                               table=CountTable(data, BINNING))
 
     def test_mdrt_formula(self, planted_norm):
         data, sp = planted_norm

@@ -31,6 +31,7 @@ RESERVED_RANDOM_NAMES = ("__rand1", "__rand2", "__rand3")
 
 VALIDATION_FRACTION = 0.15
 TEST_FRACTION = 0.15
+WRITE_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -92,11 +93,6 @@ class Dataset:
     def take(self, rows) -> "Dataset":
         rows = np.asarray(rows, dtype=np.int64)
         return Dataset(self.feature_names, self.X[rows], self.labels[rows], dict(self.meta))
-
-    def with_meta(self, **extra) -> "Dataset":
-        meta = dict(self.meta)
-        meta.update(extra)
-        return Dataset(self.feature_names, self.X, self.labels, meta)
 
 
 @dataclass(frozen=True)
@@ -174,10 +170,14 @@ def write_csv(dataset: Dataset, path, label_column: str | None = None) -> None:
     """Write the dataset back to CSV plus a ``<name>.meta.json`` sidecar."""
     label_column = label_column or dataset.meta.get("label_column", "label")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(dataset.feature_names) + [label_column])
-        for row, lab in zip(dataset.X, dataset.labels):
-            writer.writerow([repr(float(v)) for v in row] + [int(lab)])
+        csv.writer(fh).writerow(list(dataset.feature_names) + [label_column])
+        # a finite float's repr never needs quoting, so the rows skip
+        # csv.writer; converting a block at a time bounds tolist()'s memory
+        for start in range(0, dataset.n_samples, WRITE_BLOCK_ROWS):
+            block = slice(start, start + WRITE_BLOCK_ROWS)
+            fh.writelines(",".join(map(repr, row)) + f",{lab}\r\n"
+                          for row, lab in zip(dataset.X[block].tolist(),
+                                              dataset.labels[block].tolist()))
     sidecar = os.fspath(path) + ".meta.json"
     with open(sidecar, "w", encoding="utf-8") as fh:
         json.dump(_jsonable(dataset.meta), fh, indent=2, sort_keys=True)

@@ -93,7 +93,3 @@ class DivergenceDetected(TrainingError):
     def __init__(self, epoch):
         self.epoch = epoch
         super().__init__(f"loss became non-finite at epoch {epoch}")
-
-
-class GateTrainingFailure(TrainingError):
-    pass

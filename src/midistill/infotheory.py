@@ -130,11 +130,6 @@ def joint_entropy(x: DiscreteColumn, y: DiscreteColumn) -> float:
     return _entropy_from_counts(np.bincount(_pair_codes(x, y), minlength=x.k * y.k))
 
 
-def joint_entropy3(x: DiscreteColumn, y: DiscreteColumn, z: DiscreteColumn) -> float:
-    """Three-way joint entropy H(X,Y,Z); exposed for the chain-rule identity."""
-    return joint_entropy(pair_column(x, y), z)
-
-
 def mutual_information(x: DiscreteColumn, y: DiscreteColumn) -> float:
     """I(X;Y) = H(X) + H(Y) - H(X,Y), clamped at 0 against rounding."""
     return max(0.0, entropy(x) + entropy(y) - joint_entropy(x, y))

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import json
 import os
-from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from contextlib import contextmanager, suppress
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -22,8 +22,6 @@ from .neural import (
     ae_encode,
     ae_new,
     ae_train,
-    gate_predict,
-    gate_train,
     mlp_new,
     mlp_predict,
     mlp_train,
@@ -31,7 +29,7 @@ from .neural import (
 )
 from .ranking import ALGORITHMS, CountTable, FeatureRanking
 from .rrw import apply_weights, avg_f1_cv, rrw_scores
-from .selection import backward_eliminate, extract_optimized, tampering_audit
+from .selection import GateCache, backward_eliminate, extract_optimized, tampering_audit
 
 MODES = ("fs", "rrw", "ae", "evaluate")
 
@@ -97,12 +95,32 @@ def _stage(name: str):
         raise
 
 
+def _make_out_dir(config: PipelineConfig) -> None:
+    """Create the output directory before any work, so a bad --out fails fast."""
+    try:
+        os.makedirs(config.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {config.out_dir}: "
+                          f"{exc.strerror}") from None
+
+
+def _write_json(doc: dict, path: str, indent: int | None = None) -> None:
+    """Write through a temporary file in the same directory and rename it over
+    ``path``, so an interrupted write leaves the previous file intact."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=indent, sort_keys=True)
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
 def _write_report(report: dict, out_dir: str, name: str) -> str:
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(report, path, indent=2)
     return path
 
 
@@ -123,6 +141,7 @@ def run_fs(config: PipelineConfig) -> dict:
     config.validate()
     if config.mode != "fs":
         raise ConfigError("run_fs requires mode=fs")
+    _make_out_dir(config)
     binning = config.binning()
     _, normalized, sp = _load_normalized(config)
 
@@ -133,6 +152,7 @@ def run_fs(config: PipelineConfig) -> dict:
     surviving = audit.passing()
 
     traces, post_bfe, rankings = {}, {}, {}
+    gates = GateCache(normalized, sp)
     if surviving:
         with _stage("count_table"):
             table = CountTable(normalized.take(sp.learn_idx), binning)
@@ -140,24 +160,15 @@ def run_fs(config: PipelineConfig) -> dict:
         with _stage(f"backward_eliminate[{alg}]"):
             traces[alg] = backward_eliminate(
                 normalized, alg, sp, config.gamma, binning=binning, beta=config.beta,
-                table=table)
+                table=table, gates=gates)
         rankings[alg] = traces[alg].ranking
+        # a cache hit unless elimination stopped at step 1: then the full set
+        # is trained once per run, not once per criterion
+        with _stage(f"post_bfe_gate[{alg}]"):
+            post_bfe[alg] = gates.metrics(traces[alg].optimized_features)
 
     # second gate: drop algorithms whose reduced-set metrics fall below gamma
-    final_suite = []
-    for alg, trace in traces.items():
-        last_pass = None
-        for step in trace.steps[:None if trace.stopped_at is None else trace.stopped_at - 1]:
-            last_pass = step.metrics
-        if last_pass is None:
-            with _stage(f"post_bfe_gate[{alg}]"):
-                reduced = extract_optimized(normalized, trace)
-                gate = gate_train(reduced.take(sp.learn_idx))
-                test = reduced.take(sp.test_idx)
-                last_pass = compute_metrics(gate_predict(gate, test.X), test.labels)
-        post_bfe[alg] = last_pass
-        if last_pass.passes(config.gamma):
-            final_suite.append(alg)
+    final_suite = [alg for alg in surviving if post_bfe[alg].passes(config.gamma)]
 
     best_alg, optimized, mdrt = None, None, None
     if final_suite:
@@ -165,7 +176,6 @@ def run_fs(config: PipelineConfig) -> dict:
         optimized = extract_optimized(normalized, traces[best_alg])
         mdrt = traces[best_alg].mdrt
 
-    os.makedirs(config.out_dir, exist_ok=True)
     artifacts = {}
     if optimized is not None:
         opt_path = os.path.join(config.out_dir, "optimized.csv")
@@ -235,6 +245,7 @@ def run_rrw(config: PipelineConfig) -> dict:
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"fs report {config.fs_report} lacks the traces or rankings "
                           f"of its final suite ({exc!r})") from None
+    _make_out_dir(config)
     _, normalized, sp = _load_normalized(config)
 
     pairs = []
@@ -254,13 +265,10 @@ def run_rrw(config: PipelineConfig) -> dict:
     with _stage("apply_weights"):
         weighted = apply_weights(optimized, weights)
 
-    os.makedirs(config.out_dir, exist_ok=True)
     out_csv = os.path.join(config.out_dir, "rrw_optimized.csv")
     ds.write_csv(weighted, out_csv, config.label_column)
     weights_path = os.path.join(config.out_dir, "rrw_weights.json")
-    with open(weights_path, "w", encoding="utf-8") as fh:
-        json.dump(weights.to_json(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(weights.to_json(), weights_path, indent=2)
 
     report = {
         "mode": "rrw",
@@ -285,6 +293,7 @@ def run_ae(config: PipelineConfig) -> dict:
             bottleneck = _load_fs_report(config).get("mdrt")
         if bottleneck is None:
             raise ConfigError("ae mode needs --bottleneck or an fs report with an MDRt")
+    _make_out_dir(config)
     _, normalized, sp = _load_normalized(config)
 
     with _stage("ae_train"):
@@ -295,15 +304,12 @@ def run_ae(config: PipelineConfig) -> dict:
     with _stage("ae_encode"):
         encoded = ae_encode(model, normalized)
 
-    os.makedirs(config.out_dir, exist_ok=True)
     out_csv = os.path.join(config.out_dir, "ae_generated.csv")
     ds.write_csv(encoded, out_csv, config.label_column)
     curve_path = os.path.join(config.out_dir, "ae_curve.csv")
     curve.to_csv(curve_path)
     model_path = os.path.join(config.out_dir, "ae_model.json")
-    with open(model_path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_json(model), fh, sort_keys=True)
-        fh.write("\n")
+    _write_json(model_to_json(model), model_path)
 
     report = {
         "mode": "ae",
@@ -324,6 +330,7 @@ def run_evaluate(config: PipelineConfig) -> dict:
     config.validate()
     if config.mode != "evaluate":
         raise ConfigError("run_evaluate requires mode=evaluate")
+    _make_out_dir(config)
     with _stage("load"):
         data = ds.load_csv(config.input_path, config.label_column)
     with _stage("split"):
@@ -341,7 +348,6 @@ def run_evaluate(config: PipelineConfig) -> dict:
         preds = (mlp_predict(model, test) >= 0.5).astype(np.int64)
         metrics = compute_metrics(preds, test.labels)
 
-    os.makedirs(config.out_dir, exist_ok=True)
     curve_path = os.path.join(config.out_dir, "mlp_curve.csv")
     curve.to_csv(curve_path)
 

@@ -152,29 +152,62 @@ def tampering_audit(dataset: Dataset, algorithms, folds: int = 5, seed: int = 0,
     return TamperingAudit(per_algorithm, folds, threshold, seed, n_total)
 
 
+class GateCache:
+    """Test-split metrics of the gate, computed once per ordered feature tuple.
+
+    A gate has zero init and full-batch descent, so the same columns in the
+    same order, trained on the same learn rows, always give the same
+    metrics on the same test rows.  The cache is bound to one dataset and
+    split (the caller's own objects) and stores only ``ClassifierMetrics``,
+    never a model or a projected dataset.  Keys keep the caller's column
+    order, which for elimination is dataset order.
+    """
+
+    def __init__(self, dataset: Dataset, split: DataSplit):
+        self.dataset = dataset
+        self.split = split
+        self._metrics: dict[tuple[str, ...], ClassifierMetrics] = {}
+
+    def metrics(self, features) -> ClassifierMetrics:
+        key = tuple(features)
+        if key not in self._metrics:
+            reduced = self.dataset.select_features(key)
+            gate = gate_train(reduced.take(self.split.learn_idx))
+            test = reduced.take(self.split.test_idx)
+            self._metrics[key] = compute_metrics(gate_predict(gate, test.X), test.labels)
+        return self._metrics[key]
+
+
 def backward_eliminate(dataset: Dataset, algorithm: str, split: DataSplit,
                        gamma: float, binning: BinningConfig | None = None,
                        beta: float = 1.0,
-                       table: CountTable | None = None) -> EliminationTrace:
+                       table: CountTable | None = None,
+                       gates: GateCache | None = None) -> EliminationTrace:
     """Iteratively drop the lowest-ranked feature while the gate classifier
     keeps accuracy, precision and recall at or above gamma on the test split.
 
     Rankings and gate training use the learn split only; metrics come from
     the test split.  Every step ranks a column subset of one count table of
     the learn rows: ``table`` if given (it must count exactly those rows, so
-    several criteria can share it), else one counted here.  The loop stops at
-    the first failing evaluation or when a single feature remains.
+    several criteria can share it), else one counted here.  Gate metrics come
+    from ``gates`` if given (it must be bound to this dataset and split, so
+    several criteria share their gates), else from a cache made here.  The
+    loop stops at the first failing evaluation or when a single feature
+    remains.
     """
     if not 0 <= gamma < 1:
         raise DataError("gamma must be in [0, 1)")
     if dataset.n_features < 2:
         raise DataError("need at least 2 features to eliminate")
     binning = binning or BinningConfig()
-    learn_rows, test_rows = split.learn_idx, split.test_idx
     if table is None:
-        table = CountTable(dataset.take(learn_rows), binning)
-    elif table.names != dataset.feature_names or table.n != len(learn_rows):
+        table = CountTable(dataset.take(split.learn_idx), binning)
+    elif table.names != dataset.feature_names or table.n != len(split.learn_idx):
         raise DataError("count table does not cover this dataset's learn rows")
+    if gates is None:
+        gates = GateCache(dataset, split)
+    elif gates.dataset is not dataset or gates.split is not split:
+        raise DataError("gate cache is bound to another dataset or split")
 
     current = list(dataset.feature_names)
     steps: list[ElimStep] = []
@@ -188,10 +221,7 @@ def backward_eliminate(dataset: Dataset, algorithm: str, split: DataSplit,
         lowest = ranking.features[-1]
         current.remove(lowest)
 
-        reduced = dataset.select_features(current)
-        gate = gate_train(reduced.take(learn_rows))
-        test = reduced.take(test_rows)
-        metrics = compute_metrics(gate_predict(gate, test.X), test.labels)
+        metrics = gates.metrics(current)
         steps.append(ElimStep(lowest, len(current), metrics))
         if not metrics.passes(gamma):
             stopped_at = len(steps)

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from midistill import dataset as dataset_module
 from midistill.dataset import (
     Dataset,
     apply_minmax,
@@ -85,6 +87,26 @@ class TestLoadCsv:
         np.testing.assert_array_equal(reloaded.X, original.X)
         np.testing.assert_array_equal(reloaded.labels, original.labels)
         assert json.loads((tmp_path / "rt.csv.meta.json").read_text()) is not None
+
+    def test_write_matches_csv_writer_oracle(self, tmp_path, monkeypatch):
+        # the rows bypass csv.writer; their bytes must equal what it writes
+        # for repr(float(v)), and a header name with a comma is still quoted;
+        # blocks of two rows put a block boundary inside the table
+        monkeypatch.setattr(dataset_module, "WRITE_BLOCK_ROWS", 2)
+        values = [0.1, 1e-05, 1e16, -0.0, 5e-324, 123456789.125]
+        data = Dataset(("plain", "bytes,out"),
+                       np.array(values).reshape(3, 2), np.array([0, 1, 1]))
+        write_csv(data, tmp_path / "fast.csv", "label")
+        with open(tmp_path / "oracle.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["plain", "bytes,out", "label"])
+            for row, lab in zip(data.X, data.labels):
+                writer.writerow([repr(float(v)) for v in row] + [int(lab)])
+        written = (tmp_path / "fast.csv").read_bytes()
+        assert written == (tmp_path / "oracle.csv").read_bytes()
+        assert written.startswith(b'plain,"bytes,out",label\r\n')
+        reloaded = load_csv(tmp_path / "fast.csv", "label")
+        assert reloaded.X.tobytes() == data.X.tobytes()
 
 
 class TestInvariants:

@@ -16,9 +16,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from midistill.dataset import write_csv
+from midistill.dataset import Dataset, write_csv
 
 from conftest import planted_dataset
 
@@ -51,24 +52,59 @@ COMMANDS = (
 )
 
 
+# Every criterion stops at elimination step 1 on this table: 10% of the
+# labels are flipped, so no 3-feature gate reaches gamma, while the full
+# 4-feature gate does and all six criteria stay in the final suite.
+GOLDEN_STEP1 = {
+    "fs/fs_report.json":
+        "c071a2de93b53eb25e8c4e21834689d14faaa538fc056c4991cc8f255bf6eb12",
+    "fs/optimized.csv":
+        "ea52996674d2a67c7b6e175f87b8ff5a0dde468930a2d37b40675cf2516430a4",
+}
+
+STEP1_COMMAND = ["fs", "--input", "noisy.csv", "--out", "fs", "--seed", "3",
+                 "--gamma", "0.85", "--tamper-threshold", "0.6"]
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _run_cli(work: Path, commands) -> None:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    for args in commands:
+        done = subprocess.run([sys.executable, "-m", "midistill.cli", *args],
+                              cwd=work, env=env, capture_output=True, text=True)
+        assert done.returncode == 0, (args[0], done.stderr)
 
 
 @pytest.fixture(scope="module")
 def chain_dir(tmp_path_factory):
     work = tmp_path_factory.mktemp("golden")
     write_csv(planted_dataset(5, 3, 600, seed=3), work / "planted.csv", "label")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    for args in COMMANDS:
-        done = subprocess.run([sys.executable, "-m", "midistill.cli", *args],
-                              cwd=work, env=env, capture_output=True, text=True)
-        assert done.returncode == 0, (args[0], done.stderr)
+    _run_cli(work, COMMANDS)
+    return work
+
+
+@pytest.fixture(scope="module")
+def step1_dir(tmp_path_factory):
+    work = tmp_path_factory.mktemp("golden_step1")
+    clean = planted_dataset(4, 0, 600, seed=3)
+    flip = np.random.default_rng(3).random(clean.n_samples) < 0.1
+    noisy = Dataset(clean.feature_names, clean.X,
+                    np.where(flip, 1 - clean.labels, clean.labels))
+    write_csv(noisy, work / "noisy.csv", "label")
+    _run_cli(work, [STEP1_COMMAND])
     return work
 
 
 @pytest.mark.parametrize("artifact", sorted(GOLDEN))
 def test_golden_digest(chain_dir, artifact):
     assert _sha256(chain_dir / artifact) == GOLDEN[artifact]
+
+
+@pytest.mark.parametrize("artifact", sorted(GOLDEN_STEP1))
+def test_golden_digest_step1_stop(step1_dir, artifact):
+    assert _sha256(step1_dir / artifact) == GOLDEN_STEP1[artifact]

@@ -12,8 +12,8 @@ from midistill.infotheory import (
     entropy,
     _entropy_from_counts,
     joint_entropy,
-    joint_entropy3,
     mutual_information,
+    pair_column,
     row_entropies,
 )
 
@@ -157,7 +157,7 @@ class TestConditionalMI:
             y = dc(rng.integers(0, 4, 48), k=4)
             z = dc(rng.integers(0, 2, 48), k=2)
             chain = (joint_entropy(x, z) + joint_entropy(y, z)
-                     - entropy(z) - joint_entropy3(x, y, z))
+                     - entropy(z) - joint_entropy(pair_column(x, y), z))
             assert conditional_mutual_information(x, y, z) == pytest.approx(
                 chain, abs=1e-9)
 

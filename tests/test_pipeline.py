@@ -3,17 +3,21 @@ import os
 
 import pytest
 
+from midistill import pipeline, selection
 from midistill.dataset import load_csv, write_csv
 from midistill.errors import ConfigError, TrainingError
 from midistill.cli import main as cli_main
+from midistill.neural import gate_train
 from midistill.pipeline import (
     PipelineConfig,
+    _write_report,
     run,
     run_ae,
     run_evaluate,
     run_fs,
     run_rrw,
 )
+from midistill.ranking import ALGORITHMS
 
 from conftest import make_dataset, planted_dataset
 
@@ -98,6 +102,44 @@ class TestFsMode:
         first = (tmp_path / "fs_report.json").read_bytes()
         run_fs(fs_config(planted_csv, tmp_path))
         assert (tmp_path / "fs_report.json").read_bytes() == first
+
+    def test_each_feature_tuple_trained_once(self, planted_csv, tmp_path, monkeypatch):
+        # all six criteria share one gate cache: every gate evaluated by any
+        # elimination step or by the post-elimination gate is trained once
+        trained = []
+
+        def counting(learn, *args, **kwargs):
+            trained.append(learn.feature_names)
+            return gate_train(learn, *args, **kwargs)
+
+        monkeypatch.setattr(selection, "gate_train", counting)
+        report = run_fs(fs_config(planted_csv, tmp_path, algorithms=ALGORITHMS,
+                                  tamper_threshold=0.6))
+        evaluated = {tuple(t["optimized_features"]) for t in report["traces"].values()}
+        n_steps = 0
+        for trace in report["traces"].values():
+            current = list(trace["initial_features"])
+            for step in trace["steps"]:
+                current.remove(step["removed_feature"])
+                evaluated.add(tuple(current))
+                n_steps += 1
+        assert len(report["traces"]) == len(ALGORITHMS)
+        assert sorted(trained) == sorted(evaluated)
+        assert len(trained) < n_steps
+
+    def test_report_write_is_atomic(self, tmp_path, monkeypatch):
+        _write_report({"version": 1}, str(tmp_path), "r.json")
+        before = (tmp_path / "r.json").read_bytes()
+
+        def failing_dump(doc, fh, **kwargs):
+            fh.write('{"version": ')
+            raise RuntimeError("interrupted")
+
+        monkeypatch.setattr(pipeline.json, "dump", failing_dump)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            _write_report({"version": 2}, str(tmp_path), "r.json")
+        assert (tmp_path / "r.json").read_bytes() == before
+        assert os.listdir(tmp_path) == ["r.json"]
 
 
 class TestRrwMode:
@@ -264,3 +306,13 @@ class TestCliExitCodes:
         err = self._config_error(capsys, self._rrw(planted_csv, tmp_path,
                                                    json.dumps(stripped)))
         assert "traces or rankings" in err
+
+    @pytest.mark.parametrize("mode", ["fs", "evaluate"])
+    @pytest.mark.parametrize("under_file", [False, True])
+    def test_out_is_a_file(self, planted_csv, tmp_path, capsys, mode, under_file):
+        blocker = tmp_path / "taken"
+        blocker.write_text("keep\n", encoding="utf-8")
+        out = blocker / "sub" if under_file else blocker
+        err = self._config_error(capsys, [mode, "--input", planted_csv, "--out", str(out)])
+        assert "output directory" in err
+        assert blocker.read_text(encoding="utf-8") == "keep\n"

@@ -8,6 +8,7 @@ from midistill.errors import DataError, FeatureSetMismatch
 from midistill.infotheory import BinningConfig
 from midistill.ranking import ALGORITHMS, CountTable, FeatureRanking, rank
 from midistill.selection import (
+    GateCache,
     average_fold_ranks,
     backward_eliminate,
     extract_optimized,
@@ -154,6 +155,25 @@ class TestBackwardEliminate:
         with pytest.raises(DataError, match="count table"):
             backward_eliminate(data, "mRMR", sp, 0.9, binning=BINNING,
                                table=CountTable(data, BINNING))
+
+    def test_shared_gate_cache_matches_own_gates(self, planted_norm):
+        # one cache serves every criterion; each trace equals the trace made
+        # with a cache of its own, to the last bit of every metric
+        data, sp = planted_norm
+        gates = GateCache(data, sp)
+        for algorithm in ALGORITHMS:
+            shared = backward_eliminate(data, algorithm, sp, 0.0, binning=BINNING,
+                                        gates=gates)
+            own = backward_eliminate(data, algorithm, sp, 0.0, binning=BINNING)
+            assert shared == own
+            assert shared.to_json() == own.to_json()
+
+    def test_gate_cache_of_other_dataset_or_split_rejected(self, planted_norm):
+        data, sp = planted_norm
+        same_values = data.take(np.arange(data.n_samples))
+        for gates in (GateCache(data, split(data, sp.seed + 1)), GateCache(same_values, sp)):
+            with pytest.raises(DataError, match="gate cache"):
+                backward_eliminate(data, "mRMR", sp, 0.9, binning=BINNING, gates=gates)
 
     def test_mdrt_formula(self, planted_norm):
         data, sp = planted_norm

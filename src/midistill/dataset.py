@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,10 +114,16 @@ def load_csv(path, label_column: str) -> Dataset:
     """Read an RFC-4180 CSV with a header row into a Dataset.
 
     Rows with missing or unparseable numeric values are hard errors; the
-    source is expected to be a fully preprocessed numeric table.
+    source is expected to be a fully preprocessed numeric table.  numpy's C
+    reader parses the body; a body it cannot take as is (quoted cells, blank
+    lines, a bad value) is re-read one cell at a time, which returns the
+    same table or raises the error for the first bad row.
     """
     if not os.path.exists(path):
         raise FileNotFoundError(path)
+    if not os.path.isfile(path):
+        raise DataError(f"input {path} is not a regular file")
+    sha256, n_lines = _file_digest(path)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -129,7 +136,46 @@ def load_csv(path, label_column: str) -> Dataset:
             raise MalformedHeader(f"label column {label_column!r} not in header")
         label_pos = header.index(label_column)
         names = [h for i, h in enumerate(header) if i != label_pos]
+        body = _parse_body(fh, len(header), label_pos, n_lines - reader.line_num)
+    X, labels = body or _parse_cells(path, header, label_pos)
+    meta = {
+        "source_path": str(path),
+        "source_sha256": sha256,
+        "label_column": label_column,
+        "transforms": [],
+    }
+    return Dataset(tuple(names), X, labels, meta)
 
+
+def _parse_body(fh, n_columns: int, label_pos: int, n_rows: int):
+    """(X, labels) of the ``n_rows`` lines left in ``fh``, parsed by numpy's
+    C reader, or None unless every line is a row of ``n_columns`` finite
+    values with a 0/1 label.  The reader skips blank lines, so the row count
+    catches them; an empty body may come back in the wrong shape and is
+    re-read.  It converts each cell as ``float()`` does, but takes no
+    quotes and no underscores: such bodies fail here and are re-read."""
+    try:
+        with warnings.catch_warnings():  # "input contained no data"
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
+                               dtype=np.float64)
+    except ValueError:
+        return None
+    if table.shape != (n_rows, n_columns):
+        return None
+    labels = table[:, label_pos]
+    X = np.delete(table, label_pos, axis=1)
+    if not (np.isfinite(X).all() and ((labels == 0.0) | (labels == 1.0)).all()):
+        return None
+    return X, labels.astype(np.int64)
+
+
+def _parse_cells(path, header: list[str], label_pos: int):
+    """(X, labels) of the rows after the header, one cell at a time through
+    ``float()``: the reference parse, which names the first bad row."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        next(reader)
         rows, labels = [], []
         for rownum, record in enumerate(reader, start=2):
             if len(record) != len(header):
@@ -155,15 +201,8 @@ def load_csv(path, label_column: str) -> Dataset:
                     raise NonNumericValue(rownum, header[i])
                 values.append(v)
             rows.append(values)
-
-    X = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(names))
-    meta = {
-        "source_path": str(path),
-        "source_sha256": _file_sha256(path),
-        "label_column": label_column,
-        "transforms": [],
-    }
-    return Dataset(tuple(names), X, np.asarray(labels), meta)
+    X = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(header) - 1)
+    return X, np.asarray(labels)
 
 
 def write_csv(dataset: Dataset, path, label_column: str | None = None) -> None:
@@ -259,12 +298,23 @@ def inject_random_features(dataset: Dataset, seed: int) -> Dataset:
     return Dataset(dataset.feature_names + RESERVED_RANDOM_NAMES, X, dataset.labels, meta)
 
 
-def _file_sha256(path) -> str:
+def _file_digest(path) -> tuple[str, int]:
+    """The file's sha256 and its line count, with lines split as text mode
+    with ``newline=""`` splits them: at "\\r\\n", "\\r" or "\\n"; an
+    unterminated last line counts too."""
     h = hashlib.sha256()
+    breaks, last = 0, b""
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
-    return h.hexdigest()
+            breaks += chunk.count(b"\n")
+            cr = chunk.count(b"\r")
+            if cr:
+                breaks += cr - chunk.count(b"\r\n")
+            if last == b"\r" and chunk[:1] == b"\n":
+                breaks -= 1  # a CRLF split across two chunks
+            last = chunk[-1:]
+    return h.hexdigest(), breaks + (last not in (b"", b"\r", b"\n"))
 
 
 def _jsonable(obj):

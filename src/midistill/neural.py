@@ -79,12 +79,23 @@ def forward(model: NeuralModel, X: np.ndarray) -> list[np.ndarray]:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != model.input_dim:
         raise DimensionMismatch(f"expected {model.input_dim} inputs, got {X.shape[1]}")
+    return _layer_outputs(model, X)
+
+
+def _layer_outputs(model: NeuralModel, X: np.ndarray) -> list[np.ndarray]:
     outs = [X]
-    a = X
     for W, b, act in zip(model.weights, model.biases, model.activations):
-        a = _activate(a @ W + b, act)
-        outs.append(a)
+        outs.append(_activate(outs[-1] @ W + b, act))
     return outs
+
+
+def _output(model: NeuralModel, X: np.ndarray, n_layers: int | None = None) -> np.ndarray:
+    """The output of the first ``n_layers`` layers (default: all), computed
+    as ``forward`` computes it but keeping no other layer."""
+    a = X
+    for W, b, act in zip(model.weights[:n_layers], model.biases, model.activations):
+        a = _activate(a @ W + b, act)
+    return a
 
 
 def _init_layers(dims: list[int], rng: np.random.Generator):
@@ -166,46 +177,62 @@ def loss_and_gradients(model: NeuralModel, X: np.ndarray, target: np.ndarray,
     loss_kind 'bce' expects a 0/1 target vector against a sigmoid output;
     'mse' expects a target matrix shaped like the output.
     """
-    outs = forward(model, X)
-    out = outs[-1]
-    n = out.shape[0]
+    return _backprop(model, forward(model, X), target, loss_kind)
+
+
+def _loss(out: np.ndarray, target: np.ndarray, loss_kind: str):
+    """Mean loss of the network output and its residual ``out - target``."""
     if loss_kind == "bce":
         y = np.asarray(target, dtype=np.float64).reshape(-1, 1)
         p = np.clip(out, 1e-12, 1.0 - 1e-12)
-        loss = float(np.mean(-y * np.log(p) - (1.0 - y) * np.log(1.0 - p)))
-        delta = (out - y) / n  # gradient w.r.t. the sigmoid pre-activation
-        skip_last_activation = True
-    elif loss_kind == "mse":
-        T = np.asarray(target, dtype=np.float64)
-        diff = out - T
-        loss = float(np.mean(diff ** 2))
-        ddout = 2.0 * diff / diff.size
-        delta = ddout * out * (1.0 - out) if model.activations[-1] == "sigmoid" else ddout
-        skip_last_activation = True
+        terms = -y * np.log(p) - (1.0 - y) * np.log(1.0 - p)
+        return float(terms.sum() / terms.size), out - y
+    if loss_kind == "mse":
+        diff = out - np.asarray(target, dtype=np.float64)
+        squares = diff ** 2
+        return float(squares.sum() / squares.size), diff
+    raise ValueError(f"unknown loss {loss_kind!r}")
+
+
+def _backprop(model: NeuralModel, outs: list[np.ndarray], target: np.ndarray,
+              loss_kind: str):
+    out = outs[-1]
+    loss, residual = _loss(out, target, loss_kind)
+    # delta is the gradient w.r.t. the output layer's pre-activation
+    if loss_kind == "bce":
+        delta = residual / out.shape[0]
     else:
-        raise ValueError(f"unknown loss {loss_kind!r}")
+        delta = 2.0 * residual / residual.size
+        if model.activations[-1] == "sigmoid":
+            delta = delta * out * (1.0 - out)
 
     dWs = [None] * len(model.weights)
     dbs = [None] * len(model.biases)
     for layer in range(len(model.weights) - 1, -1, -1):
-        a_prev = outs[layer]
         a_cur = outs[layer + 1]
-        if not (layer == len(model.weights) - 1 and skip_last_activation):
+        if layer < len(model.weights) - 1:
             act = model.activations[layer]
             if act == "relu":
                 delta = delta * (a_cur > 0.0)
             elif act == "sigmoid":
                 delta = delta * a_cur * (1.0 - a_cur)
-        dWs[layer] = a_prev.T @ delta
+        dWs[layer] = outs[layer].T @ delta
         dbs[layer] = delta.sum(axis=0)
         if layer > 0:
             delta = delta @ model.weights[layer].T
     return loss, dWs, dbs
 
 
-def _sgd_train(model: NeuralModel, X: np.ndarray, target: np.ndarray,
-               Xval: np.ndarray, val_target: np.ndarray, loss_kind: str,
+def _sgd_train(model: NeuralModel, learn: Dataset, validation: Dataset, loss_kind: str,
                epochs: int, batch: int, step: float) -> TrainingCurve:
+    """Seeded mini-batch SGD.  'mse' reconstructs the input (autoencoder),
+    'bce' fits the labels."""
+    for data in (learn, validation):
+        if data.n_features != model.input_dim:
+            raise DimensionMismatch(
+                f"model expects {model.input_dim} features, got {data.n_features}")
+    X, Xval = learn.X, validation.X
+    target, val_target = (X, Xval) if loss_kind == "mse" else (learn.labels, validation.labels)
     rng = np.random.default_rng(model.seed)
     n = X.shape[0]
     curve = TrainingCurve()
@@ -214,7 +241,9 @@ def _sgd_train(model: NeuralModel, X: np.ndarray, target: np.ndarray,
         seen, acc = 0, 0.0
         for start in range(0, n, batch):
             rows = order[start:start + batch]
-            loss, dWs, dbs = loss_and_gradients(model, X[rows], target[rows], loss_kind)
+            xb = X[rows]
+            tb = xb if target is X else target[rows]
+            loss, dWs, dbs = _backprop(model, _layer_outputs(model, xb), tb, loss_kind)
             if not np.isfinite(loss):
                 raise DivergenceDetected(epoch + 1)
             for i in range(len(model.weights)):
@@ -223,21 +252,17 @@ def _sgd_train(model: NeuralModel, X: np.ndarray, target: np.ndarray,
             acc += loss * len(rows)
             seen += len(rows)
         train_loss = acc / seen
-        val_loss, _, _ = loss_and_gradients(model, Xval, val_target, loss_kind)
+        val_loss, _ = _loss(_output(model, Xval), val_target, loss_kind)
         if not np.isfinite(val_loss):
             raise DivergenceDetected(epoch + 1)
-        curve.epochs.append((train_loss, float(val_loss)))
+        curve.epochs.append((train_loss, val_loss))
     return curve
 
 
 def mlp_train(model: NeuralModel, learn: Dataset, validation: Dataset,
               epochs: int = 10, batch: int = 10, step: float = MLP_STEP) -> TrainingCurve:
     """Mini-batch SGD on binary cross-entropy; records TLC/VLC per epoch."""
-    if learn.n_features != model.input_dim:
-        raise DimensionMismatch(
-            f"model expects {model.input_dim} features, got {learn.n_features}")
-    return _sgd_train(model, learn.X, learn.labels, validation.X, validation.labels,
-                      "bce", epochs, batch, step)
+    return _sgd_train(model, learn, validation, "bce", epochs, batch, step)
 
 
 def mlp_predict(model: NeuralModel, dataset: Dataset) -> np.ndarray:
@@ -261,21 +286,18 @@ def ae_new(input_dim: int, bottleneck: int, seed: int) -> NeuralModel:
 def ae_train(model: NeuralModel, learn: Dataset, validation: Dataset,
              epochs: int = 10, batch: int = 10, step: float = MLP_STEP) -> TrainingCurve:
     """Mini-batch SGD on mean squared reconstruction error."""
-    if learn.n_features != model.input_dim:
-        raise DimensionMismatch(
-            f"model expects {model.input_dim} features, got {learn.n_features}")
-    return _sgd_train(model, learn.X, learn.X, validation.X, validation.X,
-                      "mse", epochs, batch, step)
+    return _sgd_train(model, learn, validation, "mse", epochs, batch, step)
 
 
 def ae_encode(model: NeuralModel, dataset: Dataset) -> Dataset:
-    """Bottleneck activations as a new Dataset with anonymous names f1..fk."""
+    """Bottleneck activations as a new Dataset with anonymous names f1..fk.
+    Only the encoder half runs: the layers up to the bottleneck."""
     if model.kind != "autoencoder":
         raise DimensionMismatch("ae_encode needs an autoencoder model")
     if dataset.n_features != model.input_dim:
         raise DimensionMismatch(
             f"model expects {model.input_dim} features, got {dataset.n_features}")
-    latent = forward(model, dataset.X)[model.bottleneck_index() + 1]
+    latent = _output(model, dataset.X, model.bottleneck_index() + 1)
     names = tuple(f"f{i + 1}" for i in range(latent.shape[1]))
     meta = dict(dataset.meta)
     meta["encoder"] = {"kind": "autoencoder", "seed": model.seed,

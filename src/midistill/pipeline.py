@@ -125,14 +125,15 @@ def _write_report(report: dict, out_dir: str, name: str) -> str:
 
 
 def _load_normalized(config: PipelineConfig):
-    """Load the input CSV, split it, and min-max normalize fit on learn."""
+    """Load the input CSV, split it, and min-max normalize fit on learn.
+    The raw table is not returned, so it is freed before any training."""
     with _stage("load"):
         data = ds.load_csv(config.input_path, config.label_column)
     with _stage("split"):
         sp = ds.split(data, config.seed)
     with _stage("normalize"):
         normalized = ds.apply_minmax(data, ds.fit_minmax(data, sp.learn_idx))
-    return data, normalized, sp
+    return normalized, sp
 
 
 def run_fs(config: PipelineConfig) -> dict:
@@ -143,7 +144,7 @@ def run_fs(config: PipelineConfig) -> dict:
         raise ConfigError("run_fs requires mode=fs")
     _make_out_dir(config)
     binning = config.binning()
-    _, normalized, sp = _load_normalized(config)
+    normalized, sp = _load_normalized(config)
 
     with _stage("tampering_audit"):
         audit = tampering_audit(
@@ -214,11 +215,13 @@ def run_fs(config: PipelineConfig) -> dict:
 def _load_fs_report(config: PipelineConfig) -> dict:
     if not config.fs_report:
         raise ConfigError(f"mode={config.mode} requires --fs-report from a prior fs run")
-    with open(config.fs_report, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(config.fs_report, encoding="utf-8") as fh:
             report = json.load(fh)
-        except ValueError as exc:
-            raise ConfigError(f"fs report {config.fs_report} is not valid JSON: {exc}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read fs report {config.fs_report}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ConfigError(f"fs report {config.fs_report} is not valid JSON: {exc}") from None
     if not isinstance(report, dict):
         raise ConfigError(f"fs report {config.fs_report} is not a JSON object")
     if not report.get("final_suite") or not report.get("optimized_features"):
@@ -246,7 +249,7 @@ def run_rrw(config: PipelineConfig) -> dict:
         raise ConfigError(f"fs report {config.fs_report} lacks the traces or rankings "
                           f"of its final suite ({exc!r})") from None
     _make_out_dir(config)
-    _, normalized, sp = _load_normalized(config)
+    normalized, sp = _load_normalized(config)
 
     pairs = []
     avg_f1 = {}
@@ -294,7 +297,7 @@ def run_ae(config: PipelineConfig) -> dict:
         if bottleneck is None:
             raise ConfigError("ae mode needs --bottleneck or an fs report with an MDRt")
     _make_out_dir(config)
-    _, normalized, sp = _load_normalized(config)
+    normalized, sp = _load_normalized(config)
 
     with _stage("ae_train"):
         model = ae_new(normalized.n_features, bottleneck, config.seed)

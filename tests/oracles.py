@@ -1,11 +1,19 @@
 """Independent brute-force oracles used by the tests.
 
 Deliberately naive: plain-Python counting over value tuples, no shared code
-with the package's estimators or the greedy ranking engine.
+with the package's estimators or the greedy ranking engine.  The CSV
+reference is the package's original one-cell-at-a-time parse.
 """
 
+import csv
+import hashlib
 import math
+import os
 from collections import Counter
+
+import numpy as np
+
+from midistill.errors import MalformedHeader, NonBinaryLabel, NonNumericValue
 
 
 def bf_entropy(*columns) -> float:
@@ -81,3 +89,53 @@ def bf_greedy_ranking(algorithm, columns, label, beta=1.0, tie_tol=1e-12):
         selected.append(idx)
         order.append((idx, scores[best_pos]))
     return order
+
+
+def reference_load_csv(path, label_column):
+    """(names, X, labels, source_sha256) by a ``csv.reader`` and ``float()``
+    for every cell, raising what the package's ``load_csv`` raises."""
+    if not os.path.exists(path):
+        raise FileNotFoundError(path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise MalformedHeader("empty file") from None
+        if len(header) != len(set(header)) or any(not h.strip() for h in header):
+            raise MalformedHeader("duplicate or blank column names")
+        if label_column not in header:
+            raise MalformedHeader(f"label column {label_column!r} not in header")
+        label_pos = header.index(label_column)
+        names = [h for i, h in enumerate(header) if i != label_pos]
+
+        rows, labels = [], []
+        for rownum, record in enumerate(reader, start=2):
+            if len(record) != len(header):
+                raise NonNumericValue(rownum, "<row length>")
+            raw_label = record[label_pos].strip()
+            if raw_label not in ("0", "1"):
+                try:
+                    lv = float(raw_label)
+                except ValueError:
+                    raise NonBinaryLabel(rownum, raw_label) from None
+                if lv not in (0.0, 1.0):
+                    raise NonBinaryLabel(rownum, raw_label)
+            labels.append(int(float(raw_label)))
+            values = []
+            for i, cell in enumerate(record):
+                if i == label_pos:
+                    continue
+                try:
+                    v = float(cell)
+                except ValueError:
+                    raise NonNumericValue(rownum, header[i]) from None
+                if not math.isfinite(v):
+                    raise NonNumericValue(rownum, header[i])
+                values.append(v)
+            rows.append(values)
+
+    X = np.asarray(rows, dtype=np.float64).reshape(len(rows), len(names))
+    with open(path, "rb") as fh:
+        sha256 = hashlib.sha256(fh.read()).hexdigest()
+    return tuple(names), X, np.asarray(labels, dtype=np.int64), sha256

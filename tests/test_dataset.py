@@ -28,6 +28,7 @@ from midistill.errors import (
 from midistill.infotheory import BinningConfig, DiscreteColumn, discretize, mutual_information
 
 from conftest import make_dataset
+from oracles import reference_load_csv
 
 
 def write_lines(tmp_path, lines, name="data.csv"):
@@ -107,6 +108,137 @@ class TestLoadCsv:
         assert written.startswith(b'plain,"bytes,out",label\r\n')
         reloaded = load_csv(tmp_path / "fast.csv", "label")
         assert reloaded.X.tobytes() == data.X.tobytes()
+
+
+# spellings for the differential test; a "clean" table draws only from the
+# first entries, which are what numpy's reader takes as is
+CELL_SPELLINGS = ("repr", "g17", "int", "padded", "quoted", "underscore", "inf", "nan",
+                  "empty", "word")
+LABEL_SPELLINGS = ("0", "1", "1.0", "-0", "0.0", " 1", '"1"', "2", "nan", "x")
+LINE_KINDS = ("row", "row", "row", "blank", "comment", "ragged")
+N_CLEAN = 3
+
+
+def _cell(kind: str, value: float) -> str:
+    return {"repr": repr(value), "g17": f"{value:.17g}", "int": str(int(value)),
+            "padded": f" {value!r}\t", "quoted": f'"{value!r}"', "underscore": "1_000",
+            "inf": "-inf", "nan": "nan", "empty": "", "word": "abc"}[kind]
+
+
+@st.composite
+def csv_files(draw):
+    """The bytes of a small CSV in one of many spellings; the label column is
+    named ``label``.  Half the tables are clean, so both parses get tested."""
+    clean = draw(st.booleans())
+    cell_kinds = st.sampled_from(CELL_SPELLINGS[:N_CLEAN] if clean else CELL_SPELLINGS)
+    label_kinds = st.sampled_from(LABEL_SPELLINGS[:5] if clean else LABEL_SPELLINGS)
+    n_features = draw(st.integers(0, 3))
+    names = [f"c{i}" for i in range(n_features)]
+    label_pos = draw(st.integers(0, n_features))
+    header = names[:label_pos] + ["label"] + names[label_pos:]
+    lines = [",".join(header)]
+    values = st.floats(-1e6, 1e6, allow_nan=False, width=64)
+    for _ in range(draw(st.sampled_from((0, 1, 1, 2, 3, 5)))):
+        kind = "row" if clean else draw(st.sampled_from(LINE_KINDS))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(("", " "))))
+            continue
+        if kind == "comment":
+            lines.append("#" + ",".join(["1"] * len(header)))
+            continue
+        cells = [_cell(draw(cell_kinds), draw(values)) for _ in names]
+        cells.insert(label_pos, draw(label_kinds))
+        if kind == "ragged":
+            cells = cells[:-1] if draw(st.booleans()) else cells + ["0"]
+        lines.append(",".join(cells))
+    newline = draw(st.sampled_from(("\n", "\r\n", "\r")))
+    text = newline.join(lines) + draw(st.sampled_from((newline, "")))
+    # a BOM sticks to the first column name, so a leading label goes missing
+    bom = "\ufeff" if draw(st.integers(0, 4)) == 4 else ""
+    return (bom + text).encode("utf-8")
+
+
+def _outcome(load, path):
+    """What a loader gives: the table, or the error type and message."""
+    try:
+        return load(path)
+    except (DataError, FileNotFoundError) as exc:
+        return type(exc), str(exc)
+
+
+class TestLoadCsvParse:
+    """The C-reader parse against the per-cell reference, and when each runs."""
+
+    @pytest.fixture(scope="class")
+    def table_path(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("parse") / "table.csv"
+
+    @settings(max_examples=400, deadline=None)
+    @given(content=csv_files())
+    def test_matches_reference(self, table_path, content):
+        table_path.write_bytes(content)
+
+        def load(p):
+            data = load_csv(p, "label")
+            return (data.feature_names, data.X.shape, data.X.tobytes(),
+                    data.labels.dtype, data.labels.tolist(), data.meta["source_sha256"])
+
+        def reference(p):
+            names, X, labels, sha256 = reference_load_csv(p, "label")
+            return names, X.shape, X.tobytes(), labels.dtype, labels.tolist(), sha256
+
+        assert _outcome(load, table_path) == _outcome(reference, table_path)
+
+    def _count_fallbacks(self, monkeypatch):
+        calls = []
+        original = dataset_module._parse_cells
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(dataset_module, "_parse_cells", counted)
+        return calls
+
+    def test_write_csv_output_takes_fast_path(self, tmp_path, monkeypatch, rng):
+        calls = self._count_fallbacks(monkeypatch)
+        X = np.vstack([[0.1, 1e-05, 1e16], [-0.0, 5e-324, -1.5e300], rng.random((50, 3))])
+        data = Dataset(("plain", "with,comma", "x"), X, rng.integers(0, 2, len(X)))
+        write_csv(data, tmp_path / "t.csv", "label")
+        reloaded = load_csv(tmp_path / "t.csv", "label")
+        assert calls == []
+        assert reloaded.feature_names == data.feature_names
+        assert reloaded.X.tobytes() == data.X.tobytes()
+        assert reloaded.labels.tolist() == data.labels.tolist()
+
+    @pytest.mark.parametrize("body, rows", [
+        (["1,0", "", "2,1"], None),        # blank line: row 3 has the wrong length
+        (['"1",0', "2,1"], [[1.0], [2.0]]),  # quoted cell
+        (["1_000,1"], [[1000.0]]),          # underscore, which only float() reads
+        (["1,0", "nan,1"], None),          # non-finite value at row 3
+    ])
+    def test_other_bodies_fall_back(self, tmp_path, monkeypatch, body, rows):
+        calls = self._count_fallbacks(monkeypatch)
+        path = write_lines(tmp_path, ["a,label"] + body)
+        if rows is None:
+            with pytest.raises(NonNumericValue) as err:
+                load_csv(path, "label")
+            assert err.value.row == 3
+        else:
+            assert load_csv(path, "label").X.tolist() == rows
+        assert len(calls) == 1
+
+    def test_header_only(self, tmp_path):
+        for text in ("a,b,label", "a,b,label\n", "a,b,label\r\n"):
+            path = tmp_path / "h.csv"
+            path.write_bytes(text.encode())
+            data = load_csv(path, "label")
+            assert data.X.shape == (0, 2)
+            assert data.labels.shape == (0,)
+
+    def test_directory_is_a_data_error(self, tmp_path):
+        with pytest.raises(DataError, match="not a regular file"):
+            load_csv(tmp_path, "label")
 
 
 class TestInvariants:

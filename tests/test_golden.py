@@ -1,5 +1,6 @@
-"""Golden report digests: the sha256 of every report and optimized CSV from
-one desk-scale fs → rrw → ae → evaluate chain, run through the CLI.
+"""Golden report digests: the sha256 of every report, optimized CSV, AE model
+and learning curve from one desk-scale fs → rrw → ae → evaluate chain, run
+through the CLI.
 
 These digests are the "unchanged behaviour" gate for refactors and speedups.
 Re-pin them only when a change alters a report on purpose, and record why.
@@ -36,8 +37,16 @@ GOLDEN = {
         "192653388f6b9b521d77ed5220759131eee61e8b5d79646ec9526b50dd597b99",
     "ae/ae_report.json":
         "e0b0b167d2884ce7c86233dce2d79f6edda8bbcba4ccc7767331db88bf56f148",
+    "ae/ae_generated.csv":
+        "1c572349c29ce3fe5d9f25528a6fc6b945fd056798f1aac168f8994c0eab4013",
+    "ae/ae_model.json":
+        "1d35147129d622f729b504f4d4f6a4fbf1d52137ba67c9425f9c80b8898dde12",
+    "ae/ae_curve.csv":
+        "36a2c0a281981eebdd1f5f722eb4756ee185feb07a5164cc96b3ab9e015c6756",
     "evaluate/evaluate_report.json":
         "a3475c5b099fefd8057790f7524e314194c5293222b356dd40d5f5a0996784ea",
+    "evaluate/mlp_curve.csv":
+        "a02090005e4c860d5df6870426700514a76fd0bcd6000e67eacd571f56b404cb",
 }
 
 COMMANDS = (

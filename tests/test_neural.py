@@ -240,6 +240,45 @@ class TestAutoencoder:
                                 rng.integers(0, 2, 8))
             assert ae_encode(model, data).n_features == b
 
+    def test_encode_equals_full_forward_bottleneck(self, rng):
+        # the encoder half alone gives the full pass's bottleneck bit for bit
+        data = make_dataset({f"f{i}": rng.random(300) for i in range(9)},
+                            rng.integers(0, 2, 300))
+        for input_dim, bottleneck in ((9, 3), (9, 8)):
+            model = ae_new(input_dim, bottleneck, 5)
+            ae_train(model, data, data, epochs=2)
+            k = model.bottleneck_index()
+            latent = ae_encode(model, data)
+            assert latent.X.tobytes() == forward(model, data.X)[k + 1].tobytes()
+
+    @pytest.mark.parametrize("kind", ["mlp", "autoencoder"])
+    def test_val_loss_equals_loss_and_gradients(self, rng, kind):
+        # the per-epoch validation loss is the loss of loss_and_gradients
+        X = rng.random((120, 5))
+        data = make_dataset({f"f{i}": X[:, i] for i in range(5)},
+                            (X[:, 0] > 0.5).astype(int))
+        learn, validation = data.take(np.arange(80)), data.take(np.arange(80, 120))
+        if kind == "mlp":
+            model = mlp_new(5, 4)
+            curve = mlp_train(model, learn, validation, epochs=2)
+            expected = loss_and_gradients(model, validation.X, validation.labels, "bce")[0]
+        else:
+            model = ae_new(5, 2, 4)
+            curve = ae_train(model, learn, validation, epochs=2)
+            expected = loss_and_gradients(model, validation.X, validation.X, "mse")[0]
+        assert curve.epochs[-1][1] == expected
+
+    def test_validation_width_checked_before_training(self, rng):
+        learn = make_dataset({f"f{i}": rng.random(20) for i in range(4)},
+                             rng.integers(0, 2, 20))
+        validation = make_dataset({f"f{i}": rng.random(20) for i in range(3)},
+                                  rng.integers(0, 2, 20))
+        model = ae_new(4, 2, 0)
+        before = [W.copy() for W in model.weights]
+        with pytest.raises(DimensionMismatch):
+            ae_train(model, learn, validation, epochs=1)
+        assert all((W == W0).all() for W, W0 in zip(model.weights, before))
+
     def test_mse_gradient_check(self, rng):
         model = ae_new(4, 2, 13)
         X = rng.random((6, 4))

@@ -269,8 +269,9 @@ class TestCli:
 
 
 class TestCliExitCodes:
-    """Bad flags and bad fs reports end in exit code 1 with a one-line
-    message, never a traceback."""
+    """Bad flags and bad fs reports end in exit code 1, an input path that
+    is not a regular file in exit code 2, each with a one-line message and
+    never a traceback."""
 
     def _config_error(self, capsys, argv):
         code = cli_main(argv)
@@ -316,3 +317,18 @@ class TestCliExitCodes:
         err = self._config_error(capsys, [mode, "--input", planted_csv, "--out", str(out)])
         assert "output directory" in err
         assert blocker.read_text(encoding="utf-8") == "keep\n"
+
+    def test_report_is_a_directory(self, planted_csv, tmp_path, capsys):
+        err = self._config_error(capsys, ["rrw", "--input", planted_csv,
+                                          "--fs-report", str(tmp_path),
+                                          "--out", str(tmp_path / "out")])
+        assert "cannot read fs report" in err
+
+    @pytest.mark.parametrize("mode", ["fs", "evaluate"])
+    def test_input_is_a_directory(self, tmp_path, capsys, mode):
+        code = cli_main([mode, "--input", str(tmp_path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("data error: ")
+        assert "not a regular file" in err
+        assert err.count("\n") == 1

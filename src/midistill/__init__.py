@@ -39,11 +39,10 @@ from .ranking import ALGORITHMS, CountTable, FeatureRanking, rank
 from .rrw import RRwWeights, apply_weights, avg_f1_cv, rrw_scores
 from .selection import (
     EliminationTrace,
-    GateCache,
+    LearnRows,
     TamperingAudit,
     average_fold_ranks,
     backward_eliminate,
-    extract_optimized,
     tampering_audit,
 )
 

@@ -15,8 +15,16 @@ from .pipeline import MODES, PipelineConfig, run
 from .ranking import ALGORITHMS
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag as a configuration error (exit 1, one line), not
+    with argparse's usage dump and exit code 2, which is the data-error code."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mi-distill",
         description="Dataset optimization pipeline: MI feature selection, "
                     "RRw re-weighting, autoencoder reduction and MLP evaluation.",
@@ -69,9 +77,8 @@ def config_from_args(args) -> PipelineConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
+        config = config_from_args(build_parser().parse_args(argv))
         report = run(config)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

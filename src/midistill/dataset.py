@@ -14,6 +14,7 @@ import json
 import math
 import os
 import warnings
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -124,20 +125,25 @@ def load_csv(path, label_column: str) -> Dataset:
     if not os.path.isfile(path):
         raise DataError(f"input {path} is not a regular file")
     sha256, n_lines = _file_digest(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedHeader("empty file") from None
-        if len(header) != len(set(header)) or any(not h.strip() for h in header):
-            raise MalformedHeader("duplicate or blank column names")
-        if label_column not in header:
-            raise MalformedHeader(f"label column {label_column!r} not in header")
-        label_pos = header.index(label_column)
-        names = [h for i, h in enumerate(header) if i != label_pos]
-        body = _parse_body(fh, len(header), label_pos, n_lines - reader.line_num)
-    X, labels = body or _parse_cells(path, header, label_pos)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise MalformedHeader("empty file") from None
+            if len(header) != len(set(header)) or any(not h.strip() for h in header):
+                raise MalformedHeader("duplicate or blank column names")
+            if label_column not in header:
+                raise MalformedHeader(f"label column {label_column!r} not in header")
+            label_pos = header.index(label_column)
+            names = [h for i, h in enumerate(header) if i != label_pos]
+            body = _parse_body(fh, len(header), label_pos, n_lines - reader.line_num)
+        # the C reader's decode error is a ValueError, so such a body is
+        # re-read and the per-cell parse raises it again
+        X, labels = body or _parse_cells(path, header, label_pos)
+    except UnicodeDecodeError as exc:
+        raise DataError(f"input {path} is not valid UTF-8: {exc.reason}") from None
     meta = {
         "source_path": str(path),
         "source_sha256": sha256,
@@ -205,10 +211,26 @@ def _parse_cells(path, header: list[str], label_pos: int):
     return X, np.asarray(labels)
 
 
-def write_csv(dataset: Dataset, path, label_column: str | None = None) -> None:
-    """Write the dataset back to CSV plus a ``<name>.meta.json`` sidecar."""
-    label_column = label_column or dataset.meta.get("label_column", "label")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+@contextmanager
+def atomic_write(path):
+    """A UTF-8 text file, written at ``<path>.tmp`` and renamed over ``path``
+    when the block completes, so an interrupted write leaves the previous
+    file intact and no temporary file behind.  Newlines are not translated,
+    so the bytes are the same on every platform."""
+    tmp = f"{os.fspath(path)}.tmp"
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        with suppress(FileNotFoundError):
+            os.remove(tmp)
+
+
+def write_csv(dataset: Dataset, path, label_column: str) -> None:
+    """Write the dataset to CSV plus a ``<name>.meta.json`` sidecar, each
+    through ``atomic_write``."""
+    with atomic_write(path) as fh:
         csv.writer(fh).writerow(list(dataset.feature_names) + [label_column])
         # a finite float's repr never needs quoting, so the rows skip
         # csv.writer; converting a block at a time bounds tolist()'s memory
@@ -217,8 +239,7 @@ def write_csv(dataset: Dataset, path, label_column: str | None = None) -> None:
             fh.writelines(",".join(map(repr, row)) + f",{lab}\r\n"
                           for row, lab in zip(dataset.X[block].tolist(),
                                               dataset.labels[block].tolist()))
-    sidecar = os.fspath(path) + ".meta.json"
-    with open(sidecar, "w", encoding="utf-8") as fh:
+    with atomic_write(os.fspath(path) + ".meta.json") as fh:
         json.dump(_jsonable(dataset.meta), fh, indent=2, sort_keys=True)
 
 

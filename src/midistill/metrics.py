@@ -29,13 +29,10 @@ class ClassifierMetrics:
     fdr: float | None
     undefined: dict = field(default_factory=dict)
 
-    def passes(self, gamma: float, fields=("accuracy", "precision", "recall")) -> bool:
-        """True iff every requested metric is defined and >= gamma."""
-        for name in fields:
-            value = getattr(self, name)
-            if value is None or value < gamma:
-                return False
-        return True
+    def passes(self, gamma: float) -> bool:
+        """True iff accuracy, precision and recall are all defined and >= gamma."""
+        return all(v is not None and v >= gamma
+                   for v in (self.accuracy, self.precision, self.recall))
 
     def to_json(self) -> dict:
         doc = {k: getattr(self, k) for k in

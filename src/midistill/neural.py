@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, atomic_write
 from .errors import (
     DimensionMismatch,
     DivergenceDetected,
@@ -55,7 +55,7 @@ class TrainingCurve:
     epochs: list[tuple[float, float]] = field(default_factory=list)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             fh.write("epoch,train_loss,val_loss\n")
             for i, (tl, vl) in enumerate(self.epochs, start=1):
                 fh.write(f"{i},{tl!r},{vl!r}\n")

@@ -8,8 +8,9 @@ no timestamps, so identical configs produce byte-identical reports.
 from __future__ import annotations
 
 import json
+import math
 import os
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -27,9 +28,9 @@ from .neural import (
     mlp_train,
     model_to_json,
 )
-from .ranking import ALGORITHMS, CountTable, FeatureRanking
+from .ranking import ALGORITHMS, FeatureRanking
 from .rrw import apply_weights, avg_f1_cv, rrw_scores
-from .selection import GateCache, backward_eliminate, extract_optimized, tampering_audit
+from .selection import LearnRows, backward_eliminate, tampering_audit
 
 MODES = ("fs", "rrw", "ae", "evaluate")
 
@@ -57,16 +58,19 @@ class PipelineConfig:
     def validate(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
-        for name in ("gamma", "tamper_threshold"):
+        for name, upper in (("gamma", 1.0), ("tamper_threshold", 1.0), ("beta", math.inf)):
             v = getattr(self, name)
-            if not 0.0 <= v < 1.0:
-                raise ConfigError(f"{name} must be in [0, 1), got {v}")
-        for name, least in (("n_bins", 2), ("folds", 2), ("epochs", 0), ("batch", 1)):
+            if not 0.0 <= v < upper:
+                raise ConfigError(f"{name} must be in [0, {upper:g}), got {v}")
+        for name, least in (("seed", 0), ("n_bins", 2), ("folds", 2), ("epochs", 0),
+                            ("batch", 1)):
             v = getattr(self, name)
             if not isinstance(v, int) or v < least:
                 raise ConfigError(f"invalid {name}: {v}")
         if self.binning_strategy not in ("equal_width", "equal_frequency"):
             raise ConfigError(f"unknown binning strategy {self.binning_strategy!r}")
+        if not self.algorithms:
+            raise ConfigError("no ranking algorithm given")
         unknown = [a for a in self.algorithms if a not in ALGORITHMS]
         if unknown:
             raise ConfigError(f"unknown ranking algorithm(s): {', '.join(unknown)}")
@@ -105,17 +109,9 @@ def _make_out_dir(config: PipelineConfig) -> None:
 
 
 def _write_json(doc: dict, path: str, indent: int | None = None) -> None:
-    """Write through a temporary file in the same directory and rename it over
-    ``path``, so an interrupted write leaves the previous file intact."""
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=indent, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    finally:
-        with suppress(FileNotFoundError):
-            os.remove(tmp)
+    with ds.atomic_write(path) as fh:
+        json.dump(doc, fh, indent=indent, sort_keys=True)
+        fh.write("\n")
 
 
 def _write_report(report: dict, out_dir: str, name: str) -> str:
@@ -153,20 +149,17 @@ def run_fs(config: PipelineConfig) -> dict:
     surviving = audit.passing()
 
     traces, post_bfe, rankings = {}, {}, {}
-    gates = GateCache(normalized, sp)
     if surviving:
         with _stage("count_table"):
-            table = CountTable(normalized.take(sp.learn_idx), binning)
+            rows = LearnRows(normalized, sp, binning)
     for alg in surviving:
         with _stage(f"backward_eliminate[{alg}]"):
-            traces[alg] = backward_eliminate(
-                normalized, alg, sp, config.gamma, binning=binning, beta=config.beta,
-                table=table, gates=gates)
+            traces[alg] = backward_eliminate(rows, alg, config.gamma, beta=config.beta)
         rankings[alg] = traces[alg].ranking
-        # a cache hit unless elimination stopped at step 1: then the full set
+        # a memo hit unless elimination stopped at step 1: then the full set
         # is trained once per run, not once per criterion
         with _stage(f"post_bfe_gate[{alg}]"):
-            post_bfe[alg] = gates.metrics(traces[alg].optimized_features)
+            post_bfe[alg] = rows.metrics(traces[alg].optimized_features)
 
     # second gate: drop algorithms whose reduced-set metrics fall below gamma
     final_suite = [alg for alg in surviving if post_bfe[alg].passes(config.gamma)]
@@ -174,7 +167,9 @@ def run_fs(config: PipelineConfig) -> dict:
     best_alg, optimized, mdrt = None, None, None
     if final_suite:
         best_alg = max(final_suite, key=lambda a: (post_bfe[a].accuracy, -final_suite.index(a)))
-        optimized = extract_optimized(normalized, traces[best_alg])
+        optimized = normalized.select_features(
+            traces[best_alg].optimized_features,
+            note=f"backward_elimination[{best_alg}], gamma={config.gamma}")
         mdrt = traces[best_alg].mdrt
 
     artifacts = {}

@@ -198,24 +198,18 @@ def criterion_score(algorithm: str, rel: np.ndarray, first: np.ndarray,
     return acc
 
 
-def rank(data: Dataset | CountTable, binning: BinningConfig, algorithm: str,
-         beta: float = 1.0, columns=None) -> FeatureRanking:
-    """Run one criterion's greedy forward selection to exhaustion.
+def rank(table: CountTable, algorithm: str, beta: float = 1.0,
+         columns=None) -> FeatureRanking:
+    """Run one criterion's greedy forward selection to exhaustion on a count
+    table; the ranking's params record the table's binning.
 
-    ``data`` is a Dataset, counted here, or a CountTable counted with
-    ``binning``.  ``columns`` restricts the ranking to those features, given
-    in table order; the result equals ranking the projected dataset.
+    ``columns`` restricts the ranking to those features, given in table
+    order; the result equals ranking a table of the projected dataset.
     Each candidate keeps a running sum (CMIM: a running min) of its terms
     against the selected features, added in selection order.
     """
     if algorithm not in ALGORITHMS:
         raise DataError(f"unknown ranking algorithm {algorithm!r}")
-    if isinstance(data, CountTable):
-        table = data
-        if table.binning != binning:
-            raise DataError("count table was built with a different binning")
-    else:
-        table = CountTable(data, binning)
     idx = table.positions(table.names if columns is None else columns)
     if not idx:
         raise DataError("need at least one feature to rank")
@@ -236,7 +230,7 @@ def rank(data: Dataset | CountTable, binning: BinningConfig, algorithm: str,
         pos = remaining.pop(best)
         acc = np.minimum(acc, terms[:, pos]) if algorithm == "CMIM" else acc + terms[:, pos]
         entries.append((table.names[idx[pos]], float(scores[best])))
-    params = {"n_bins": binning.n_bins, "strategy": binning.strategy.value,
+    params = {"n_bins": table.binning.n_bins, "strategy": table.binning.strategy.value,
               "tie_rule": f"smallest_column_index(tol={TIE_TOLERANCE})"}
     if algorithm == "MIFS":
         params["beta"] = beta

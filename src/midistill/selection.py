@@ -9,7 +9,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import RESERVED_RANDOM_NAMES, DataSplit, Dataset, inject_random_features
+from .dataset import (
+    RESERVED_RANDOM_NAMES,
+    DataSplit,
+    Dataset,
+    atomic_write,
+    inject_random_features,
+)
 from .errors import DataError, FeatureSetMismatch
 from .infotheory import BinningConfig
 from .metrics import ClassifierMetrics, compute_metrics
@@ -91,7 +97,7 @@ class EliminationTrace:
 
     def metrics_csv(self, path) -> None:
         """Export (n_features, accuracy, precision, recall) for re-plotting."""
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             fh.write("n_features,accuracy,precision,recall\n")
             for s in self.steps:
                 m = s.metrics
@@ -137,7 +143,7 @@ def tampering_audit(dataset: Dataset, algorithms, folds: int = 5, seed: int = 0,
     for part in parts:
         table = CountTable(part, binning)
         for alg, rankings in fold_rankings.items():
-            rankings.append(rank(table, binning, alg, beta=beta))
+            rankings.append(rank(table, alg, beta=beta))
         del table  # one fold's table alive at a time
 
     cutoff = (1.0 - threshold) * n_total  # positions strictly above are "bottom"
@@ -152,20 +158,23 @@ def tampering_audit(dataset: Dataset, algorithms, folds: int = 5, seed: int = 0,
     return TamperingAudit(per_algorithm, folds, threshold, seed, n_total)
 
 
-class GateCache:
-    """Test-split metrics of the gate, computed once per ordered feature tuple.
+class LearnRows:
+    """The learn rows of one dataset and split, as elimination sees them:
+    their count table, and the gate's test-split metrics computed once per
+    ordered feature tuple.
 
     A gate has zero init and full-batch descent, so the same columns in the
     same order, trained on the same learn rows, always give the same
-    metrics on the same test rows.  The cache is bound to one dataset and
-    split (the caller's own objects) and stores only ``ClassifierMetrics``,
-    never a model or a projected dataset.  Keys keep the caller's column
-    order, which for elimination is dataset order.
+    metrics on the same test rows.  Several criteria share one instance, so
+    they share its table and their gates.  The memo stores only
+    ``ClassifierMetrics``, never a model or a projected dataset.  Keys keep
+    the caller's column order, which for elimination is dataset order.
     """
 
-    def __init__(self, dataset: Dataset, split: DataSplit):
+    def __init__(self, dataset: Dataset, split: DataSplit, binning: BinningConfig):
         self.dataset = dataset
         self.split = split
+        self.table = CountTable(dataset.take(split.learn_idx), binning)
         self._metrics: dict[tuple[str, ...], ClassifierMetrics] = {}
 
     def metrics(self, features) -> ClassifierMetrics:
@@ -178,50 +187,36 @@ class GateCache:
         return self._metrics[key]
 
 
-def backward_eliminate(dataset: Dataset, algorithm: str, split: DataSplit,
-                       gamma: float, binning: BinningConfig | None = None,
-                       beta: float = 1.0,
-                       table: CountTable | None = None,
-                       gates: GateCache | None = None) -> EliminationTrace:
+def backward_eliminate(rows: LearnRows, algorithm: str, gamma: float,
+                       beta: float = 1.0) -> EliminationTrace:
     """Iteratively drop the lowest-ranked feature while the gate classifier
     keeps accuracy, precision and recall at or above gamma on the test split.
 
-    Rankings and gate training use the learn split only; metrics come from
-    the test split.  Every step ranks a column subset of one count table of
-    the learn rows: ``table`` if given (it must count exactly those rows, so
-    several criteria can share it), else one counted here.  Gate metrics come
-    from ``gates`` if given (it must be bound to this dataset and split, so
-    several criteria share their gates), else from a cache made here.  The
-    loop stops at the first failing evaluation or when a single feature
-    remains.
+    Every step ranks a column subset of the learn rows' count table and
+    looks its reduced feature set up in their gate memo, so rankings and
+    gate training use the learn split only and metrics come from the test
+    split.  The loop stops at the first failing evaluation or when a single
+    feature remains.
     """
     if not 0 <= gamma < 1:
         raise DataError("gamma must be in [0, 1)")
-    if dataset.n_features < 2:
+    initial = rows.dataset.feature_names
+    if len(initial) < 2:
         raise DataError("need at least 2 features to eliminate")
-    binning = binning or BinningConfig()
-    if table is None:
-        table = CountTable(dataset.take(split.learn_idx), binning)
-    elif table.names != dataset.feature_names or table.n != len(split.learn_idx):
-        raise DataError("count table does not cover this dataset's learn rows")
-    if gates is None:
-        gates = GateCache(dataset, split)
-    elif gates.dataset is not dataset or gates.split is not split:
-        raise DataError("gate cache is bound to another dataset or split")
 
-    current = list(dataset.feature_names)
+    current = list(initial)
     steps: list[ElimStep] = []
     stopped_at = None
     last_passing = list(current)
     first_ranking = None
 
     while len(current) >= 2:
-        ranking = rank(table, binning, algorithm, beta=beta, columns=current)
+        ranking = rank(rows.table, algorithm, beta=beta, columns=current)
         first_ranking = first_ranking or ranking
         lowest = ranking.features[-1]
         current.remove(lowest)
 
-        metrics = gates.metrics(current)
+        metrics = rows.metrics(current)
         steps.append(ElimStep(lowest, len(current), metrics))
         if not metrics.passes(gamma):
             stopped_at = len(steps)
@@ -231,21 +226,9 @@ def backward_eliminate(dataset: Dataset, algorithm: str, split: DataSplit,
     return EliminationTrace(
         algorithm=algorithm,
         gamma=gamma,
-        initial_features=dataset.feature_names,
+        initial_features=initial,
         steps=tuple(steps),
         stopped_at=stopped_at,
         optimized_features=tuple(last_passing),
         ranking=first_ranking,
     )
-
-
-def extract_optimized(dataset: Dataset, selection) -> Dataset:
-    """Project the dataset onto an EliminationTrace's surviving features or
-    an explicit feature list; labels and sample order are preserved."""
-    if isinstance(selection, EliminationTrace):
-        features = list(selection.optimized_features)
-        note = f"backward_elimination[{selection.algorithm}], gamma={selection.gamma}"
-    else:
-        features = list(selection)
-        note = "explicit feature list"
-    return dataset.select_features(features, note=note)

@@ -40,7 +40,7 @@ from midistill.pipeline import (
     run_fs,
     run_rrw,
 )
-from midistill.ranking import ALGORITHMS, rank
+from midistill.ranking import ALGORITHMS, CountTable, rank
 from midistill.selection import tampering_audit
 
 from conftest import make_dataset, planted_dataset
@@ -160,7 +160,7 @@ def test_criterion_5_greedy_oracle_equivalence():
         raw = [data.X[:, i].astype(int).tolist() for i in range(f)]
         for algorithm in ALGORITHMS:
             got = [data.feature_names.index(name)
-                   for name in rank(data, BINNING, algorithm).features]
+                   for name in rank(CountTable(data, BINNING), algorithm).features]
             expected = [i for i, _ in
                         bf_greedy_ranking(algorithm, raw, data.labels.tolist())]
             mismatches += got != expected

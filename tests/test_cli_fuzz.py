@@ -1,0 +1,134 @@
+"""Hypothesis fuzz of the CLI's exit-code contract.
+
+Every run exits 0, 1, 2 or 3.  A nonzero exit prints exactly one stderr
+line, starting with the prefix of its error family, and no traceback.  The
+inputs are bad or edge flag values, malformed and edge-case CSVs, and
+truncated, foreign or non-object fs reports.  Runs are in-process and desk
+scale: at most 40 rows, 64 bins, 50 folds and 2 epochs.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from midistill.cli import main as cli_main
+
+PREFIX = {1: "configuration error: ", 2: "data error: ", 3: "training failure: "}
+
+BAD_NUMBERS = ("abc", "", "1.5", "nan", "inf", "-inf", "1e309", "0x10")
+MISSING = "<missing>"  # --fs-report names a file that does not exist
+
+# an fs report in the shape rrw and ae read, for a table with columns f0, f1
+FS_REPORT = {
+    "mode": "fs",
+    "final_suite": ["mRMR"],
+    "mdrt": 2,
+    "optimized_features": ["f0", "f1"],
+    "traces": {"mRMR": {"optimized_features": ["f0", "f1"]}},
+    "rankings": {"mRMR": {"entries": [{"feature": "f0", "score": 0.5},
+                                      {"feature": "f1", "score": 0.25}]}},
+}
+
+
+def _int_flag(lo, hi):
+    return st.one_of(st.integers(lo, hi).map(str), st.sampled_from(BAD_NUMBERS))
+
+
+def _float_flag():
+    return st.one_of(st.floats(-1.0, 2.0).map(repr), st.sampled_from(BAD_NUMBERS))
+
+
+FLAGS = {
+    "--seed": _int_flag(-3, 2**40),
+    "--bins": _int_flag(-1, 64),
+    "--folds": _int_flag(-1, 50),
+    "--epochs": _int_flag(-1, 2),
+    "--batch": _int_flag(-1, 20),
+    "--bottleneck": _int_flag(-1, 6),
+    "--gamma": _float_flag(),
+    "--tamper-threshold": _float_flag(),
+    "--beta": _float_flag(),
+    "--binning": st.sampled_from(["equal_width", "equal_frequency", "kmeans"]),
+    "--algorithms": st.sampled_from(["mRMR", "JMI,CMIM", "DISR,MIFS,CIFE", ",", "PCA"]),
+    "--label": st.sampled_from(["label", "f0", "nope"]),
+}
+
+
+@st.composite
+def csv_bytes(draw):
+    # the kind is drawn first: drawn after the cells, it is starved
+    kind = draw(st.sampled_from(["clean", "empty", "header_only", "ragged", "bom",
+                                 "quoted", "single_class", "non_utf8"]))
+    if kind == "empty":
+        return b""
+    n = 0 if kind == "header_only" else draw(st.integers(0, 40))
+    f = draw(st.integers(1, 4))
+    header = ",".join([f"f{i}" for i in range(f)] + ["label"])
+    cells = st.integers(-50, 50).map(lambda v: repr(v / 8))
+    rows = [[draw(cells) for _ in range(f)] + [str(draw(st.integers(0, 1)))]
+            for _ in range(n)]
+    if kind == "ragged" and rows:
+        rows[draw(st.integers(0, n - 1))].pop(0)
+    elif kind == "quoted" and rows:
+        rows[0] = [f'"{c}"' for c in rows[0]]
+    elif kind == "single_class":
+        for row in rows:
+            row[-1] = "0"
+    text = "\n".join([header] + [",".join(r) for r in rows]) + "\n"
+    data = text.encode("utf-8")
+    if kind == "bom":
+        data = b"\xef\xbb\xbf" + data
+    elif kind == "non_utf8":
+        at = draw(st.integers(0, len(data) - 1))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+@st.composite
+def fs_report_text(draw):
+    text = json.dumps(FS_REPORT)
+    kind = draw(st.sampled_from(["valid", "truncated", "foreign_mode", "foreign_csv",
+                                 "list", "missing", "absent"]))
+    if kind == "truncated":
+        return text[:draw(st.integers(0, len(text) - 1))]
+    if kind == "foreign_mode":
+        return json.dumps({"mode": "evaluate", "metrics": {"accuracy": 0.5}})
+    if kind == "foreign_csv":
+        return text.replace('"f0"', '"g0"').replace('"f1"', '"g1"')
+    if kind == "list":
+        return json.dumps([FS_REPORT])
+    if kind == "missing":
+        return MISSING
+    return text if kind == "valid" else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(mode=st.sampled_from(["fs", "rrw", "ae", "evaluate"]), data=csv_bytes(),
+       report=fs_report_text(),
+       flags=st.lists(st.sampled_from(sorted(FLAGS)), unique=True, max_size=4)
+       .flatmap(lambda keys: st.fixed_dictionaries({k: FLAGS[k] for k in keys})))
+def test_exit_code_contract(mode, data, report, flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / "in.csv").write_bytes(data)
+        argv = [mode, "--input", str(work / "in.csv"), "--out", str(work / "out")]
+        if report is not None:
+            if report != MISSING:
+                (work / "fs_report.json").write_text(report, encoding="utf-8")
+            argv += ["--fs-report", str(work / "fs_report.json")]
+        for flag, value in flags.items():
+            argv.append(f"{flag}={value}")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli_main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err
+    if code:
+        assert err.startswith(PREFIX[code]), (argv, err)
+        assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)

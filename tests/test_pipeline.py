@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from midistill import pipeline, selection
+from midistill import dataset, pipeline, selection
 from midistill.dataset import load_csv, write_csv
 from midistill.errors import ConfigError, TrainingError
 from midistill.cli import main as cli_main
@@ -59,6 +59,21 @@ class TestConfigValidation:
                                 algorithms=("mRMR", "PCA"))
         with pytest.raises(ConfigError, match="PCA"):
             run(config)
+
+    def test_negative_seed(self):
+        # default_rng raised a ValueError traceback for it
+        with pytest.raises(ConfigError, match="seed"):
+            PipelineConfig("fs", "x.csv", seed=-1).validate()
+
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf"), -0.5])
+    def test_beta_not_finite_and_non_negative(self, beta):
+        # a NaN beta used to run and write bare NaN scores into the report
+        with pytest.raises(ConfigError, match="beta"):
+            PipelineConfig("fs", "x.csv", beta=beta).validate()
+
+    def test_no_algorithms(self):
+        with pytest.raises(ConfigError, match="no ranking algorithm"):
+            PipelineConfig("fs", "x.csv", algorithms=()).validate()
 
     def test_bad_binning_strategy(self):
         with pytest.raises(ConfigError):
@@ -127,19 +142,30 @@ class TestFsMode:
         assert sorted(trained) == sorted(evaluated)
         assert len(trained) < n_steps
 
-    def test_report_write_is_atomic(self, tmp_path, monkeypatch):
+    def test_report_write_is_atomic(self, tmp_path, monkeypatch, rng):
         _write_report({"version": 1}, str(tmp_path), "r.json")
         before = (tmp_path / "r.json").read_bytes()
+        csv_path = tmp_path / "t.csv"
+        write_csv(make_dataset({"a": rng.random(5)}, [0, 1, 0, 1, 0]), csv_path, "label")
+        csv_before = csv_path.read_bytes()
 
         def failing_dump(doc, fh, **kwargs):
             fh.write('{"version": ')
             raise RuntimeError("interrupted")
 
+        def failing_writer(fh):
+            fh.write("a,lab")
+            raise RuntimeError("interrupted")
+
         monkeypatch.setattr(pipeline.json, "dump", failing_dump)
         with pytest.raises(RuntimeError, match="interrupted"):
             _write_report({"version": 2}, str(tmp_path), "r.json")
+        monkeypatch.setattr(dataset.csv, "writer", failing_writer)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            write_csv(make_dataset({"a": rng.random(5)}, [1, 1, 0, 1, 0]), csv_path, "label")
         assert (tmp_path / "r.json").read_bytes() == before
-        assert os.listdir(tmp_path) == ["r.json"]
+        assert csv_path.read_bytes() == csv_before
+        assert sorted(os.listdir(tmp_path)) == ["r.json", "t.csv", "t.csv.meta.json"]
 
 
 class TestRrwMode:
@@ -323,6 +349,33 @@ class TestCliExitCodes:
                                           "--fs-report", str(tmp_path),
                                           "--out", str(tmp_path / "out")])
         assert "cannot read fs report" in err
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["fs", "--input", "t.csv", "--bins", "abc"], "argument --bins: invalid int value"),
+        (["fs", "--bins", "4"], "required: --input"),
+        (["cluster", "--input", "t.csv"], "argument mode: invalid choice"),
+    ])
+    def test_bad_flag(self, capsys, argv, expected):
+        # argparse used to print a usage dump and exit 2, the data-error code
+        assert expected in self._config_error(capsys, argv)
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["--help"])
+        assert exc.value.code == 0
+        assert "usage: mi-distill" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("text", [b"a\xff,label\n1,0\n0,1\n", b"a,label\n1,0\n\xff,1\n"],
+                             ids=["header", "body"])
+    def test_input_not_utf8(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(text)
+        code = cli_main(["evaluate", "--input", str(path), "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("data error: ")
+        assert "not valid UTF-8" in err
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("mode", ["fs", "evaluate"])
     def test_input_is_a_directory(self, tmp_path, capsys, mode):

@@ -35,7 +35,7 @@ class TestGreedyOracleEquivalence:
     def test_selection_sequence_matches_bruteforce(self, algorithm, rng):
         for _ in range(25):
             data = random_discrete_dataset(rng)
-            got = rank(data, BINNING, algorithm)
+            got = rank(CountTable(data, BINNING), algorithm)
             columns = [data.X[:, i].astype(int).tolist()
                        for i in range(data.n_features)]
             expected = bf_greedy_ranking(algorithm, columns, data.labels.tolist())
@@ -49,7 +49,7 @@ class TestCriterionBehaviour:
     def test_single_feature(self, rng):
         data = make_dataset({"only": rng.integers(0, 2, 32).astype(float)},
                             rng.integers(0, 2, 32))
-        r = rank(data, BINNING, "mRMR")
+        r = rank(CountTable(data, BINNING), "mRMR")
         assert len(r.entries) == 1
         assert r.entries[0][1] == pytest.approx(
             bf_mi(data.X[:, 0].astype(int).tolist(), data.labels.tolist()), abs=1e-12)
@@ -60,7 +60,7 @@ class TestCriterionBehaviour:
         b = labels  # exact copy of a
         c = [0, 1, 0, 1, 1, 0, 1, 0]  # independent of labels
         data = make_dataset({"a": a, "b": b, "c": c}, labels)
-        r = rank(data, BINNING, "mRMR")
+        r = rank(CountTable(data, BINNING), "mRMR")
         assert r.features[0] == "a"
         # the redundant copy's selection-time score collapses to rel - penalty = 0
         score_b = dict(r.entries)["b"]
@@ -68,7 +68,7 @@ class TestCriterionBehaviour:
 
     def test_mifs_beta_zero_sorts_by_relevance(self, rng):
         data = random_discrete_dataset(rng, n_features=5, n_samples=48)
-        r = rank(data, BINNING, "MIFS", beta=0.0)
+        r = rank(CountTable(data, BINNING), "MIFS", beta=0.0)
         rels = [bf_mi(data.column(n).astype(int).tolist(), data.labels.tolist())
                 for n in r.features]
         assert all(rels[i] >= rels[i + 1] - 1e-12 for i in range(len(rels) - 1))
@@ -79,7 +79,7 @@ class TestCriterionBehaviour:
         c = [0, 1, 1, 0]  # x xor y
         z = [0, 0, 0, 0]
         data = make_dataset({"x": x, "y": y, "z": z}, c)
-        r = rank(data, BINNING, "CIFE")
+        r = rank(CountTable(data, BINNING), "CIFE")
         assert r.features[0] == "x"  # all relevances 0, tie to first column
         assert r.features[1] == "y"  # scores rel - mi + cmi = 1 bit
         assert dict(r.entries)["y"] == pytest.approx(1.0, abs=1e-12)
@@ -89,7 +89,7 @@ class TestCriterionBehaviour:
         y = [0, 1, 0, 1]
         c = [0, 1, 1, 0]
         data = make_dataset({"x": x, "y": y}, c)
-        assert rank(data, BINNING, "JMI").features == rank(data, BINNING, "CIFE").features
+        assert rank(CountTable(data, BINNING), "JMI").features == rank(CountTable(data, BINNING), "CIFE").features
 
     def test_cmim_drops_redundant_copy(self):
         labels = [0, 0, 1, 1, 0, 0, 1, 1]
@@ -97,7 +97,7 @@ class TestCriterionBehaviour:
         b = labels
         c = [0, 1, 0, 1, 1, 0, 1, 0]
         data = make_dataset({"a": a, "b": b, "c": c}, labels)
-        r = rank(data, BINNING, "CMIM")
+        r = rank(CountTable(data, BINNING), "CMIM")
         # after a is selected, I(b; label | a) = 0, so b's score is 0
         assert dict(r.entries)["b"] == pytest.approx(0.0, abs=1e-12)
 
@@ -106,7 +106,7 @@ class TestCriterionBehaviour:
         data = make_dataset(
             {"const": np.zeros(8), "a": labels, "b": [0, 0, 1, 1, 0, 1, 1, 0]},
             labels)
-        r = rank(data, BINNING, "DISR")
+        r = rank(CountTable(data, BINNING), "DISR")
         # alone, a constant carries no normalized relevance, so despite the
         # favourable tie position it cannot be selected first
         assert r.features[0] != "const"
@@ -117,15 +117,15 @@ class TestEngineProperties:
     def test_completeness_and_determinism(self, rng):
         data = random_discrete_dataset(rng, n_features=6, n_samples=40)
         for algorithm in ALGORITHMS:
-            a = rank(data, BINNING, algorithm)
-            b = rank(data, BINNING, algorithm)
+            a = rank(CountTable(data, BINNING), algorithm)
+            b = rank(CountTable(data, BINNING), algorithm)
             assert sorted(a.features) == sorted(data.feature_names)
             assert a.entries == b.entries
 
     def test_first_pick_agreement(self, rng):
         for _ in range(10):
             data = random_discrete_dataset(rng, n_features=5, n_samples=48)
-            firsts = {rank(data, BINNING, alg).features[0] for alg in ALGORITHMS
+            firsts = {rank(CountTable(data, BINNING), alg).features[0] for alg in ALGORITHMS
                       if alg != "DISR"}
             # all criteria reduce to argmax I(X;c) at step one (DISR normalizes)
             assert len(firsts) == 1
@@ -146,17 +146,17 @@ class TestEngineProperties:
                 assert int(np.argmax(mrmr)) == int(np.argmax(mifs))
                 selected.append(remaining.pop(int(np.argmax(mrmr))))
             # the greedy engine picks the same order as this hand-driven loop
-            assert rank(table, BINNING, "mRMR").features == [
+            assert rank(table, "mRMR").features == [
                 data.feature_names[i] for i in selected]
 
     def test_unknown_algorithm(self, rng):
         data = random_discrete_dataset(rng)
         with pytest.raises(DataError):
-            rank(data, BINNING, "PCA")
+            rank(CountTable(data, BINNING), "PCA")
 
     def test_json_serialization(self, rng):
         data = random_discrete_dataset(rng, n_features=4, n_samples=32)
-        doc = rank(data, BINNING, "MIFS", beta=0.5).to_json()
+        doc = rank(CountTable(data, BINNING), "MIFS", beta=0.5).to_json()
         doc = json.loads(json.dumps(doc))
         assert doc["algorithm"] == "MIFS"
         assert doc["params"]["beta"] == 0.5
@@ -251,7 +251,7 @@ class TestCountTable:
         assert table.cmi_label_given_feature[0, 2] == 0.0
         self._check_against_oracles(data, BINNING)
         for algorithm in ALGORITHMS:
-            assert sorted(rank(table, BINNING, algorithm).features) == ["c0", "c1", "c2"]
+            assert sorted(rank(table, algorithm).features) == ["c0", "c1", "c2"]
 
     def test_counts_are_the_row_histograms(self, rng):
         data = random_discrete_dataset(rng, n_features=3, n_samples=50)
@@ -279,28 +279,17 @@ class TestCountTable:
                                      int(rng.integers(1, data.n_features + 1)),
                                      replace=False))
             subset = [data.feature_names[i] for i in keep]
-            shared = rank(table, BINNING, algorithm, beta=0.5, columns=subset)
-            projected = rank(data.select_features(subset), BINNING, algorithm, beta=0.5)
+            shared = rank(table, algorithm, beta=0.5, columns=subset)
+            projected = rank(CountTable(data.select_features(subset), BINNING), algorithm,
+                             beta=0.5)
             assert shared.entries == projected.entries
             assert shared.params == projected.params
-
-    def test_table_ranking_equals_dataset_ranking(self, rng):
-        data = random_discrete_dataset(rng, n_features=6, n_samples=60)
-        table = CountTable(data, BINNING)
-        for algorithm in ALGORITHMS:
-            assert rank(table, BINNING, algorithm).entries == \
-                rank(data, BINNING, algorithm).entries
 
     def test_column_subset_must_keep_table_order(self, rng):
         table = CountTable(random_discrete_dataset(rng, n_features=4), BINNING)
         with pytest.raises(DataError, match="order"):
-            rank(table, BINNING, "JMI", columns=["c2", "c0"])
+            rank(table, "JMI", columns=["c2", "c0"])
         with pytest.raises(UnknownFeature):
-            rank(table, BINNING, "JMI", columns=["c0", "nope"])
+            rank(table, "JMI", columns=["c0", "nope"])
         with pytest.raises(DataError):
-            rank(table, BINNING, "JMI", columns=[])
-
-    def test_binning_must_match_table(self, rng):
-        table = CountTable(random_discrete_dataset(rng), BINNING)
-        with pytest.raises(DataError, match="binning"):
-            rank(table, BinningConfig(8, "equal_frequency"), "mRMR")
+            rank(table, "JMI", columns=[])

@@ -8,10 +8,9 @@ from midistill.errors import DataError, FeatureSetMismatch
 from midistill.infotheory import BinningConfig
 from midistill.ranking import ALGORITHMS, CountTable, FeatureRanking, rank
 from midistill.selection import (
-    GateCache,
+    LearnRows,
     average_fold_ranks,
     backward_eliminate,
-    extract_optimized,
     tampering_audit,
 )
 
@@ -100,7 +99,7 @@ class TestBackwardEliminate:
             cols[f"noise{i}"] = rng.random(300)
         data = make_dataset(cols, labels)
         sp = split(data, 0)
-        trace = backward_eliminate(data, "mRMR", sp, 0.97, binning=BINNING)
+        trace = backward_eliminate(LearnRows(data, sp, BINNING), "mRMR", 0.97)
         assert trace.stopped_at is None
         assert trace.optimized_features == ("perfect",)
         assert trace.mdrt == 1
@@ -112,13 +111,13 @@ class TestBackwardEliminate:
         cols = {"perfect": labels.astype(float),
                 "n1": rng.random(200), "n2": rng.random(200)}
         data = make_dataset(cols, labels)
-        trace = backward_eliminate(data, "mRMR", split(data, 1), 0.0, binning=BINNING)
+        trace = backward_eliminate(LearnRows(data, split(data, 1), BINNING), "mRMR", 0.0)
         assert trace.stopped_at is None
         assert len(trace.steps) == data.n_features - 1
 
     def test_one_feature_removed_per_step(self, planted_norm):
         data, sp = planted_norm
-        trace = backward_eliminate(data, "mRMR", sp, 0.9, binning=BINNING)
+        trace = backward_eliminate(LearnRows(data, sp, BINNING), "mRMR", 0.9)
         current = set(data.feature_names)
         for step in trace.steps:
             assert step.removed_feature in current
@@ -127,57 +126,40 @@ class TestBackwardEliminate:
 
     def test_reproducible(self, planted_norm):
         data, sp = planted_norm
-        a = backward_eliminate(data, "MIFS", sp, 0.9, binning=BINNING)
-        b = backward_eliminate(data, "MIFS", sp, 0.9, binning=BINNING)
+        a = backward_eliminate(LearnRows(data, sp, BINNING), "MIFS", 0.9)
+        b = backward_eliminate(LearnRows(data, sp, BINNING), "MIFS", 0.9)
         assert a.to_json() == b.to_json()
 
     def test_shared_table_matches_per_step_ranking(self, planted_norm):
         # every step ranks a column subset of one learn-row table; the result
         # equals ranking each step's projected learn rows from scratch
         data, sp = planted_norm
-        table = CountTable(data.take(sp.learn_idx), BINNING)
+        rows = LearnRows(data, sp, BINNING)
         for algorithm in ALGORITHMS:
-            trace = backward_eliminate(data, algorithm, sp, 0.0, binning=BINNING,
-                                       table=table)
-            assert trace.to_json() == backward_eliminate(
-                data, algorithm, sp, 0.0, binning=BINNING).to_json()
+            trace = backward_eliminate(rows, algorithm, 0.0)
             assert trace.ranking.entries == rank(
-                data.take(sp.learn_idx), BINNING, algorithm).entries
+                CountTable(data.take(sp.learn_idx), BINNING), algorithm).entries
             current = list(data.feature_names)
             for step in trace.steps:
                 projected = data.select_features(current).take(sp.learn_idx)
-                assert rank(projected, BINNING, algorithm).features[-1] == \
+                assert rank(CountTable(projected, BINNING), algorithm).features[-1] == \
                     step.removed_feature
                 current.remove(step.removed_feature)
 
-    def test_table_of_other_rows_rejected(self, planted_norm):
-        data, sp = planted_norm
-        with pytest.raises(DataError, match="count table"):
-            backward_eliminate(data, "mRMR", sp, 0.9, binning=BINNING,
-                               table=CountTable(data, BINNING))
-
     def test_shared_gate_cache_matches_own_gates(self, planted_norm):
-        # one cache serves every criterion; each trace equals the trace made
-        # with a cache of its own, to the last bit of every metric
+        # one LearnRows serves every criterion; each trace equals the trace
+        # made with learn rows of its own, to the last bit of every metric
         data, sp = planted_norm
-        gates = GateCache(data, sp)
+        rows = LearnRows(data, sp, BINNING)
         for algorithm in ALGORITHMS:
-            shared = backward_eliminate(data, algorithm, sp, 0.0, binning=BINNING,
-                                        gates=gates)
-            own = backward_eliminate(data, algorithm, sp, 0.0, binning=BINNING)
+            shared = backward_eliminate(rows, algorithm, 0.0)
+            own = backward_eliminate(LearnRows(data, sp, BINNING), algorithm, 0.0)
             assert shared == own
             assert shared.to_json() == own.to_json()
 
-    def test_gate_cache_of_other_dataset_or_split_rejected(self, planted_norm):
-        data, sp = planted_norm
-        same_values = data.take(np.arange(data.n_samples))
-        for gates in (GateCache(data, split(data, sp.seed + 1)), GateCache(same_values, sp)):
-            with pytest.raises(DataError, match="gate cache"):
-                backward_eliminate(data, "mRMR", sp, 0.9, binning=BINNING, gates=gates)
-
     def test_mdrt_formula(self, planted_norm):
         data, sp = planted_norm
-        trace = backward_eliminate(data, "mRMR", sp, 0.95, binning=BINNING)
+        trace = backward_eliminate(LearnRows(data, sp, BINNING), "mRMR", 0.95)
         if trace.stopped_at is not None:
             assert trace.mdrt == data.n_features - trace.stopped_at + 1
         else:
@@ -190,14 +172,14 @@ class TestBackwardEliminate:
             data = planted_dataset(4, 6, 400, seed=seed)
             sp = split(data, seed)
             norm = apply_minmax(data, fit_minmax(data, sp.learn_idx))
-            trace = backward_eliminate(norm, "mRMR", sp, 0.95, binning=BINNING)
+            trace = backward_eliminate(LearnRows(norm, sp, BINNING), "mRMR", 0.95)
             if trace.mdrt >= 4:
                 hits += 1
         assert hits >= 9
 
     def test_metrics_csv_export(self, planted_norm, tmp_path):
         data, sp = planted_norm
-        trace = backward_eliminate(data, "mRMR", sp, 0.9, binning=BINNING)
+        trace = backward_eliminate(LearnRows(data, sp, BINNING), "mRMR", 0.9)
         out = tmp_path / "trace.csv"
         trace.metrics_csv(out)
         lines = out.read_text().strip().splitlines()
@@ -206,28 +188,24 @@ class TestBackwardEliminate:
 
 
 class TestExtractOptimized:
+    """The optimized dataset is the projection ``select_features`` makes."""
+
     def test_identity_projection(self, planted_norm):
         data, _ = planted_norm
-        same = extract_optimized(data, list(data.feature_names))
+        same = data.select_features(data.feature_names)
         np.testing.assert_array_equal(same.X, data.X)
 
     def test_single_feature(self, planted_norm):
         data, _ = planted_norm
-        one = extract_optimized(data, ["inf0"])
+        one = data.select_features(["inf0"])
         assert one.n_features == 1
         np.testing.assert_array_equal(one.labels, data.labels)
-
-    def test_from_trace(self, planted_norm):
-        data, sp = planted_norm
-        trace = backward_eliminate(data, "mRMR", sp, 0.9, binning=BINNING)
-        reduced = extract_optimized(data, trace)
-        assert reduced.feature_names == trace.optimized_features
 
     def test_unknown_feature(self, planted_norm):
         data, _ = planted_norm
         from midistill.errors import UnknownFeature
         with pytest.raises(UnknownFeature):
-            extract_optimized(data, ["nope"])
+            data.select_features(["nope"])
 
     def test_commutes_with_minmax(self, rng):
         data = make_dataset({c: rng.random(60) * (i + 1)

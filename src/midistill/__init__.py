@@ -8,7 +8,6 @@ from .dataset import (
     fit_minmax,
     inject_random_features,
     load_csv,
-    minmax_normalize,
     split,
     write_csv,
 )

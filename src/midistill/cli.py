@@ -12,7 +12,6 @@ import sys
 
 from .errors import ConfigError, DataError, TrainingError
 from .pipeline import MODES, PipelineConfig, run
-from .ranking import ALGORITHMS
 
 
 class _Parser(argparse.ArgumentParser):
@@ -23,62 +22,46 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _algorithms(text: str) -> tuple[str, ...]:
+    return tuple(a.strip() for a in text.split(",") if a.strip())
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """Each flag stores into the ``PipelineConfig`` field it names, and an
+    absent flag stores nothing, so the config's own defaults apply."""
     parser = _Parser(
         prog="mi-distill",
         description="Dataset optimization pipeline: MI feature selection, "
                     "RRw re-weighting, autoencoder reduction and MLP evaluation.",
+        argument_default=argparse.SUPPRESS,
     )
     parser.add_argument("mode", choices=MODES)
-    parser.add_argument("--input", required=True, help="input CSV path")
-    parser.add_argument("--label", default="label", help="label column name")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--bins", type=int, default=10, help="discretization bins")
-    parser.add_argument("--binning", default="equal_frequency",
+    parser.add_argument("--input", dest="input_path", required=True, help="input CSV path")
+    parser.add_argument("--label", dest="label_column", help="label column name")
+    parser.add_argument("--seed", type=int)
+    parser.add_argument("--bins", dest="n_bins", type=int, help="discretization bins")
+    parser.add_argument("--binning", dest="binning_strategy",
                         choices=["equal_width", "equal_frequency"])
-    parser.add_argument("--folds", type=int, default=5)
-    parser.add_argument("--gamma", type=float, default=0.97,
-                        help="elimination gate threshold")
-    parser.add_argument("--tamper-threshold", type=float, default=0.30)
-    parser.add_argument("--beta", type=float, default=1.0, help="MIFS beta")
-    parser.add_argument("--epochs", type=int, default=10)
-    parser.add_argument("--batch", type=int, default=10)
-    parser.add_argument("--bottleneck", type=int, default=None)
-    parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--fs-report", default=None,
+    parser.add_argument("--folds", type=int)
+    parser.add_argument("--gamma", type=float, help="elimination gate threshold")
+    parser.add_argument("--tamper-threshold", type=float)
+    parser.add_argument("--beta", type=float, help="MIFS beta")
+    parser.add_argument("--epochs", type=int)
+    parser.add_argument("--batch", type=int)
+    parser.add_argument("--bottleneck", type=int)
+    parser.add_argument("--out", dest="out_dir", help="output directory")
+    parser.add_argument("--fs-report",
                         help="fs_report.json from a prior fs run (rrw/ae modes)")
     parser.add_argument("--normalize", action="store_true",
                         help="min-max normalize before evaluation (evaluate mode)")
-    parser.add_argument("--algorithms", default=",".join(ALGORITHMS),
+    parser.add_argument("--algorithms", type=_algorithms,
                         help="comma-separated ranking algorithm suite")
     return parser
 
 
-def config_from_args(args) -> PipelineConfig:
-    return PipelineConfig(
-        mode=args.mode,
-        input_path=args.input,
-        label_column=args.label,
-        seed=args.seed,
-        n_bins=args.bins,
-        binning_strategy=args.binning,
-        folds=args.folds,
-        gamma=args.gamma,
-        tamper_threshold=args.tamper_threshold,
-        beta=args.beta,
-        epochs=args.epochs,
-        batch=args.batch,
-        bottleneck=args.bottleneck,
-        out_dir=args.out,
-        fs_report=args.fs_report,
-        normalize=args.normalize,
-        algorithms=tuple(a.strip() for a in args.algorithms.split(",") if a.strip()),
-    )
-
-
 def main(argv=None) -> int:
     try:
-        config = config_from_args(build_parser().parse_args(argv))
+        config = PipelineConfig(**vars(build_parser().parse_args(argv)))
         report = run(config)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

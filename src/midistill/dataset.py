@@ -240,7 +240,7 @@ def write_csv(dataset: Dataset, path, label_column: str) -> None:
                           for row, lab in zip(dataset.X[block].tolist(),
                                               dataset.labels[block].tolist()))
     with atomic_write(os.fspath(path) + ".meta.json") as fh:
-        json.dump(_jsonable(dataset.meta), fh, indent=2, sort_keys=True)
+        json.dump(dataset.meta, fh, indent=2, sort_keys=True)
 
 
 def split(dataset: Dataset, seed: int) -> DataSplit:
@@ -262,13 +262,20 @@ def split(dataset: Dataset, seed: int) -> DataSplit:
     return DataSplit(learn, test, val, seed)
 
 
+def folds(n_samples: int, k: int, seed: int) -> list[np.ndarray]:
+    """``k`` disjoint row-index folds covering ``range(n_samples)``: a seeded
+    permutation cut into parts whose sizes differ by at most one."""
+    if not 2 <= k <= n_samples:
+        raise DataError(f"cannot split {n_samples} rows into {k} folds: "
+                        f"need at least 2 folds and no more folds than rows")
+    return np.array_split(np.random.default_rng(seed).permutation(n_samples), k)
+
+
 def fit_minmax(dataset: Dataset, rows=None) -> dict:
     """Per-column min/max parameters, optionally fit on a row subset."""
     X = dataset.X if rows is None else dataset.X[np.asarray(rows, dtype=np.int64)]
-    return {
-        name: (float(X[:, i].min()), float(X[:, i].max()))
-        for i, name in enumerate(dataset.feature_names)
-    }
+    return dict(zip(dataset.feature_names, zip(X.min(axis=0).tolist(),
+                                               X.max(axis=0).tolist())))
 
 
 def apply_minmax(dataset: Dataset, params: dict) -> Dataset:
@@ -277,24 +284,16 @@ def apply_minmax(dataset: Dataset, params: dict) -> Dataset:
     Constant columns (max == min) map to 0.  Out-of-range held-out values
     are clipped so downstream sigmoid/AE inputs stay in [0,1].
     """
-    cols = []
-    for name in dataset.feature_names:
-        lo, hi = params[name]
-        col = dataset.column(name)
-        if hi > lo:
-            cols.append(np.clip((col - lo) / (hi - lo), 0.0, 1.0))
-        else:
-            cols.append(np.zeros_like(col))
+    lo, hi = np.array([params[name] for name in dataset.feature_names]).reshape(-1, 2).T
+    live = hi > lo
+    X = dataset.X - lo
+    X /= np.where(live, hi - lo, 1.0)
+    np.clip(X, 0.0, 1.0, out=X)
+    X[:, ~live] = 0.0
     meta = dict(dataset.meta)
-    meta.setdefault("transforms", [])
-    meta["transforms"] = list(meta["transforms"]) + ["minmax"]
+    meta["transforms"] = [*meta.get("transforms", []), "minmax"]
     meta["minmax_params"] = {k: list(v) for k, v in params.items()}
-    return Dataset(dataset.feature_names, np.column_stack(cols), dataset.labels, meta)
-
-
-def minmax_normalize(dataset: Dataset, fit_rows=None) -> Dataset:
-    """Min-max normalize; parameters fit on ``fit_rows`` (default: all rows)."""
-    return apply_minmax(dataset, fit_minmax(dataset, fit_rows))
+    return Dataset(dataset.feature_names, X, dataset.labels, meta)
 
 
 def inject_random_features(dataset: Dataset, seed: int) -> Dataset:
@@ -337,16 +336,3 @@ def _file_digest(path) -> tuple[str, int]:
             last = chunk[-1:]
     return h.hexdigest(), breaks + (last not in (b"", b"\r", b"\n"))
 
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj

@@ -60,6 +60,10 @@ class TrainingCurve:
             for i, (tl, vl) in enumerate(self.epochs, start=1):
                 fh.write(f"{i},{tl!r},{vl!r}\n")
 
+    def to_json(self) -> list[dict]:
+        return [{"epoch": i, "train_loss": tl, "val_loss": vl}
+                for i, (tl, vl) in enumerate(self.epochs, start=1)]
+
     def __len__(self) -> int:
         return len(self.epochs)
 
@@ -121,7 +125,7 @@ def gate_new(n_features: int) -> NeuralModel:
 
 
 def gate_decision(model: NeuralModel, X: np.ndarray) -> np.ndarray:
-    return forward(model, X)[-1][:, 0]
+    return _output(model, X)[:, 0]
 
 
 def gate_predict(model: NeuralModel, X: np.ndarray) -> np.ndarray:
@@ -267,7 +271,7 @@ def mlp_train(model: NeuralModel, learn: Dataset, validation: Dataset,
 
 def mlp_predict(model: NeuralModel, dataset: Dataset) -> np.ndarray:
     """Sigmoid output probabilities, one per sample; class = p >= 0.5."""
-    return forward(model, dataset.X)[-1][:, 0]
+    return _output(model, dataset.X)[:, 0]
 
 
 # --- autoencoder -----------------------------------------------------------
@@ -318,15 +322,3 @@ def model_to_json(model: NeuralModel) -> dict:
         "biases": [b.tolist() for b in model.biases],
     }
 
-
-def model_from_json(doc: dict) -> NeuralModel:
-    if doc.get("format_version") != MODEL_FORMAT_VERSION:
-        raise ValueError("unsupported model format version")
-    return NeuralModel(
-        kind=doc["kind"],
-        layer_dims=list(doc["layer_dims"]),
-        activations=list(doc["activations"]),
-        weights=[np.asarray(W, dtype=np.float64) for W in doc["weights"]],
-        biases=[np.asarray(b, dtype=np.float64) for b in doc["biases"]],
-        seed=int(doc["seed"]),
-    )

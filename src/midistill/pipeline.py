@@ -99,6 +99,12 @@ def _stage(name: str):
         raise
 
 
+def _validate(config: PipelineConfig, mode: str) -> None:
+    config.validate()
+    if config.mode != mode:
+        raise ConfigError(f"run_{mode} requires mode={mode}")
+
+
 def _make_out_dir(config: PipelineConfig) -> None:
     """Create the output directory before any work, so a bad --out fails fast."""
     try:
@@ -120,27 +126,27 @@ def _write_report(report: dict, out_dir: str, name: str) -> str:
     return path
 
 
-def _load_normalized(config: PipelineConfig):
-    """Load the input CSV, split it, and min-max normalize fit on learn.
-    The raw table is not returned, so it is freed before any training."""
+def _load(config: PipelineConfig, normalize: bool = True):
+    """Load the input CSV, split it, and (if ``normalize``) min-max normalize
+    fit on learn.  The normalized table replaces the raw one, so the raw
+    table is freed before any training."""
     with _stage("load"):
         data = ds.load_csv(config.input_path, config.label_column)
     with _stage("split"):
         sp = ds.split(data, config.seed)
-    with _stage("normalize"):
-        normalized = ds.apply_minmax(data, ds.fit_minmax(data, sp.learn_idx))
-    return normalized, sp
+    if normalize:
+        with _stage("normalize"):
+            data = ds.apply_minmax(data, ds.fit_minmax(data, sp.learn_idx))
+    return data, sp
 
 
 def run_fs(config: PipelineConfig) -> dict:
     """Tampering audit, backward elimination per surviving algorithm, the
     post-elimination metric gate, and emission of the optimized dataset."""
-    config.validate()
-    if config.mode != "fs":
-        raise ConfigError("run_fs requires mode=fs")
+    _validate(config, "fs")
     _make_out_dir(config)
     binning = config.binning()
-    normalized, sp = _load_normalized(config)
+    normalized, sp = _load(config)
 
     with _stage("tampering_audit"):
         audit = tampering_audit(
@@ -148,14 +154,13 @@ def run_fs(config: PipelineConfig) -> dict:
             threshold=config.tamper_threshold, binning=binning, beta=config.beta)
     surviving = audit.passing()
 
-    traces, post_bfe, rankings = {}, {}, {}
+    traces, post_bfe = {}, {}
     if surviving:
         with _stage("count_table"):
             rows = LearnRows(normalized, sp, binning)
     for alg in surviving:
         with _stage(f"backward_eliminate[{alg}]"):
             traces[alg] = backward_eliminate(rows, alg, config.gamma, beta=config.beta)
-        rankings[alg] = traces[alg].ranking
         # a memo hit unless elimination stopped at step 1: then the full set
         # is trained once per run, not once per criterion
         with _stage(f"post_bfe_gate[{alg}]"):
@@ -200,7 +205,7 @@ def run_fs(config: PipelineConfig) -> dict:
         "best_algorithm": best_alg,
         "mdrt": mdrt,
         "optimized_features": list(optimized.feature_names) if optimized else None,
-        "rankings": {alg: r.to_json() for alg, r in rankings.items()},
+        "rankings": {alg: trace.ranking.to_json() for alg, trace in traces.items()},
         "artifacts": artifacts,
     }
     report["artifacts"]["report"] = _write_report(report, config.out_dir, "fs_report.json")
@@ -221,41 +226,55 @@ def _load_fs_report(config: PipelineConfig) -> dict:
         raise ConfigError(f"fs report {config.fs_report} is not a JSON object")
     if not report.get("final_suite") or not report.get("optimized_features"):
         raise ConfigError("fs report has no surviving algorithms / optimized features")
+    _names(report["optimized_features"], "optimized_features")
+    if report.get("mdrt") is not None:
+        _expect(report["mdrt"], int, "mdrt")
     return report
+
+
+def _expect(value, kind, field: str):
+    """``value`` if it is a ``kind`` (a bool is neither an int nor a float
+    here), else a ConfigError naming the fs report field."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ConfigError(f"fs report field {field!r} has the wrong type: "
+                          f"{type(value).__name__}")
+    return value
+
+
+def _names(value, field: str) -> tuple[str, ...]:
+    return tuple(_expect(name, str, field) for name in _expect(value, list, field))
 
 
 def run_rrw(config: PipelineConfig) -> dict:
     """Cross-validated F1 per surviving algorithm, RRw weights, and the
     re-weighted optimized dataset.  Algorithms that kept the same feature
     set share one cross-validation: its gates are identical."""
-    config.validate()
-    if config.mode != "rrw":
-        raise ConfigError("run_rrw requires mode=rrw")
+    _validate(config, "rrw")
     fs_report = _load_fs_report(config)
     optimized_features = fs_report["optimized_features"]
     try:
-        own_features = {alg: tuple(fs_report["traces"][alg]["optimized_features"])
+        own_features = {alg: _names(fs_report["traces"][alg]["optimized_features"],
+                                    "optimized_features")
                         for alg in fs_report["final_suite"]}
-        entries = {alg: [(e["feature"], e["score"])
-                         for e in fs_report["rankings"][alg]["entries"]
-                         if e["feature"] in optimized_features]
+        entries = {alg: [(_expect(e["feature"], str, "feature"),
+                          _expect(e["score"], (int, float), "score"))
+                         for e in fs_report["rankings"][alg]["entries"]]
                    for alg in fs_report["final_suite"]}
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"fs report {config.fs_report} lacks the traces or rankings "
                           f"of its final suite ({exc!r})") from None
     _make_out_dir(config)
-    normalized, sp = _load_normalized(config)
+    normalized, sp = _load(config)
 
-    pairs = []
-    avg_f1 = {}
-    f1_of_features = {}
+    pairs, avg_f1, f1_of_features = [], {}, {}
     for alg, features in own_features.items():
         if features not in f1_of_features:
             with _stage(f"avg_f1_cv[{alg}]"):
                 f1_of_features[features] = avg_f1_cv(
                     normalized.select_features(features), k=config.folds, seed=config.seed)
         avg_f1[alg] = f1_of_features[features]
-        pairs.append((FeatureRanking(alg, tuple(entries[alg])), avg_f1[alg]))
+        kept = tuple(e for e in entries[alg] if e[0] in optimized_features)
+        pairs.append((FeatureRanking(alg, kept), avg_f1[alg]))
 
     with _stage("rrw_scores"):
         weights = rrw_scores(pairs)
@@ -282,9 +301,7 @@ def run_rrw(config: PipelineConfig) -> dict:
 
 def run_ae(config: PipelineConfig) -> dict:
     """Train the bottleneck autoencoder and emit the latent dataset."""
-    config.validate()
-    if config.mode != "ae":
-        raise ConfigError("run_ae requires mode=ae")
+    _validate(config, "ae")
     bottleneck = config.bottleneck
     if bottleneck is None:
         if config.fs_report:
@@ -292,7 +309,7 @@ def run_ae(config: PipelineConfig) -> dict:
         if bottleneck is None:
             raise ConfigError("ae mode needs --bottleneck or an fs report with an MDRt")
     _make_out_dir(config)
-    normalized, sp = _load_normalized(config)
+    normalized, sp = _load(config)
 
     with _stage("ae_train"):
         model = ae_new(normalized.n_features, bottleneck, config.seed)
@@ -313,8 +330,7 @@ def run_ae(config: PipelineConfig) -> dict:
         "mode": "ae",
         "config": config.to_json(),
         "bottleneck": int(bottleneck),
-        "curve": [{"epoch": i + 1, "train_loss": tl, "val_loss": vl}
-                  for i, (tl, vl) in enumerate(curve.epochs)],
+        "curve": curve.to_json(),
         "artifacts": {"ae_generated_csv": out_csv, "curve_csv": curve_path,
                       "model_json": model_path},
     }
@@ -325,17 +341,9 @@ def run_ae(config: PipelineConfig) -> dict:
 def run_evaluate(config: PipelineConfig) -> dict:
     """Train the rectangle MLP on the input dataset and report the full
     confusion-metric suite on the testing split, plus the learning curve."""
-    config.validate()
-    if config.mode != "evaluate":
-        raise ConfigError("run_evaluate requires mode=evaluate")
+    _validate(config, "evaluate")
     _make_out_dir(config)
-    with _stage("load"):
-        data = ds.load_csv(config.input_path, config.label_column)
-    with _stage("split"):
-        sp = ds.split(data, config.seed)
-    if config.normalize:
-        with _stage("normalize"):
-            data = ds.apply_minmax(data, ds.fit_minmax(data, sp.learn_idx))
+    data, sp = _load(config, config.normalize)
 
     with _stage("mlp_train"):
         model = mlp_new(data.n_features, config.seed)
@@ -353,8 +361,7 @@ def run_evaluate(config: PipelineConfig) -> dict:
         "mode": "evaluate",
         "config": config.to_json(),
         "metrics": metrics.to_json(),
-        "curve": [{"epoch": i + 1, "train_loss": tl, "val_loss": vl}
-                  for i, (tl, vl) in enumerate(curve.epochs)],
+        "curve": curve.to_json(),
         "artifacts": {"curve_csv": curve_path},
     }
     report["artifacts"]["report"] = _write_report(report, config.out_dir,

@@ -40,13 +40,6 @@ class FeatureRanking:
     def features(self) -> list[str]:
         return [name for name, _ in self.entries]
 
-    def position(self, feature: str) -> int:
-        """1-based rank position of a feature (1 = most relevant)."""
-        for i, (name, _) in enumerate(self.entries, start=1):
-            if name == feature:
-                return i
-        raise KeyError(feature)
-
     def to_json(self) -> dict:
         return {
             "algorithm": self.algorithm,

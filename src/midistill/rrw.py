@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, folds
 from .errors import DataError, EmptyInput, FeatureSetMismatch, MissingWeight
 from .metrics import compute_metrics
 from .neural import gate_predict, gate_train
@@ -34,15 +34,10 @@ class RRwWeights:
 
 def avg_f1_cv(dataset: Dataset, k: int = 5, seed: int = 0) -> float:
     """k-fold cross-validated F1 of the gate classifier, averaged over folds."""
-    if k < 2:
-        raise DataError("need at least 2 folds")
-    perm = np.random.default_rng(seed).permutation(dataset.n_samples)
-    chunks = np.array_split(perm, k)
+    chunks = folds(dataset.n_samples, k, seed)
     scores = []
-    for i in range(k):
-        held = chunks[i]
-        train_rows = np.concatenate([chunks[j] for j in range(k) if j != i])
-        gate = gate_train(dataset.take(train_rows))
+    for i, held in enumerate(chunks):
+        gate = gate_train(dataset.take(np.concatenate(chunks[:i] + chunks[i + 1:])))
         test = dataset.take(held)
         m = compute_metrics(gate_predict(gate, test.X), test.labels)
         scores.append(0.0 if m.f1 is None else m.f1)
@@ -86,11 +81,10 @@ def rrw_scores(rankings) -> RRwWeights:
 
 def apply_weights(dataset: Dataset, w: RRwWeights) -> Dataset:
     """Multiply each feature column by its weight; labels untouched."""
-    cols = []
-    for name in dataset.feature_names:
-        if name not in w.weights:
-            raise MissingWeight(name)
-        cols.append(dataset.column(name) * w.weights[name])
+    try:
+        scale = np.array([w.weights[name] for name in dataset.feature_names])
+    except KeyError as exc:
+        raise MissingWeight(exc.args[0]) from None
     meta = dict(dataset.meta)
     meta["rrw_weights"] = {k: float(v) for k, v in w.weights.items()}
-    return Dataset(dataset.feature_names, np.column_stack(cols), dataset.labels, meta)
+    return Dataset(dataset.feature_names, dataset.X * scale, dataset.labels, meta)

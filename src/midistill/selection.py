@@ -7,13 +7,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .dataset import (
     RESERVED_RANDOM_NAMES,
     DataSplit,
     Dataset,
     atomic_write,
+    folds as row_folds,
     inject_random_features,
 )
 from .errors import DataError, FeatureSetMismatch
@@ -131,13 +130,10 @@ def tampering_audit(dataset: Dataset, algorithms, folds: int = 5, seed: int = 0,
     and pass an algorithm iff all three random features' fold-averaged ranks
     fall in the bottom ``threshold`` fraction of positions.  Each fold is
     counted once and its table serves every algorithm."""
-    if folds < 2:
-        raise DataError("need at least 2 folds")
     binning = binning or BinningConfig()
     tampered = inject_random_features(dataset, seed)
     n_total = tampered.n_features
-    perm = np.random.default_rng(seed).permutation(tampered.n_samples)
-    parts = [tampered.take(chunk) for chunk in np.array_split(perm, folds)]
+    parts = [tampered.take(chunk) for chunk in row_folds(tampered.n_samples, folds, seed)]
 
     fold_rankings = {alg: [] for alg in algorithms}
     for part in parts:

@@ -3,8 +3,8 @@
 Every run exits 0, 1, 2 or 3.  A nonzero exit prints exactly one stderr
 line, starting with the prefix of its error family, and no traceback.  The
 inputs are bad or edge flag values, malformed and edge-case CSVs, and
-truncated, foreign or non-object fs reports.  Runs are in-process and desk
-scale: at most 40 rows, 64 bins, 50 folds and 2 epochs.
+truncated, foreign, non-object or mistyped fs reports.  Runs are in-process
+and desk scale: at most 40 rows, 64 bins, 50 folds and 2 epochs.
 """
 
 import contextlib
@@ -13,7 +13,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from midistill.cli import main as cli_main
@@ -33,6 +33,30 @@ FS_REPORT = {
     "rankings": {"mRMR": {"entries": [{"feature": "f0", "score": 0.5},
                                       {"feature": "f1", "score": 0.25}]}},
 }
+
+# one field of FS_REPORT, by its path, set to a value of the wrong type
+MISTYPED = (
+    (("rankings", "mRMR", "entries", 0, "score"), "x"),
+    (("rankings", "mRMR", "entries", 1, "feature"), 7),
+    (("optimized_features", 1), 7),
+    (("traces", "mRMR", "optimized_features", 0), ["f0"]),
+    (("mdrt",), "two"),
+)
+
+# a separable table with FS_REPORT's columns, on which rrw and ae get past
+# loading and training to the fields they read
+CLEAN_CSV = ("f0,f1,label\n" + "".join(f"{(i - 20) / 8!r},{i % 7 / 8!r},{int(i >= 20)}\n"
+                                       for i in range(40))).encode("utf-8")
+
+
+def _mistyped(path, value) -> str:
+    doc = json.loads(json.dumps(FS_REPORT))
+    *parents, last = path
+    field = doc
+    for key in parents:
+        field = field[key]
+    field[last] = value
+    return json.dumps(doc)
 
 
 def _int_flag(lo, hi):
@@ -93,7 +117,9 @@ def csv_bytes(draw):
 def fs_report_text(draw):
     text = json.dumps(FS_REPORT)
     kind = draw(st.sampled_from(["valid", "truncated", "foreign_mode", "foreign_csv",
-                                 "list", "missing", "absent"]))
+                                 "list", "mistyped", "missing", "absent"]))
+    if kind == "mistyped":
+        return _mistyped(*draw(st.sampled_from(MISTYPED)))
     if kind == "truncated":
         return text[:draw(st.integers(0, len(text) - 1))]
     if kind == "foreign_mode":
@@ -107,7 +133,14 @@ def fs_report_text(draw):
     return text if kind == "valid" else None
 
 
+# each mistyped field also runs once on a table that rrw or ae can load and
+# train on, so the run reaches every place that reads the field
 @settings(max_examples=300, deadline=None)
+@example(mode="ae", data=CLEAN_CSV, report=_mistyped(*MISTYPED[-1]), flags={})
+@example(mode="rrw", data=CLEAN_CSV, report=_mistyped(*MISTYPED[0]), flags={})
+@example(mode="rrw", data=CLEAN_CSV, report=_mistyped(*MISTYPED[1]), flags={})
+@example(mode="rrw", data=CLEAN_CSV, report=_mistyped(*MISTYPED[2]), flags={})
+@example(mode="rrw", data=CLEAN_CSV, report=_mistyped(*MISTYPED[3]), flags={})
 @given(mode=st.sampled_from(["fs", "rrw", "ae", "evaluate"]), data=csv_bytes(),
        report=fs_report_text(),
        flags=st.lists(st.sampled_from(sorted(FLAGS)), unique=True, max_size=4)

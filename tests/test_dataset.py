@@ -11,9 +11,9 @@ from midistill.dataset import (
     Dataset,
     apply_minmax,
     fit_minmax,
+    folds,
     inject_random_features,
     load_csv,
-    minmax_normalize,
     split,
     write_csv,
 )
@@ -291,15 +291,31 @@ class TestSplit:
         assert sorted(merged.tolist()) == list(range(n))
 
 
+class TestFolds:
+    def test_cover_every_row_once(self):
+        parts = folds(23, 5, seed=4)
+        assert sorted(np.concatenate(parts).tolist()) == list(range(23))
+        assert sorted(len(p) for p in parts) == [4, 4, 5, 5, 5]
+
+    def test_seeded(self):
+        for a, b in zip(folds(30, 3, seed=1), folds(30, 3, seed=1)):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("k", [0, 1, 24])
+    def test_fold_count_out_of_range(self, k):
+        with pytest.raises(DataError, match=f"23 rows into {k} folds"):
+            folds(23, k, seed=0)
+
+
 class TestMinmax:
     def test_basic(self):
         data = make_dataset({"a": [2.0, 4.0, 6.0]}, [0, 1, 0])
-        normalized = minmax_normalize(data)
+        normalized = apply_minmax(data, fit_minmax(data))
         assert normalized.column("a").tolist() == [0.0, 0.5, 1.0]
 
     def test_constant_column(self):
         data = make_dataset({"a": [5.0, 5.0, 5.0]}, [0, 1, 0])
-        assert minmax_normalize(data).column("a").tolist() == [0.0, 0.0, 0.0]
+        assert apply_minmax(data, fit_minmax(data)).column("a").tolist() == [0.0, 0.0, 0.0]
 
     def test_stored_transform_applies_to_new_data(self):
         fit = make_dataset({"a": [2.0, 6.0]}, [0, 1])
@@ -310,13 +326,13 @@ class TestMinmax:
     def test_idempotent(self, rng):
         data = make_dataset({"a": rng.random(30) * 9, "b": rng.standard_normal(30)},
                             rng.integers(0, 2, 30))
-        once = minmax_normalize(data)
-        twice = minmax_normalize(once)
+        once = apply_minmax(data, fit_minmax(data))
+        twice = apply_minmax(once, fit_minmax(once))
         np.testing.assert_allclose(twice.X, once.X, atol=1e-12)
 
     def test_transform_recorded_in_meta(self):
         data = make_dataset({"a": [2.0, 6.0]}, [0, 1])
-        normalized = minmax_normalize(data)
+        normalized = apply_minmax(data, fit_minmax(data))
         assert normalized.meta["minmax_params"]["a"] == [2.0, 6.0]
         assert "minmax" in normalized.meta["transforms"]
 

@@ -1,6 +1,7 @@
-"""Golden report digests: the sha256 of every report, optimized CSV, AE model
-and learning curve from one desk-scale fs → rrw → ae → evaluate chain, run
-through the CLI.
+"""Golden report digests: the sha256 of every report, written CSV and its
+metadata sidecar, elimination trace, RRw weight file, AE model and learning
+curve from one desk-scale fs → rrw → ae → evaluate chain, run through the
+CLI.
 
 These digests are the "unchanged behaviour" gate for refactors and speedups.
 Re-pin them only when a change alters a report on purpose, and record why.
@@ -31,14 +32,34 @@ GOLDEN = {
         "63efcea7f1989889d8ff4f9ba1ddf08efdf2866605a7cd4db89f67902b1f2375",
     "fs/optimized.csv":
         "0eab0f9cad4eb790436c8002e1a5b8129cd1e02da884e553abb322fb7be73cf3",
+    "fs/optimized.csv.meta.json":
+        "85c947967520afa4a58e8fdfc89dbc634a3df1e11f686bd9723a43dd60263609",
+    "fs/elimination_mRMR.csv":
+        "adf46b34358e8acab1954fb58a98f72aa39d53e1d349b13c1c71410e26a00e70",
+    "fs/elimination_MIFS.csv":
+        "1263d97bae179fd4345da61fcf77e8c578324f31d463988feacbc4a0de261288",
+    "fs/elimination_CIFE.csv":
+        "adf46b34358e8acab1954fb58a98f72aa39d53e1d349b13c1c71410e26a00e70",
+    "fs/elimination_JMI.csv":
+        "adf46b34358e8acab1954fb58a98f72aa39d53e1d349b13c1c71410e26a00e70",
+    "fs/elimination_CMIM.csv":
+        "a3591132f9e023c110d2aaa7e79973704fe7ae21ad7a3f946f7d30b681c8243f",
+    "fs/elimination_DISR.csv":
+        "adf46b34358e8acab1954fb58a98f72aa39d53e1d349b13c1c71410e26a00e70",
     "rrw/rrw_report.json":
         "0a08a5eaf4c4ae7384daecebf3ff57f5b520ff854d505d79d4db50ddb33c39c8",
     "rrw/rrw_optimized.csv":
         "192653388f6b9b521d77ed5220759131eee61e8b5d79646ec9526b50dd597b99",
+    "rrw/rrw_optimized.csv.meta.json":
+        "98ee6506b54528f36ebf3190e8a8e198b5a68187510231025917efaf878ddb10",
+    "rrw/rrw_weights.json":
+        "e8ae55c5fd85fbe82164901be507ac57812d8a701b9ef9670401c9776709350b",
     "ae/ae_report.json":
         "e0b0b167d2884ce7c86233dce2d79f6edda8bbcba4ccc7767331db88bf56f148",
     "ae/ae_generated.csv":
         "1c572349c29ce3fe5d9f25528a6fc6b945fd056798f1aac168f8994c0eab4013",
+    "ae/ae_generated.csv.meta.json":
+        "ca587ea3081e0ee2861d640d11c8d038237ec3fbd8402c36b1aafb7602509868",
     "ae/ae_model.json":
         "1d35147129d622f729b504f4d4f6a4fbf1d52137ba67c9425f9c80b8898dde12",
     "ae/ae_curve.csv":
@@ -69,6 +90,13 @@ GOLDEN_STEP1 = {
         "c071a2de93b53eb25e8c4e21834689d14faaa538fc056c4991cc8f255bf6eb12",
     "fs/optimized.csv":
         "ea52996674d2a67c7b6e175f87b8ff5a0dde468930a2d37b40675cf2516430a4",
+    "fs/optimized.csv.meta.json":
+        "f892b781bf20e3390b9119f2f0a6e21c12f695ba6c37f8ecf31336b13a04bc2d",
+    **{f"fs/elimination_{alg}.csv":
+       "5681fe50d62ab0cd5090b59af129df2b818c7689d3ac7e1ba5220e7435fa973d"
+       for alg in ("mRMR", "CIFE", "JMI", "CMIM", "DISR")},
+    "fs/elimination_MIFS.csv":
+        "6a1347ad7009bb4fd6f54f67583c3fa2efe9e9dbdb5e90c822ec90a2e6824ef1",
 }
 
 STEP1_COMMAND = ["fs", "--input", "noisy.csv", "--out", "fs", "--seed", "3",

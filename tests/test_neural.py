@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -22,8 +20,6 @@ from midistill.neural import (
     mlp_new,
     mlp_predict,
     mlp_train,
-    model_from_json,
-    model_to_json,
 )
 
 from conftest import make_dataset
@@ -290,13 +286,6 @@ class TestAutoencoder:
 
 
 class TestSerialization:
-    def test_round_trip(self, rng):
-        model = mlp_new(4, 99)
-        doc = json.loads(json.dumps(model_to_json(model)))
-        restored = model_from_json(doc)
-        X = rng.random((5, 4))
-        np.testing.assert_array_equal(forward(model, X)[-1], forward(restored, X)[-1])
-
     def test_curve_csv(self, tmp_path, rng):
         x = rng.random(40)
         data = make_dataset({"x": x}, (x > 0.5).astype(int))

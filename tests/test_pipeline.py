@@ -1,14 +1,18 @@
+import argparse
+import dataclasses
 import json
 import os
+from collections import Counter
 
 import pytest
 
-from midistill import dataset, pipeline, selection
+from midistill import cli, dataset, pipeline, selection
 from midistill.dataset import load_csv, write_csv
 from midistill.errors import ConfigError, TrainingError
 from midistill.cli import main as cli_main
 from midistill.neural import gate_train
 from midistill.pipeline import (
+    MODES,
     PipelineConfig,
     _write_report,
     run,
@@ -294,10 +298,41 @@ class TestCli:
         assert "training failure" in capsys.readouterr().err
 
 
+class TestCliDefaults:
+    """Every run setting has one owner, ``PipelineConfig``: each flag stores
+    into the field it names, and an absent flag stores nothing."""
+
+    def _config(self, monkeypatch, argv) -> PipelineConfig:
+        seen = []
+        monkeypatch.setattr(cli, "run", lambda config: seen.append(config) or {"mode": "x"})
+        assert cli_main(argv) == 0
+        return seen[0]
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_absent_flags_give_config_defaults(self, monkeypatch, mode):
+        config = self._config(monkeypatch, [mode, "--input", "x.csv"])
+        assert config == PipelineConfig(mode, "x.csv")
+
+    def test_one_flag_per_field(self):
+        actions = [a for a in cli.build_parser()._actions if a.dest != "help"]
+        assert Counter(a.dest for a in actions) == Counter(
+            f.name for f in dataclasses.fields(PipelineConfig))
+        assert all(a.default is argparse.SUPPRESS for a in actions)
+
+    def test_algorithms_parsed_to_tuple(self, monkeypatch):
+        config = self._config(monkeypatch, ["fs", "--input", "x.csv",
+                                            "--algorithms", " JMI, CMIM"])
+        assert config.algorithms == ("JMI", "CMIM")
+
+    def test_empty_algorithms_exit_1(self, capsys):
+        assert cli_main(["fs", "--input", "x.csv", "--algorithms", ","]) == 1
+        assert capsys.readouterr().err.startswith("configuration error: ")
+
+
 class TestCliExitCodes:
     """Bad flags and bad fs reports end in exit code 1, an input path that
-    is not a regular file in exit code 2, each with a one-line message and
-    never a traceback."""
+    is not a regular file and more folds than rows in exit code 2, each with
+    a one-line message and never a traceback."""
 
     def _config_error(self, capsys, argv):
         code = cli_main(argv)
@@ -333,6 +368,45 @@ class TestCliExitCodes:
         err = self._config_error(capsys, self._rrw(planted_csv, tmp_path,
                                                    json.dumps(stripped)))
         assert "traces or rankings" in err
+
+    @pytest.mark.parametrize("mode", ["fs", "rrw"])
+    def test_more_folds_than_rows(self, fs_run, tmp_path, capsys, mode):
+        path = tmp_path / "small.csv"
+        write_csv(planted_dataset(5, 0, 20, seed=3), path, "label")
+        argv = [mode, "--input", str(path), "--folds", "50", "--out", str(tmp_path / "out")]
+        if mode == "rrw":
+            argv += ["--fs-report", str(fs_run[1] / "fs_report.json")]
+        code = cli_main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("data error: ")
+        assert err.count("\n") == 1
+        assert "20 rows" in err and "50 folds" in err
+
+    @pytest.mark.parametrize("report_field, value, mode", [
+        (("rankings", "mRMR", "entries", 0, "score"), "x", "rrw"),
+        (("rankings", "mRMR", "entries", 0, "feature"), 7, "rrw"),
+        (("optimized_features", 0), 7, "rrw"),
+        (("optimized_features", 0), 7, "ae"),
+        (("traces", "mRMR", "optimized_features", 0), None, "rrw"),
+        (("mdrt",), "two", "ae"),
+        (("mdrt",), 2.0, "ae"),
+        (("mdrt",), True, "ae"),
+    ], ids=["score", "ranked_feature", "optimized_feature", "optimized_feature_ae",
+            "trace_feature", "mdrt_str", "mdrt_float", "mdrt_bool"])
+    def test_report_field_mistyped(self, fs_run, planted_csv, tmp_path, capsys,
+                                   report_field, value, mode):
+        doc = json.loads(json.dumps(fs_run[0]))
+        *parents, last = report_field
+        field = doc
+        for key in parents:
+            field = field[key]
+        field[last] = value
+        argv = self._rrw(planted_csv, tmp_path, json.dumps(doc))
+        argv[0] = mode
+        err = self._config_error(capsys, argv)
+        name = [key for key in report_field if isinstance(key, str)][-1]
+        assert f"{name!r} has the wrong type" in err
 
     @pytest.mark.parametrize("mode", ["fs", "evaluate"])
     @pytest.mark.parametrize("under_file", [False, True])

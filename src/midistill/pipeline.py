@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -241,6 +241,14 @@ def _expect(value, kind, field: str):
     return value
 
 
+def _score(value):
+    """A ranking score if it is a number that is finite as a float."""
+    with suppress(OverflowError):  # an int past the float range
+        if math.isfinite(_expect(value, (int, float), "score")):
+            return value
+    raise ConfigError("fs report field 'score' has the wrong type: not a finite float")
+
+
 def _names(value, field: str) -> tuple[str, ...]:
     return tuple(_expect(name, str, field) for name in _expect(value, list, field))
 
@@ -257,7 +265,7 @@ def run_rrw(config: PipelineConfig) -> dict:
                                     "optimized_features")
                         for alg in fs_report["final_suite"]}
         entries = {alg: [(_expect(e["feature"], str, "feature"),
-                          _expect(e["score"], (int, float), "score"))
+                          _score(e["score"]))
                          for e in fs_report["rankings"][alg]["entries"]]
                    for alg in fs_report["final_suite"]}
     except (KeyError, TypeError) as exc:

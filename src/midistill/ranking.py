@@ -15,7 +15,7 @@ from itertools import combinations
 import numpy as np
 
 from .dataset import Dataset
-from .errors import DataError, UnknownFeature
+from .errors import DataError
 from .infotheory import BinningConfig, discretize, row_entropies
 
 ALGORITHMS = ("mRMR", "MIFS", "CIFE", "JMI", "CMIM", "DISR")
@@ -58,11 +58,10 @@ class CountTable:
     All six criteria are functions of I(X_i;c), I(X_i;X_j), I(X_i;X_j|c) and
     the (X_i,X_j,c) table (Brown et al., JMLR 2012), and per-class pairwise
     counts hold all four.  So one table, counted once with ``np.bincount``,
-    serves every criterion and every column subset: the audit ranks all
-    criteria of a fold on one table, and elimination ranks every step of
-    every criterion on one table of the learn rows.  The discretized codes
-    are dropped after counting; the counts, each column's ``k`` and the
-    quantities are kept.
+    serves every criterion: the audit ranks all criteria of a fold on one
+    table, and elimination ranks each criterion once on one table of the
+    learn rows.  The discretized codes are dropped after counting; the
+    counts, each column's ``k`` and the quantities are kept.
 
     Codes are padded to a common width; padded cells stay zero and entropies
     skip zero cells.  Each quantity feeds the entropy the same non-zero
@@ -99,7 +98,7 @@ class CountTable:
 
         self._h_label = row_entropies(self.label_counts[None])[0]
         self._h = row_entropies(self.marginal.sum(axis=2))
-        h_with_label = row_entropies(self.marginal.reshape(f, -1))
+        h_with_label = row_entropies(self.marginal.reshape(f, 2 * w))
         self.relevance = _clamp(self._h + self._h_label - h_with_label)
         self.single_sr = _ratio(self.relevance, h_with_label)
         # H(X_i | c) per class, and per stratum x_i = z: H(c | z) and n_z / n
@@ -146,13 +145,6 @@ class CountTable:
                 total = total + self._stratum_weight[j, z] * terms[:, z]
             self.cmi_label_given_feature[i, j] = _clamp(total)
 
-    def positions(self, names) -> list[int]:
-        """Column indices of the given feature names."""
-        missing = [n for n in names if n not in self.names]
-        if missing:
-            raise UnknownFeature(", ".join(missing))
-        return [self.names.index(n) for n in names]
-
 
 def _clamp(v: np.ndarray) -> np.ndarray:
     """max(0.0, v) per element, the estimators' clamp against rounding."""
@@ -191,38 +183,32 @@ def criterion_score(algorithm: str, rel: np.ndarray, first: np.ndarray,
     return acc
 
 
-def rank(table: CountTable, algorithm: str, beta: float = 1.0,
-         columns=None) -> FeatureRanking:
+def rank(table: CountTable, algorithm: str, beta: float = 1.0) -> FeatureRanking:
     """Run one criterion's greedy forward selection to exhaustion on a count
     table; the ranking's params record the table's binning.
 
-    ``columns`` restricts the ranking to those features, given in table
-    order; the result equals ranking a table of the projected dataset.
     Each candidate keeps a running sum (CMIM: a running min) of its terms
     against the selected features, added in selection order.
     """
     if algorithm not in ALGORITHMS:
         raise DataError(f"unknown ranking algorithm {algorithm!r}")
-    idx = table.positions(table.names if columns is None else columns)
-    if not idx:
+    if not table.names:
         raise DataError("need at least one feature to rank")
-    if any(p >= q for p, q in zip(idx, idx[1:])):
-        raise DataError("columns must keep the count table's order")
 
-    rel = table.relevance[idx]
-    first = table.single_sr[idx] if algorithm == "DISR" else rel
-    terms = _pair_terms(table, algorithm)[np.ix_(idx, idx)]
-    acc = np.full(len(idx), np.inf) if algorithm == "CMIM" else np.zeros(len(idx))
-    remaining = list(range(len(idx)))
+    rel = table.relevance
+    first = table.single_sr if algorithm == "DISR" else rel
+    terms = _pair_terms(table, algorithm)
+    acc = np.full(len(rel), np.inf) if algorithm == "CMIM" else np.zeros(len(rel))
+    remaining = list(range(len(rel)))
     entries: list[tuple[str, float]] = []
-    for n_selected in range(len(idx)):
+    for n_selected in range(len(rel)):
         cand = np.array(remaining)
         scores = criterion_score(algorithm, rel[cand], first[cand], acc[cand],
                                  n_selected, beta)
         best = int(np.argmax(scores >= scores.max() - TIE_TOLERANCE))
         pos = remaining.pop(best)
         acc = np.minimum(acc, terms[:, pos]) if algorithm == "CMIM" else acc + terms[:, pos]
-        entries.append((table.names[idx[pos]], float(scores[best])))
+        entries.append((table.names[pos], float(scores[best])))
     params = {"n_bins": table.binning.n_bins, "strategy": table.binning.strategy.value,
               "tie_rule": f"smallest_column_index(tol={TIE_TOLERANCE})"}
     if algorithm == "MIFS":

@@ -62,8 +62,8 @@ class EliminationTrace:
     ``stopped_at`` is the 1-based index of the first failing evaluation
     (None if the gate never failed).  ``optimized_features`` is the feature
     set present at the last passing evaluation, of size ``mdrt``.
-    ``ranking`` is step 1's ranking of all initial features on the learn
-    rows; it is not part of ``to_json``.
+    ``ranking`` is the ranking of all initial features on the learn rows
+    whose tail the steps removed; it is not part of ``to_json``.
     """
 
     algorithm: str
@@ -72,7 +72,7 @@ class EliminationTrace:
     steps: tuple[ElimStep, ...]
     stopped_at: int | None
     optimized_features: tuple[str, ...]
-    ranking: FeatureRanking | None = field(default=None, compare=False, repr=False)
+    ranking: FeatureRanking = field(compare=False, repr=False)
 
     @property
     def mdrt(self) -> int:
@@ -188,11 +188,12 @@ def backward_eliminate(rows: LearnRows, algorithm: str, gamma: float,
     """Iteratively drop the lowest-ranked feature while the gate classifier
     keeps accuracy, precision and recall at or above gamma on the test split.
 
-    Every step ranks a column subset of the learn rows' count table and
-    looks its reduced feature set up in their gate memo, so rankings and
-    gate training use the learn split only and metrics come from the test
-    split.  The loop stops at the first failing evaluation or when a single
-    feature remains.
+    A greedy score depends only on the features selected before it, so the
+    whole path is one ranking of the learn rows' count table, read from its
+    tail (up to ties within ``TIE_TOLERANCE``).  Each reduced set's metrics
+    come from the learn rows' gate memo: gates train on the learn split and
+    are scored on the test split.  The loop stops at the first failing
+    evaluation or when a single feature remains.
     """
     if not 0 <= gamma < 1:
         raise DataError("gamma must be in [0, 1)")
@@ -200,18 +201,13 @@ def backward_eliminate(rows: LearnRows, algorithm: str, gamma: float,
     if len(initial) < 2:
         raise DataError("need at least 2 features to eliminate")
 
+    ranking = rank(rows.table, algorithm, beta=beta)
     current = list(initial)
     steps: list[ElimStep] = []
     stopped_at = None
     last_passing = list(current)
-    first_ranking = None
-
-    while len(current) >= 2:
-        ranking = rank(rows.table, algorithm, beta=beta, columns=current)
-        first_ranking = first_ranking or ranking
-        lowest = ranking.features[-1]
+    for lowest in ranking.features[:0:-1]:
         current.remove(lowest)
-
         metrics = rows.metrics(current)
         steps.append(ElimStep(lowest, len(current), metrics))
         if not metrics.passes(gamma):
@@ -226,5 +222,5 @@ def backward_eliminate(rows: LearnRows, algorithm: str, gamma: float,
         steps=tuple(steps),
         stopped_at=stopped_at,
         optimized_features=tuple(last_passing),
-        ranking=first_ranking,
+        ranking=ranking,
     )

@@ -2,7 +2,9 @@
 
 Deliberately naive: plain-Python counting over value tuples, no shared code
 with the package's estimators or the greedy ranking engine.  The CSV
-reference is the package's original one-cell-at-a-time parse.
+reference is the package's original one-cell-at-a-time parse.  The one
+exception is the elimination path's per-step definition, which ranks with
+the package's engine: that engine is checked against the brute force above.
 """
 
 import csv
@@ -14,6 +16,7 @@ from collections import Counter
 import numpy as np
 
 from midistill.errors import MalformedHeader, NonBinaryLabel, NonNumericValue
+from midistill.ranking import CountTable, rank
 
 
 def bf_entropy(*columns) -> float:
@@ -88,6 +91,19 @@ def bf_greedy_ranking(algorithm, columns, label, beta=1.0, tie_tol=1e-12):
         idx = remaining.pop(best_pos)
         selected.append(idx)
         order.append((idx, scores[best_pos]))
+    return order
+
+
+def reference_elimination_order(dataset, binning, algorithm, beta=1.0):
+    """The features backward elimination drops, in order, by its per-step
+    definition: each step ranks a fresh count table of the remaining columns
+    and drops that ranking's last feature, until one feature is left."""
+    current = list(dataset.feature_names)
+    order = []
+    while len(current) >= 2:
+        table = CountTable(dataset.select_features(current), binning)
+        order.append(rank(table, algorithm, beta=beta).features[-1])
+        current.remove(order[-1])
     return order
 
 

@@ -41,12 +41,18 @@ MISTYPED = (
     (("optimized_features", 1), 7),
     (("traces", "mRMR", "optimized_features", 0), ["f0"]),
     (("mdrt",), "two"),
+    (("rankings", "mRMR", "entries", 0, "score"), 10**400),
+    (("rankings", "mRMR", "entries", 0, "score"), float("nan")),
+    (("rankings", "mRMR", "entries", 0, "score"), float("inf")),
 )
 
 # a separable table with FS_REPORT's columns, on which rrw and ae get past
 # loading and training to the fields they read
 CLEAN_CSV = ("f0,f1,label\n" + "".join(f"{(i - 20) / 8!r},{i % 7 / 8!r},{int(i >= 20)}\n"
                                        for i in range(40))).encode("utf-8")
+
+# a label column and no feature: the audit passes on its random columns alone
+LABEL_ONLY_CSV = ("label\n" + "".join(f"{i % 2}\n" for i in range(40))).encode("utf-8")
 
 
 def _mistyped(path, value) -> str:
@@ -91,7 +97,7 @@ def csv_bytes(draw):
     if kind == "empty":
         return b""
     n = 0 if kind == "header_only" else draw(st.integers(0, 40))
-    f = draw(st.integers(1, 4))
+    f = draw(st.integers(0, 4))
     header = ",".join([f"f{i}" for i in range(f)] + ["label"])
     cells = st.integers(-50, 50).map(lambda v: repr(v / 8))
     rows = [[draw(cells) for _ in range(f)] + [str(draw(st.integers(0, 1)))]
@@ -136,11 +142,16 @@ def fs_report_text(draw):
 # each mistyped field also runs once on a table that rrw or ae can load and
 # train on, so the run reaches every place that reads the field
 @settings(max_examples=300, deadline=None)
-@example(mode="ae", data=CLEAN_CSV, report=_mistyped(*MISTYPED[-1]), flags={})
+@example(mode="fs", data=LABEL_ONLY_CSV, report=None,
+         flags={"--tamper-threshold": "0.99"})
+@example(mode="ae", data=CLEAN_CSV, report=_mistyped(*MISTYPED[4]), flags={})
 @example(mode="rrw", data=CLEAN_CSV, report=_mistyped(*MISTYPED[0]), flags={})
 @example(mode="rrw", data=CLEAN_CSV, report=_mistyped(*MISTYPED[1]), flags={})
 @example(mode="rrw", data=CLEAN_CSV, report=_mistyped(*MISTYPED[2]), flags={})
 @example(mode="rrw", data=CLEAN_CSV, report=_mistyped(*MISTYPED[3]), flags={})
+@example(mode="rrw", data=CLEAN_CSV, report=_mistyped(*MISTYPED[5]), flags={})
+@example(mode="rrw", data=CLEAN_CSV, report=_mistyped(*MISTYPED[6]), flags={})
+@example(mode="rrw", data=CLEAN_CSV, report=_mistyped(*MISTYPED[7]), flags={})
 @given(mode=st.sampled_from(["fs", "rrw", "ae", "evaluate"]), data=csv_bytes(),
        report=fs_report_text(),
        flags=st.lists(st.sampled_from(sorted(FLAGS)), unique=True, max_size=4)

@@ -103,6 +103,29 @@ STEP1_COMMAND = ["fs", "--input", "noisy.csv", "--out", "fs", "--seed", "3",
                  "--gamma", "0.85", "--tamper-threshold", "0.6"]
 
 
+# Every criterion walks the whole elimination path on the chain's table: at
+# gamma 0 no gate fails, so all seven steps run down to one feature and the
+# elimination CSVs pin every feature each criterion drops.
+GOLDEN_FULL_DEPTH = {
+    "fs/fs_report.json":
+        "f0118b708b36eaf97ee20fed8e183a4ed0efb3f2b02c1ef6165757612b508e45",
+    "fs/optimized.csv":
+        "f551537a2853c17f36302913b888476477da5a0dea49c03d7c404873b0e18915",
+    **{f"fs/elimination_{alg}.csv":
+       "de40cf39dc5187ee18e35adf5b9d3e27725564990f8ca4d7c0684502fee189be"
+       for alg in ("CIFE", "JMI", "DISR")},
+    "fs/elimination_mRMR.csv":
+        "d828a126687977eaacd6b0b0ab611c2a50aecc61d817ef3490f3c9c8bc852c07",
+    "fs/elimination_MIFS.csv":
+        "225e8fdc79c292f535a97f78cd84f86c8e2abf71b2082c6bb3ab3b6a3e9d7383",
+    "fs/elimination_CMIM.csv":
+        "2a102650ab1531ae79ae4cb130d95701c4bb32444c4eac877d586572cd438dff",
+}
+
+FULL_DEPTH_COMMAND = ["fs", "--input", "planted.csv", "--out", "fs", "--seed", "3",
+                      "--gamma", "0", "--tamper-threshold", "0.6"]
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -137,6 +160,14 @@ def step1_dir(tmp_path_factory):
     return work
 
 
+@pytest.fixture(scope="module")
+def full_depth_dir(tmp_path_factory):
+    work = tmp_path_factory.mktemp("golden_full_depth")
+    write_csv(planted_dataset(5, 3, 600, seed=3), work / "planted.csv", "label")
+    _run_cli(work, [FULL_DEPTH_COMMAND])
+    return work
+
+
 @pytest.mark.parametrize("artifact", sorted(GOLDEN))
 def test_golden_digest(chain_dir, artifact):
     assert _sha256(chain_dir / artifact) == GOLDEN[artifact]
@@ -145,3 +176,8 @@ def test_golden_digest(chain_dir, artifact):
 @pytest.mark.parametrize("artifact", sorted(GOLDEN_STEP1))
 def test_golden_digest_step1_stop(step1_dir, artifact):
     assert _sha256(step1_dir / artifact) == GOLDEN_STEP1[artifact]
+
+
+@pytest.mark.parametrize("artifact", sorted(GOLDEN_FULL_DEPTH))
+def test_golden_digest_full_depth(full_depth_dir, artifact):
+    assert _sha256(full_depth_dir / artifact) == GOLDEN_FULL_DEPTH[artifact]

@@ -392,8 +392,12 @@ class TestCliExitCodes:
         (("mdrt",), "two", "ae"),
         (("mdrt",), 2.0, "ae"),
         (("mdrt",), True, "ae"),
+        (("rankings", "mRMR", "entries", 0, "score"), 10**400, "rrw"),
+        (("rankings", "mRMR", "entries", 0, "score"), float("nan"), "rrw"),
+        (("rankings", "mRMR", "entries", 0, "score"), float("inf"), "rrw"),
     ], ids=["score", "ranked_feature", "optimized_feature", "optimized_feature_ae",
-            "trace_feature", "mdrt_str", "mdrt_float", "mdrt_bool"])
+            "trace_feature", "mdrt_str", "mdrt_float", "mdrt_bool", "score_past_float",
+            "score_nan", "score_inf"])
     def test_report_field_mistyped(self, fs_run, planted_csv, tmp_path, capsys,
                                    report_field, value, mode):
         doc = json.loads(json.dumps(fs_run[0]))
@@ -407,6 +411,20 @@ class TestCliExitCodes:
         err = self._config_error(capsys, argv)
         name = [key for key in report_field if isinstance(key, str)][-1]
         assert f"{name!r} has the wrong type" in err
+
+    def test_label_only_input(self, tmp_path, capsys):
+        # the audit passes on its three random columns, which leaves no
+        # feature to count or eliminate
+        path = tmp_path / "label_only.csv"
+        path.write_text("label\n" + "".join(f"{i % 2}\n" for i in range(40)),
+                        encoding="utf-8")
+        code = cli_main(["fs", "--input", str(path), "--tamper-threshold", "0.99",
+                         "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("data error: ")
+        assert err.count("\n") == 1
+        assert "need at least 2 features to eliminate" in err
 
     @pytest.mark.parametrize("mode", ["fs", "evaluate"])
     @pytest.mark.parametrize("under_file", [False, True])

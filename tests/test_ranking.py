@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from midistill.errors import DataError, UnknownFeature
+from midistill.dataset import Dataset
+from midistill.errors import DataError
 from midistill.infotheory import (
     BinningConfig,
     DiscreteColumn,
@@ -16,7 +19,13 @@ from midistill.infotheory import (
 from midistill.ranking import ALGORITHMS, CountTable, rank
 
 from conftest import make_dataset
-from oracles import bf_cmi, bf_entropy, bf_greedy_ranking, bf_mi
+from oracles import (
+    bf_cmi,
+    bf_entropy,
+    bf_greedy_ranking,
+    bf_mi,
+    reference_elimination_order,
+)
 
 BINNING = BinningConfig(4, "equal_frequency")
 
@@ -269,27 +278,53 @@ class TestCountTable:
             assert table.joint[p].tolist() == expected.tolist()
             assert table.marginal[a].tolist() == expected.sum(axis=1).tolist()
 
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_subset_ranking_equals_projected_dataset(self, algorithm, rng):
-        for _ in range(8):
-            data = random_discrete_dataset(rng, n_features=int(rng.integers(3, 8)),
-                                           n_samples=int(rng.integers(20, 80)))
-            table = CountTable(data, BINNING)
-            keep = sorted(rng.choice(data.n_features,
-                                     int(rng.integers(1, data.n_features + 1)),
-                                     replace=False))
-            subset = [data.feature_names[i] for i in keep]
-            shared = rank(table, algorithm, beta=0.5, columns=subset)
-            projected = rank(CountTable(data.select_features(subset), BINNING), algorithm,
-                             beta=0.5)
-            assert shared.entries == projected.entries
-            assert shared.params == projected.params
+    def test_zero_feature_table(self, rng):
+        labels = rng.integers(0, 2, 30)
+        table = CountTable(Dataset((), np.empty((30, 0)), labels), BINNING)
+        assert table.relevance.shape == (0,)
+        with pytest.raises(DataError, match="at least one feature"):
+            rank(table, "JMI")
 
-    def test_column_subset_must_keep_table_order(self, rng):
-        table = CountTable(random_discrete_dataset(rng, n_features=4), BINNING)
-        with pytest.raises(DataError, match="order"):
-            rank(table, "JMI", columns=["c2", "c0"])
-        with pytest.raises(UnknownFeature):
-            rank(table, "JMI", columns=["c0", "nope"])
-        with pytest.raises(DataError):
-            rank(table, "JMI", columns=[])
+
+COLUMN_KINDS = ("random", "integer", "constant", "duplicate", "near_duplicate")
+
+
+@st.composite
+def elimination_tables(draw):
+    """A table of 2-8 columns of mixed kinds: random reals leaning on the
+    label, integer codes, constants, exact copies of an earlier column and
+    copies with 1e-3 noise."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(20, 80))
+    kinds = draw(st.lists(st.sampled_from(COLUMN_KINDS), min_size=2, max_size=8))
+    labels = rng.integers(0, 2, n)
+    cols = {}
+    for i, kind in enumerate(kinds):
+        earlier = list(cols.values())
+        if kind == "integer":
+            col = rng.integers(0, int(rng.integers(2, 6)), n) + labels * int(rng.integers(0, 2))
+        elif kind == "constant":
+            col = np.full(n, float(rng.integers(-3, 4)))
+        elif kind != "random" and earlier:
+            col = earlier[int(rng.integers(len(earlier)))]
+            if kind == "near_duplicate":
+                col = col + 1e-3 * rng.standard_normal(n)
+        else:
+            col = rng.random(n) + rng.random() * labels
+        cols[f"c{i}"] = col
+    return make_dataset(cols, labels)
+
+
+class TestEliminationPath:
+    """Backward elimination reads its whole path off one ranking: dropping
+    a greedy ranking's last feature leaves the ranking of the rest."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=elimination_tables(), algorithm=st.sampled_from(ALGORITHMS),
+           strategy=st.sampled_from(["equal_width", "equal_frequency"]),
+           n_bins=st.integers(2, 12), beta=st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+    def test_reversed_ranking_is_the_per_step_path(self, data, algorithm, strategy,
+                                                   n_bins, beta):
+        binning = BinningConfig(n_bins, strategy)
+        path = rank(CountTable(data, binning), algorithm, beta=beta).features[:0:-1]
+        assert path == reference_elimination_order(data, binning, algorithm, beta)

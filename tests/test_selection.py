@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from midistill import selection
 from midistill.dataset import apply_minmax, fit_minmax, split
 from midistill.errors import DataError, FeatureSetMismatch
 from midistill.infotheory import BinningConfig
@@ -146,6 +147,19 @@ class TestBackwardEliminate:
                 assert rank(CountTable(projected, BINNING), algorithm).features[-1] == \
                     step.removed_feature
                 current.remove(step.removed_feature)
+
+    def test_ranks_once(self, planted_norm, monkeypatch):
+        calls = []
+
+        def counting_rank(*args, **kwargs):
+            calls.append(args[1])
+            return rank(*args, **kwargs)
+
+        monkeypatch.setattr(selection, "rank", counting_rank)
+        data, sp = planted_norm
+        trace = backward_eliminate(LearnRows(data, sp, BINNING), "JMI", 0.0)
+        assert len(trace.steps) == data.n_features - 1
+        assert calls == ["JMI"]
 
     def test_shared_gate_cache_matches_own_gates(self, planted_norm):
         # one LearnRows serves every criterion; each trace equals the trace

@@ -1,6 +1,7 @@
 """From-scratch differentiable models with seeded deterministic training:
 a linear hinge-loss gate classifier, the rectangle MLP detector and the
-bottleneck autoencoder.  numpy only, single-threaded, full IEEE doubles.
+bottleneck autoencoder.  numpy only, full IEEE doubles; the matrix
+products run on as many threads as the BLAS library uses.
 """
 
 from __future__ import annotations
@@ -148,18 +149,35 @@ def hinge_loss_and_grads(model: NeuralModel, X: np.ndarray, labels: np.ndarray,
 
 def gate_train(learn: Dataset, lam: float = GATE_LAMBDA, epochs: int = GATE_EPOCHS,
                step: float = GATE_STEP) -> NeuralModel:
-    """Full-batch gradient descent on the hinge loss, zero init, deterministic."""
+    """Full-batch gradient descent on the hinge loss, zero init, deterministic.
+
+    The arithmetic of ``hinge_loss_and_grads`` on a feature-major copy of X:
+    both products read contiguous rows, the signs are derived once, and each
+    epoch writes into the same n-length buffers."""
     y = learn.labels
     if len(np.unique(y)) < 2:
         raise SingleClassData("gate training needs both classes")
-    model = gate_new(learn.n_features)
-    X = learn.X
+    A = np.ascontiguousarray(learn.X.T)
+    n = A.shape[1]
+    t = 2.0 * np.asarray(y, dtype=np.float64) - 1.0
+    c = -t / n  # ds = c * active is -(t * active) / n, signed zeros included
+    w, b = np.zeros(A.shape[0]), np.zeros(1)
+    s, margin, ds = np.empty(n), np.empty(n), np.empty(n)
+    active = np.empty(n, dtype=bool)
     for epoch in range(epochs):
-        loss, dWs, dbs = hinge_loss_and_grads(model, X, y, lam)
+        np.matmul(w, A, out=s)
+        s += b
+        np.multiply(t, s, out=margin)
+        np.subtract(1.0, margin, out=margin)
+        loss = np.maximum(margin, 0.0, out=s).sum() / n + lam * np.sum(w ** 2)
         if not np.isfinite(loss):
             raise DivergenceDetected(epoch)
-        model.weights[0] = model.weights[0] - step * dWs[0]
-        model.biases[0] = model.biases[0] - step * dbs[0]
+        np.greater(margin, 0.0, out=active)
+        np.multiply(c, active, out=ds)
+        w -= step * (A @ ds + 2.0 * lam * w)
+        b -= step * ds.sum()
+    model = gate_new(A.shape[0])
+    model.weights[0], model.biases[0] = w[:, None], b
     return model
 
 

@@ -225,11 +225,35 @@ def _load_fs_report(config: PipelineConfig) -> dict:
     if not isinstance(report, dict):
         raise ConfigError(f"fs report {config.fs_report} is not a JSON object")
     if not report.get("final_suite") or not report.get("optimized_features"):
-        raise ConfigError("fs report has no surviving algorithms / optimized features")
+        raise ConfigError("fs report has no surviving algorithms / optimized features"
+                          + _why_no_suite(report))
     _names(report["optimized_features"], "optimized_features")
     if report.get("mdrt") is not None:
         _expect(report["mdrt"], int, "mdrt")
     return report
+
+
+def _why_no_suite(report: dict) -> str:
+    """Why an fs report kept no criterion: none passed the tampering audit,
+    or the first metric each one missed gamma on.  '' if the report cannot
+    say, for it is malformed or its final suite is not empty."""
+    try:
+        if report["final_suite"] != []:
+            return ""
+        if report["surviving_after_audit"] == []:
+            return "; no criterion passed the tampering audit"
+        gamma = report["config"]["gamma"]
+        misses = []
+        for alg, metrics in report["post_bfe_metrics"].items():
+            missed = next((name for name in ("accuracy", "precision", "recall")
+                           if metrics[name] is None or not metrics[name] >= gamma), None)
+            if alg not in ALGORITHMS or missed is None:
+                return ""
+            value = metrics[missed]
+            misses.append(f"{alg} {missed} {'undefined' if value is None else repr(value)}")
+    except (KeyError, TypeError, AttributeError):
+        return ""
+    return f"; below gamma {gamma!r}: {', '.join(misses)}" if misses else ""
 
 
 def _expect(value, kind, field: str):

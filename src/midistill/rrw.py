@@ -6,12 +6,13 @@ the square of its weight.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset import Dataset, folds
-from .errors import DataError, EmptyInput, FeatureSetMismatch, MissingWeight
+from .errors import ConfigError, DataError, EmptyInput, FeatureSetMismatch, MissingWeight
 from .metrics import compute_metrics
 from .neural import gate_predict, gate_train
 
@@ -67,8 +68,11 @@ def rrw_scores(rankings) -> RRwWeights:
         for name, score in ranking.entries:
             raw[name] += score * avg_f1 / n
 
-    values = np.array(list(raw.values()))
-    lo, hi = values.min(), values.max()
+    # Python floats: a spread past the float range is inf, with no warning
+    lo, hi = float(min(raw.values())), float(max(raw.values()))
+    if not math.isfinite(hi - lo):
+        raise ConfigError(f"the fs report's ranking scores span more than the float "
+                          f"range ({lo!r} to {hi!r})")
     if hi - lo == 0.0:
         weights = {name: 1.0 for name in raw}
     else:

@@ -2,9 +2,12 @@
 
 Deliberately naive: plain-Python counting over value tuples, no shared code
 with the package's estimators or the greedy ranking engine.  The CSV
-reference is the package's original one-cell-at-a-time parse.  The one
-exception is the elimination path's per-step definition, which ranks with
-the package's engine: that engine is checked against the brute force above.
+reference is the package's original one-cell-at-a-time parse, and the gate
+reference the package's original training loop.  The exceptions are the
+elimination path's per-step definition, which ranks with the package's
+engine (that engine is checked against the brute force above), and the
+gate reference, which steps along ``hinge_loss_and_grads``, the gradient
+that criterion 8 checks against finite differences.
 """
 
 import csv
@@ -15,7 +18,20 @@ from collections import Counter
 
 import numpy as np
 
-from midistill.errors import MalformedHeader, NonBinaryLabel, NonNumericValue
+from midistill.errors import (
+    DivergenceDetected,
+    MalformedHeader,
+    NonBinaryLabel,
+    NonNumericValue,
+    SingleClassData,
+)
+from midistill.neural import (
+    GATE_EPOCHS,
+    GATE_LAMBDA,
+    GATE_STEP,
+    gate_new,
+    hinge_loss_and_grads,
+)
 from midistill.ranking import CountTable, rank
 
 
@@ -105,6 +121,23 @@ def reference_elimination_order(dataset, binning, algorithm, beta=1.0):
         order.append(rank(table, algorithm, beta=beta).features[-1])
         current.remove(order[-1])
     return order
+
+
+def reference_gate_train(learn, lam=GATE_LAMBDA, epochs=GATE_EPOCHS, step=GATE_STEP):
+    """The gate by its definition: full-batch gradient descent on the hinge
+    loss from zero, one ``hinge_loss_and_grads`` call per epoch."""
+    y = learn.labels
+    if len(np.unique(y)) < 2:
+        raise SingleClassData("gate training needs both classes")
+    model = gate_new(learn.n_features)
+    X = learn.X
+    for epoch in range(epochs):
+        loss, dWs, dbs = hinge_loss_and_grads(model, X, y, lam)
+        if not np.isfinite(loss):
+            raise DivergenceDetected(epoch)
+        model.weights[0] = model.weights[0] - step * dWs[0]
+        model.biases[0] = model.biases[0] - step * dbs[0]
+    return model
 
 
 def reference_load_csv(path, label_column):

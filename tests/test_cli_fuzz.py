@@ -1,16 +1,18 @@
 """Hypothesis fuzz of the CLI's exit-code contract.
 
-Every run exits 0, 1, 2 or 3.  A nonzero exit prints exactly one stderr
-line, starting with the prefix of its error family, and no traceback.  The
-inputs are bad or edge flag values, malformed and edge-case CSVs, and
-truncated, foreign, non-object or mistyped fs reports.  Runs are in-process
-and desk scale: at most 40 rows, 64 bins, 50 folds and 2 epochs.
+Every run exits 0, 1, 2 or 3, and raises no warning.  A nonzero exit
+prints exactly one stderr line, starting with the prefix of its error
+family, and no traceback.  The inputs are bad or edge flag values,
+malformed and edge-case CSVs, truncated, foreign, non-object or mistyped
+fs reports, and one whose scores span more than the float range.  Runs are
+in-process and desk scale: at most 40 rows, 64 bins, 50 folds and 2 epochs.
 """
 
 import contextlib
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 from hypothesis import example, given, settings
@@ -45,6 +47,10 @@ MISTYPED = (
     (("rankings", "mRMR", "entries", 0, "score"), float("nan")),
     (("rankings", "mRMR", "entries", 0, "score"), float("inf")),
 )
+
+# finite scores whose spread is past the float range
+WIDE_SCORES = json.dumps({**FS_REPORT, "rankings": {"mRMR": {"entries": [
+    {"feature": "f0", "score": 1.7e308}, {"feature": "f1", "score": -1.7e308}]}}})
 
 # a separable table with FS_REPORT's columns, on which rrw and ae get past
 # loading and training to the fields they read
@@ -152,6 +158,7 @@ def fs_report_text(draw):
 @example(mode="rrw", data=CLEAN_CSV, report=_mistyped(*MISTYPED[5]), flags={})
 @example(mode="rrw", data=CLEAN_CSV, report=_mistyped(*MISTYPED[6]), flags={})
 @example(mode="rrw", data=CLEAN_CSV, report=_mistyped(*MISTYPED[7]), flags={})
+@example(mode="rrw", data=CLEAN_CSV, report=WIDE_SCORES, flags={})
 @given(mode=st.sampled_from(["fs", "rrw", "ae", "evaluate"]), data=csv_bytes(),
        report=fs_report_text(),
        flags=st.lists(st.sampled_from(sorted(FLAGS)), unique=True, max_size=4)
@@ -168,11 +175,15 @@ def test_exit_code_contract(mode, data, report, flags):
         for flag, value in flags.items():
             argv.append(f"{flag}={value}")
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = cli_main(argv)
     err = err.getvalue()
     assert code in (0, 1, 2, 3), argv
     assert "Traceback" not in err
+    # outside a test runner, each warning would print two more stderr lines
+    assert not caught, (argv, [str(w.message) for w in caught])
     if code:
         assert err.startswith(PREFIX[code]), (argv, err)
         assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)

@@ -4,6 +4,7 @@ import pytest
 from midistill.dataset import split
 from midistill.errors import (
     DimensionMismatch,
+    DivergenceDetected,
     InvalidBottleneck,
     SingleClassData,
 )
@@ -22,7 +23,8 @@ from midistill.neural import (
     mlp_train,
 )
 
-from conftest import make_dataset
+from conftest import make_dataset, planted_dataset
+from oracles import reference_gate_train
 
 
 def finite_diff_param_grads(loss_fn, model, h=1e-5):
@@ -101,6 +103,60 @@ class TestGate:
             lambda: hinge_loss_and_grads(gate, data.X, data.labels)[0], gate)
         assert_grads_close(dWs, fdW)
         assert_grads_close(dbs, fdb)
+
+
+class TestGateMatchesReference:
+    """gate_train against the original loop of ``tests/oracles.py``.  The
+    products sum in another order, so weights agree to rounding, not bits.
+    The tables are continuous: on integer-coded values a margin can land
+    exactly on 0, where a different rounding may legitimately flip one
+    hinge."""
+
+    def table(self, f, seed, n=400):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, f)) * rng.uniform(0.5, 3.0, f) + rng.uniform(-1.0, 1.0, f)
+        y = (X @ rng.normal(size=f) + 0.5 * rng.normal(size=n) > 0).astype(int)
+        return make_dataset({f"f{i}": X[:, i] for i in range(f)}, y)
+
+    def assert_same_gate(self, data, **kwargs):
+        gate, ref = gate_train(data, **kwargs), reference_gate_train(data, **kwargs)
+        assert gate.weights[0].shape == ref.weights[0].shape == (data.n_features, 1)
+        assert gate.biases[0].shape == ref.biases[0].shape == (1,)
+        np.testing.assert_array_equal(gate_predict(gate, data.X), gate_predict(ref, data.X))
+        np.testing.assert_allclose(gate.weights[0], ref.weights[0], rtol=1e-9)
+        np.testing.assert_allclose(gate.biases[0], ref.biases[0], rtol=1e-9)
+
+    @pytest.mark.parametrize("epochs", [1, 3, 200])
+    @pytest.mark.parametrize("f", [1, 2, 8])
+    def test_continuous_table(self, f, epochs):
+        self.assert_same_gate(self.table(f, seed=f), epochs=epochs)
+
+    def test_duplicated_column(self):
+        data = self.table(3, seed=7)
+        X = np.column_stack([data.X, data.X[:, 1]])
+        self.assert_same_gate(make_dataset({f"f{i}": X[:, i] for i in range(4)},
+                                           data.labels))
+
+    def test_planted_table(self):
+        self.assert_same_gate(planted_dataset(6, 2, 600, seed=5))
+
+    def test_single_class(self):
+        data = make_dataset({"x": [0.1, 0.5, 0.9]}, [0, 0, 0])
+        for train in (gate_train, reference_gate_train):
+            with pytest.raises(SingleClassData):
+                train(data)
+
+    def test_divergence_at_the_same_epoch(self):
+        data = self.table(3, seed=11)
+        X = data.X * np.array([1.0, 1e200, 1.0])
+        data = make_dataset({f"f{i}": X[:, i] for i in range(3)}, data.labels)
+        epochs = []
+        for train in (gate_train, reference_gate_train):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(DivergenceDetected) as exc:
+                    train(data)
+            epochs.append(exc.value.epoch)
+        assert epochs[0] == epochs[1] > 0
 
 
 class TestMlp:

@@ -4,10 +4,11 @@ import json
 import os
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from midistill import cli, dataset, pipeline, selection
-from midistill.dataset import load_csv, write_csv
+from midistill.dataset import Dataset, load_csv, write_csv
 from midistill.errors import ConfigError, TrainingError
 from midistill.cli import main as cli_main
 from midistill.neural import gate_train
@@ -412,6 +413,16 @@ class TestCliExitCodes:
         name = [key for key in report_field if isinstance(key, str)][-1]
         assert f"{name!r} has the wrong type" in err
 
+    def test_scores_span_past_float_range(self, fs_run, planted_csv, tmp_path, capsys):
+        # each score is finite, but their spread is not: min-max mapping them
+        # used to print numpy overflow warnings and fail in apply_weights
+        doc = json.loads(json.dumps(fs_run[0]))
+        entries = doc["rankings"]["mRMR"]["entries"]
+        assert {entries[0]["feature"], entries[1]["feature"]} <= set(doc["optimized_features"])
+        entries[0]["score"], entries[1]["score"] = 1.7e308, -1.7e308
+        err = self._config_error(capsys, self._rrw(planted_csv, tmp_path, json.dumps(doc)))
+        assert "scores span more than the float range" in err
+
     def test_label_only_input(self, tmp_path, capsys):
         # the audit passes on its three random columns, which leaves no
         # feature to count or eliminate
@@ -477,3 +488,87 @@ class TestCliExitCodes:
         assert err.startswith("data error: ")
         assert "not a regular file" in err
         assert err.count("\n") == 1
+
+
+class TestEmptyFinalSuite:
+    """rrw and ae refuse an fs report that kept no criterion, and say why:
+    no criterion passed the tampering audit, or the first of accuracy,
+    precision and recall that each criterion missed gamma on."""
+
+    PLAIN = "configuration error: fs report has no surviving algorithms / optimized features"
+
+    @pytest.fixture(scope="class")
+    def noisy_csv(self, tmp_path_factory):
+        # 15% of the labels flipped: the gate's accuracy and precision reach
+        # 0.85 and its recall does not
+        clean = planted_dataset(5, 0, 400, seed=3)
+        flip = np.random.default_rng(0).random(clean.n_samples) < 0.15
+        noisy = Dataset(clean.feature_names, clean.X, np.where(flip, 1 - clean.labels,
+                                                                clean.labels))
+        path = tmp_path_factory.mktemp("noisy") / "noisy.csv"
+        write_csv(noisy, path, "label")
+        return str(path)
+
+    def _fs(self, noisy_csv, out, *flags):
+        code = cli_main(["fs", "--input", noisy_csv, "--algorithms", "mRMR,JMI",
+                         "--gamma", "0.85", "--tamper-threshold", "0.5", *flags,
+                         "--out", str(out)])
+        assert code == 0
+        with open(out / "fs_report.json", encoding="utf-8") as fh:
+            return json.load(fh)
+
+    def _refused(self, capsys, noisy_csv, report_path, mode, tmp_path):
+        code = cli_main([mode, "--input", noisy_csv, "--fs-report", str(report_path),
+                         "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(self.PLAIN)
+        assert err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize("mode", ["rrw", "ae"])
+    def test_names_the_metric_below_gamma(self, noisy_csv, tmp_path, capsys, mode):
+        report = self._fs(noisy_csv, tmp_path / "fs")
+        assert report["final_suite"] == [] and report["surviving_after_audit"]
+        capsys.readouterr()
+        err = self._refused(capsys, noisy_csv, tmp_path / "fs" / "fs_report.json", mode,
+                            tmp_path)
+        assert "; below gamma 0.85: " in err
+        for alg, metrics in report["post_bfe_metrics"].items():
+            missed = next(name for name in ("accuracy", "precision", "recall")
+                          if metrics[name] is None or metrics[name] < 0.85)
+            assert missed == "recall"
+            value = "undefined" if metrics[missed] is None else repr(metrics[missed])
+            assert f"{alg} {missed} {value}" in err
+
+    def test_names_the_audit(self, noisy_csv, tmp_path, capsys):
+        # threshold 0: no position is in the bottom, so every criterion fails
+        report = self._fs(noisy_csv, tmp_path / "fs", "--tamper-threshold", "0")
+        assert report["surviving_after_audit"] == []
+        capsys.readouterr()
+        err = self._refused(capsys, noisy_csv, tmp_path / "fs" / "fs_report.json", "rrw",
+                            tmp_path)
+        assert err == f"{self.PLAIN}; no criterion passed the tampering audit\n"
+
+    @pytest.mark.parametrize("field, value", [
+        ("post_bfe_metrics", [1]),
+        ("post_bfe_metrics", {"mRMR": {"accuracy": "high"}}),
+        ("post_bfe_metrics", {"no\ncriterion": {"accuracy": 0.5}}),
+        ("post_bfe_metrics", {"mRMR": {"accuracy": 1.0, "precision": 1.0, "recall": 1.0}}),
+        ("config", None),
+        ("surviving_after_audit", None),
+    ], ids=["list", "string_metric", "unknown_criterion", "all_pass", "no_config",
+            "no_audit"])
+    def test_malformed_report_keeps_the_plain_message(self, noisy_csv, tmp_path, capsys,
+                                                      field, value):
+        report = {"mode": "fs", "final_suite": [], "optimized_features": None,
+                  "surviving_after_audit": ["mRMR"], "config": {"gamma": 0.97},
+                  "post_bfe_metrics": {"mRMR": {"accuracy": 0.9}}}
+        if value is None:
+            del report[field]
+        else:
+            report[field] = value
+        path = tmp_path / "fs_report.json"
+        path.write_text(json.dumps(report), encoding="utf-8")
+        err = self._refused(capsys, noisy_csv, path, "rrw", tmp_path)
+        assert err == self.PLAIN + "\n"

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DataError,
     MalformedHeader,
     NameCollision,
@@ -216,15 +217,20 @@ def atomic_write(path):
     """A UTF-8 text file, written at ``<path>.tmp`` and renamed over ``path``
     when the block completes, so an interrupted write leaves the previous
     file intact and no temporary file behind.  Newlines are not translated,
-    so the bytes are the same on every platform."""
+    so the bytes are the same on every platform.  A path that cannot be
+    written, such as a directory, is a ``ConfigError``."""
     tmp = f"{os.fspath(path)}.tmp"
     try:
-        with open(tmp, "w", newline="", encoding="utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
-    finally:
-        with suppress(FileNotFoundError):
-            os.remove(tmp)
+        fh = open(tmp, "w", newline="", encoding="utf-8")
+        try:
+            with fh:
+                yield fh
+            os.replace(tmp, path)
+        finally:
+            with suppress(FileNotFoundError):
+                os.remove(tmp)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def write_csv(dataset: Dataset, path, label_column: str) -> None:

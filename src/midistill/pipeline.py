@@ -88,14 +88,11 @@ class PipelineConfig:
 
 @contextmanager
 def _stage(name: str):
-    """Tag any escaping package error with the pipeline stage it came from."""
+    """Prefix an escaping package error's message with its pipeline stage."""
     try:
         yield
     except MidistillError as exc:
-        exc.stage = name
-        if not getattr(exc, "_stage_noted", False):
-            exc.args = (f"[stage {name}] {exc}",) + exc.args[1:]
-            exc._stage_noted = True
+        exc.args = (f"[stage {name}] {exc}",) + exc.args[1:]
         raise
 
 

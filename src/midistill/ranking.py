@@ -10,7 +10,6 @@ selection order into a complete ranking.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -25,8 +24,8 @@ ALGORITHMS = ("mRMR", "MIFS", "CIFE", "JMI", "CMIM", "DISR")
 # differences between equivalent arithmetic paths
 TIE_TOLERANCE = 1e-12
 
-# column pairs are turned into quantities in chunks of about this many count
-# cells, so the temporaries stay small next to the table itself
+# column pairs are counted and turned into quantities in chunks of about this
+# many count cells, so no more than one chunk's counts is ever alive
 PAIR_CHUNK_CELLS = 1 << 14
 
 
@@ -52,16 +51,16 @@ class FeatureRanking:
 
 
 class CountTable:
-    """Per-class marginal and pairwise joint counts of one discretized row
-    set, and every information quantity the six criteria take from them.
+    """Every information quantity the six criteria take from one discretized
+    row set, computed from its per-class marginal and pairwise counts.
 
     All six criteria are functions of I(X_i;c), I(X_i;X_j), I(X_i;X_j|c) and
     the (X_i,X_j,c) table (Brown et al., JMLR 2012), and per-class pairwise
     counts hold all four.  So one table, counted once with ``np.bincount``,
     serves every criterion: the audit ranks all criteria of a fold on one
     table, and elimination ranks each criterion once on one table of the
-    learn rows.  The discretized codes are dropped after counting; the
-    counts, each column's ``k`` and the quantities are kept.
+    learn rows.  Pair counts live one chunk at a time; the table keeps the
+    marginal and label counts, each column's ``k`` and the quantities.
 
     Codes are padded to a common width; padded cells stay zero and entropies
     skip zero cells.  Each quantity feeds the entropy the same non-zero
@@ -85,16 +84,12 @@ class CountTable:
                 for i, name in enumerate(self.names)]
         self.k = tuple(c.k for c in cols)
         f, w = len(cols), max(self.k, default=1)
-        # marginal[i, x, c] and, for pair p = (a, b) with a < b, joint[p, x_a, x_b, c]
+        # marginal[i, x, c] and, for a chunk's pairs p = (a, b) with a < b,
+        # cells[p, x_a, x_b, c]
         self.label_counts = np.bincount(y, minlength=2)
         self.marginal = np.zeros((f, w, 2), dtype=np.int64)
         for i, c in enumerate(cols):
             self.marginal[i] = np.bincount(c.codes * 2 + y, minlength=2 * w).reshape(w, 2)
-        self.pairs = np.array(list(combinations(range(f), 2)), dtype=np.intp).reshape(-1, 2)
-        self.joint = np.zeros((len(self.pairs), w, w, 2), dtype=np.int64)
-        for p, (a, b) in enumerate(self.pairs):
-            self.joint[p] = np.bincount((cols[a].codes * w + cols[b].codes) * 2 + y,
-                                        minlength=2 * w * w).reshape(w, w, 2)
 
         self._h_label = row_entropies(self.label_counts[None])[0]
         self._h = row_entropies(self.marginal.sum(axis=2))
@@ -109,13 +104,16 @@ class CountTable:
 
         self.mi, self.cmi_pair_given_label, self.cmi_label_given_feature, \
             self.symmetrical_relevance = (np.zeros((f, f)) for _ in range(4))
+        first, second = np.triu_indices(f, 1)
         chunk = max(1, PAIR_CHUNK_CELLS // (2 * w * w))
-        for start in range(0, len(self.pairs), chunk):
-            self._pair_quantities(slice(start, start + chunk))
+        for start in range(0, len(first), chunk):
+            a, b = first[start:start + chunk], second[start:start + chunk]
+            cells = np.stack([
+                np.bincount((cols[i].codes * w + cols[j].codes) * 2 + y, minlength=2 * w * w)
+                for i, j in zip(a, b)]).reshape(-1, w, w, 2)
+            self._pair_quantities(a, b, cells)
 
-    def _pair_quantities(self, chunk: slice) -> None:
-        a, b = self.pairs[chunk].T
-        cells = self.joint[chunk]
+    def _pair_quantities(self, a: np.ndarray, b: np.ndarray, cells: np.ndarray) -> None:
         m, w = len(cells), cells.shape[1]
         pair_counts = cells.sum(axis=3)
         h_ab = row_entropies(pair_counts.reshape(m, -1))

@@ -133,11 +133,9 @@ def tampering_audit(dataset: Dataset, algorithms, folds: int = 5, seed: int = 0,
     binning = binning or BinningConfig()
     tampered = inject_random_features(dataset, seed)
     n_total = tampered.n_features
-    parts = [tampered.take(chunk) for chunk in row_folds(tampered.n_samples, folds, seed)]
-
     fold_rankings = {alg: [] for alg in algorithms}
-    for part in parts:
-        table = CountTable(part, binning)
+    for rows in row_folds(tampered.n_samples, folds, seed):
+        table = CountTable(tampered.take(rows), binning)
         for alg, rankings in fold_rankings.items():
             rankings.append(rank(table, alg, beta=beta))
         del table  # one fold's table alive at a time

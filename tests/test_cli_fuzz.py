@@ -4,8 +4,10 @@ Every run exits 0, 1, 2 or 3, and raises no warning.  A nonzero exit
 prints exactly one stderr line, starting with the prefix of its error
 family, and no traceback.  The inputs are bad or edge flag values,
 malformed and edge-case CSVs, truncated, foreign, non-object or mistyped
-fs reports, and one whose scores span more than the float range.  Runs are
-in-process and desk scale: at most 40 rows, 64 bins, 50 folds and 2 epochs.
+fs reports, one whose scores span more than the float range, and, on the
+output side, directories that already exist at artifact paths or at their
+temporary paths.  Runs are in-process and desk scale: at most 40 rows, 64
+bins, 50 folds and 2 epochs.
 """
 
 import contextlib
@@ -59,6 +61,17 @@ CLEAN_CSV = ("f0,f1,label\n" + "".join(f"{(i - 20) / 8!r},{i % 7 / 8!r},{int(i >
 
 # a label column and no feature: the audit passes on its random columns alone
 LABEL_ONLY_CSV = ("label\n" + "".join(f"{i % 2}\n" for i in range(40))).encode("utf-8")
+
+
+# every artifact a mode writes into --out; atomic_write goes through
+# "<name>.tmp" first
+ARTIFACTS = (
+    "fs_report.json", "optimized.csv", "optimized.csv.meta.json",
+    *(f"elimination_{alg}.csv" for alg in ("mRMR", "MIFS", "CIFE", "JMI", "CMIM", "DISR")),
+    "rrw_report.json", "rrw_optimized.csv", "rrw_optimized.csv.meta.json",
+    "rrw_weights.json", "ae_report.json", "ae_generated.csv", "ae_generated.csv.meta.json",
+    "ae_curve.csv", "ae_model.json", "evaluate_report.json", "mlp_curve.csv",
+)
 
 
 def _mistyped(path, value) -> str:
@@ -145,28 +158,41 @@ def fs_report_text(draw):
     return text if kind == "valid" else None
 
 
+# directories at up to two artifact paths, each the artifact's own path or
+# its temporary one
+BLOCKED = st.lists(st.tuples(st.sampled_from(ARTIFACTS), st.sampled_from(["", ".tmp"]))
+                   .map("".join), unique=True, max_size=2)
+
+
 # each mistyped field also runs once on a table that rrw or ae can load and
 # train on, so the run reaches every place that reads the field
 @settings(max_examples=300, deadline=None)
 @example(mode="fs", data=LABEL_ONLY_CSV, report=None,
-         flags={"--tamper-threshold": "0.99"})
-@example(mode="ae", data=CLEAN_CSV, report=_mistyped(*MISTYPED[4]), flags={})
-@example(mode="rrw", data=CLEAN_CSV, report=_mistyped(*MISTYPED[0]), flags={})
-@example(mode="rrw", data=CLEAN_CSV, report=_mistyped(*MISTYPED[1]), flags={})
-@example(mode="rrw", data=CLEAN_CSV, report=_mistyped(*MISTYPED[2]), flags={})
-@example(mode="rrw", data=CLEAN_CSV, report=_mistyped(*MISTYPED[3]), flags={})
-@example(mode="rrw", data=CLEAN_CSV, report=_mistyped(*MISTYPED[5]), flags={})
-@example(mode="rrw", data=CLEAN_CSV, report=_mistyped(*MISTYPED[6]), flags={})
-@example(mode="rrw", data=CLEAN_CSV, report=_mistyped(*MISTYPED[7]), flags={})
-@example(mode="rrw", data=CLEAN_CSV, report=WIDE_SCORES, flags={})
+         flags={"--tamper-threshold": "0.99"}, blocked=[])
+@example(mode="ae", data=CLEAN_CSV, report=_mistyped(*MISTYPED[4]), flags={}, blocked=[])
+@example(mode="rrw", data=CLEAN_CSV, report=_mistyped(*MISTYPED[0]), flags={}, blocked=[])
+@example(mode="rrw", data=CLEAN_CSV, report=_mistyped(*MISTYPED[1]), flags={}, blocked=[])
+@example(mode="rrw", data=CLEAN_CSV, report=_mistyped(*MISTYPED[2]), flags={}, blocked=[])
+@example(mode="rrw", data=CLEAN_CSV, report=_mistyped(*MISTYPED[3]), flags={}, blocked=[])
+@example(mode="rrw", data=CLEAN_CSV, report=_mistyped(*MISTYPED[5]), flags={}, blocked=[])
+@example(mode="rrw", data=CLEAN_CSV, report=_mistyped(*MISTYPED[6]), flags={}, blocked=[])
+@example(mode="rrw", data=CLEAN_CSV, report=_mistyped(*MISTYPED[7]), flags={}, blocked=[])
+@example(mode="rrw", data=CLEAN_CSV, report=WIDE_SCORES, flags={}, blocked=[])
+@example(mode="fs", data=CLEAN_CSV, report=None, flags={}, blocked=["fs_report.json"])
+@example(mode="fs", data=CLEAN_CSV, report=None, flags={}, blocked=["fs_report.json.tmp"])
+@example(mode="evaluate", data=CLEAN_CSV, report=None, flags={"--epochs": "1"},
+         blocked=["mlp_curve.csv", "evaluate_report.json.tmp"])
 @given(mode=st.sampled_from(["fs", "rrw", "ae", "evaluate"]), data=csv_bytes(),
        report=fs_report_text(),
        flags=st.lists(st.sampled_from(sorted(FLAGS)), unique=True, max_size=4)
-       .flatmap(lambda keys: st.fixed_dictionaries({k: FLAGS[k] for k in keys})))
-def test_exit_code_contract(mode, data, report, flags):
+       .flatmap(lambda keys: st.fixed_dictionaries({k: FLAGS[k] for k in keys})),
+       blocked=BLOCKED)
+def test_exit_code_contract(mode, data, report, flags, blocked):
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         (work / "in.csv").write_bytes(data)
+        for name in blocked:
+            (work / "out" / name).mkdir(parents=True)
         argv = [mode, "--input", str(work / "in.csv"), "--out", str(work / "out")]
         if report is not None:
             if report != MISSING:

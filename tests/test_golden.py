@@ -126,6 +126,33 @@ FULL_DEPTH_COMMAND = ["fs", "--input", "planted.csv", "--out", "fs", "--seed", "
                       "--gamma", "0", "--tamper-threshold", "0.6"]
 
 
+# The chain's table at 32 bins, with the tampering audit at 0.8: every
+# count table then has columns 32 codes wide, so its pairs are counted and
+# reduced in chunks of 8, and the audit's 55 pairs fall into 7 chunks, the
+# last one ragged.  All six criteria survive and walk to depth 1.
+GOLDEN_CHUNKED = {
+    "fs/fs_report.json":
+        "83d19beb0d682ac7a98cbec3e0cdf44d38a3aba567174b094d931f438913d420",
+    "fs/optimized.csv":
+        "f551537a2853c17f36302913b888476477da5a0dea49c03d7c404873b0e18915",
+    "fs/elimination_mRMR.csv":
+        "7a1e54a52afac03a610a799d33dd3c889295b8f8147dafc85162b453f045556a",
+    "fs/elimination_MIFS.csv":
+        "fb61480a0b730bec55c3a48130fda4465011f63641422c7bd0ee02e61bf66619",
+    "fs/elimination_CIFE.csv":
+        "dbbf0a77f3a0222aadd7261148087ad5c81a374373a8d1b7d00de753ceb6ae23",
+    "fs/elimination_JMI.csv":
+        "89d7cb1c4be39100f74a25e7574d73898e4d5608ebddbe4c2f5287062896d0dc",
+    "fs/elimination_CMIM.csv":
+        "6af4ab9d2d110c0b6cf74cd6de7d59bed0d9f4c24f128c9da8a39f0c728b2234",
+    "fs/elimination_DISR.csv":
+        "fc5d430cba979fe8882a5a4452d8aa6f1008ac74cdcb9908d420e10918b9bf61",
+}
+
+CHUNKED_COMMAND = ["fs", "--input", "planted.csv", "--out", "fs", "--seed", "3",
+                   "--gamma", "0", "--tamper-threshold", "0.8", "--bins", "32"]
+
+
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
@@ -168,6 +195,14 @@ def full_depth_dir(tmp_path_factory):
     return work
 
 
+@pytest.fixture(scope="module")
+def chunked_dir(tmp_path_factory):
+    work = tmp_path_factory.mktemp("golden_chunked")
+    write_csv(planted_dataset(5, 3, 600, seed=3), work / "planted.csv", "label")
+    _run_cli(work, [CHUNKED_COMMAND])
+    return work
+
+
 @pytest.mark.parametrize("artifact", sorted(GOLDEN))
 def test_golden_digest(chain_dir, artifact):
     assert _sha256(chain_dir / artifact) == GOLDEN[artifact]
@@ -181,3 +216,8 @@ def test_golden_digest_step1_stop(step1_dir, artifact):
 @pytest.mark.parametrize("artifact", sorted(GOLDEN_FULL_DEPTH))
 def test_golden_digest_full_depth(full_depth_dir, artifact):
     assert _sha256(full_depth_dir / artifact) == GOLDEN_FULL_DEPTH[artifact]
+
+
+@pytest.mark.parametrize("artifact", sorted(GOLDEN_CHUNKED))
+def test_golden_digest_chunked_pairs(chunked_dir, artifact):
+    assert _sha256(chunked_dir / artifact) == GOLDEN_CHUNKED[artifact]

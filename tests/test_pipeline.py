@@ -330,6 +330,12 @@ class TestCliDefaults:
         assert capsys.readouterr().err.startswith("configuration error: ")
 
 
+def _names_one_stage(err: str, stage: str) -> None:
+    """The failure message carries one stage prefix, and it names ``stage``."""
+    assert err.count("[stage ") == 1, err
+    assert f": [stage {stage}] " in err, err
+
+
 class TestCliExitCodes:
     """Bad flags and bad fs reports end in exit code 1, an input path that
     is not a regular file and more folds than rows in exit code 2, each with
@@ -383,6 +389,7 @@ class TestCliExitCodes:
         assert err.startswith("data error: ")
         assert err.count("\n") == 1
         assert "20 rows" in err and "50 folds" in err
+        _names_one_stage(err, "tampering_audit" if mode == "fs" else "avg_f1_cv[mRMR]")
 
     @pytest.mark.parametrize("report_field, value, mode", [
         (("rankings", "mRMR", "entries", 0, "score"), "x", "rrw"),
@@ -422,6 +429,7 @@ class TestCliExitCodes:
         entries[0]["score"], entries[1]["score"] = 1.7e308, -1.7e308
         err = self._config_error(capsys, self._rrw(planted_csv, tmp_path, json.dumps(doc)))
         assert "scores span more than the float range" in err
+        _names_one_stage(err, "rrw_scores")
 
     def test_label_only_input(self, tmp_path, capsys):
         # the audit passes on its three random columns, which leaves no
@@ -446,6 +454,29 @@ class TestCliExitCodes:
         err = self._config_error(capsys, [mode, "--input", planted_csv, "--out", str(out)])
         assert "output directory" in err
         assert blocker.read_text(encoding="utf-8") == "keep\n"
+
+    @pytest.mark.parametrize("mode, blocked", [
+        ("fs", "fs_report.json"),
+        ("fs", "fs_report.json.tmp"),
+        ("fs", "optimized.csv.meta.json"),
+        ("evaluate", "mlp_curve.csv"),
+        ("evaluate", "evaluate_report.json.tmp"),
+    ])
+    def test_artifact_path_is_a_directory(self, planted_csv, tmp_path, capsys, mode,
+                                          blocked):
+        # a directory at an artifact's path, or at its temporary path, used
+        # to end in an IsADirectoryError traceback
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        argv = [mode, "--input", planted_csv, "--out", str(out), "--epochs", "1"]
+        if mode == "fs":
+            argv += ["--gamma", "0.85", "--tamper-threshold", "0.375", "--algorithms", "mRMR"]
+        err = self._config_error(capsys, argv)
+        target = blocked.removesuffix(".tmp")
+        assert f"cannot write {out / target}: Is a directory" in err
+        assert (out / blocked).is_dir()
+        assert [p.name for p in out.glob("*.tmp")] == \
+            ([blocked] if blocked.endswith(".tmp") else [])
 
     def test_report_is_a_directory(self, planted_csv, tmp_path, capsys):
         err = self._config_error(capsys, ["rrw", "--input", planted_csv,

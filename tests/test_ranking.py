@@ -16,6 +16,7 @@ from midistill.infotheory import (
     mutual_information,
     pair_column,
 )
+from midistill import ranking
 from midistill.ranking import ALGORITHMS, CountTable, rank
 
 from conftest import make_dataset
@@ -28,6 +29,8 @@ from oracles import (
 )
 
 BINNING = BinningConfig(4, "equal_frequency")
+QUANTITIES = ("relevance", "single_sr", "mi", "cmi_pair_given_label",
+              "cmi_label_given_feature", "symmetrical_relevance")
 
 
 def random_discrete_dataset(rng, n_features=None, n_samples=None):
@@ -270,13 +273,48 @@ class TestCountTable:
         assert table.label_counts.tolist() == np.bincount(data.labels, minlength=2).tolist()
         # cells past a column's k are padding and stay zero
         w = max(table.k)
-        assert table.pairs.tolist() == [[0, 1], [0, 2], [1, 2]]
-        for p, (a, b) in enumerate(table.pairs):
-            expected = np.zeros((w, w, 2), dtype=np.int64)
-            for xa, xb, c in zip(cols[a], cols[b], data.labels):
-                expected[xa, xb, c] += 1
-            assert table.joint[p].tolist() == expected.tolist()
-            assert table.marginal[a].tolist() == expected.sum(axis=1).tolist()
+        for i, col in enumerate(cols):
+            expected = np.zeros((w, 2), dtype=np.int64)
+            for x, c in zip(col, data.labels):
+                expected[x, c] += 1
+            assert table.marginal[i].tolist() == expected.tolist()
+
+    def test_chunk_boundaries_keep_every_bit(self, rng, monkeypatch):
+        # 8 columns give 28 pairs: chunks of 1 pair, then chunks of 3 with a
+        # ragged last chunk of 1, against the default single chunk
+        data = random_discrete_dataset(rng, n_features=8, n_samples=60)
+        default = CountTable(data, BINNING)
+        w = max(default.k)
+        sizes = []
+        pair_quantities = CountTable._pair_quantities
+
+        def spy(table, a, b, cells):
+            sizes.append(len(a))
+            pair_quantities(table, a, b, cells)
+
+        monkeypatch.setattr(CountTable, "_pair_quantities", spy)
+        for per_chunk, expected_sizes in ((1, [1] * 28), (3, [3] * 9 + [1])):
+            monkeypatch.setattr(ranking, "PAIR_CHUNK_CELLS", per_chunk * 2 * w * w)
+            sizes.clear()
+            chunked = CountTable(data, BINNING)
+            assert sizes == expected_sizes
+            for name in QUANTITIES:
+                assert getattr(chunked, name).tobytes() == getattr(default, name).tobytes()
+            self._check_against_oracles(data, BINNING)
+
+    def test_state_holds_no_pair_counts(self, rng):
+        # pair counts would take (F choose 2) * 2 * w^2 cells; what is kept
+        # is at most F x F quantities or F x w x 2 marginal counts
+        f = 12
+        data = make_dataset({f"x{i}": rng.random(300) for i in range(f)},
+                            rng.integers(0, 2, 300))
+        table = CountTable(data, BinningConfig(64))
+        w = max(table.k)
+        assert w == 64
+        arrays = {name: v for name, v in vars(table).items() if isinstance(v, np.ndarray)}
+        assert "marginal" in arrays and "mi" in arrays
+        for name, value in arrays.items():
+            assert value.size <= max(f * f, 2 * f * w), name
 
     def test_zero_feature_table(self, rng):
         labels = rng.integers(0, 2, 30)

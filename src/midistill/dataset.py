@@ -18,6 +18,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
+import orjson
 
 from .errors import (
     ConfigError,
@@ -51,7 +52,6 @@ class Dataset:
         labels = np.asarray(self.labels)
         object.__setattr__(self, "feature_names", tuple(self.feature_names))
         object.__setattr__(self, "X", X)
-        object.__setattr__(self, "labels", labels.astype(np.int64))
         if X.ndim != 2:
             raise DataError("feature matrix must be 2-dimensional")
         if len(self.feature_names) != X.shape[1]:
@@ -62,8 +62,10 @@ class Dataset:
             raise DataError("labels length must equal n_samples")
         if not np.all(np.isfinite(X)):
             raise DataError("NaN/infinite values in feature matrix")
-        if not np.all((self.labels == 0) | (self.labels == 1)):
+        # checked as given: the int64 cast would turn 0.5 into 0 and warn on NaN
+        if not np.all((labels == 0) | (labels == 1)):
             raise DataError("labels must be 0/1")
+        object.__setattr__(self, "labels", labels.astype(np.int64))
         X.setflags(write=False)
         self.labels.setflags(write=False)
 
@@ -234,19 +236,33 @@ def atomic_write(path):
 
 
 def write_csv(dataset: Dataset, path, label_column: str) -> None:
-    """Write the dataset to CSV plus a ``<name>.meta.json`` sidecar, each
-    through ``atomic_write``."""
+    """Write the dataset to CSV, every cell ``repr`` of its float, plus a
+    ``<name>.meta.json`` sidecar, both through ``atomic_write``."""
     with atomic_write(path) as fh:
         csv.writer(fh).writerow(list(dataset.feature_names) + [label_column])
         # a finite float's repr never needs quoting, so the rows skip
-        # csv.writer; converting a block at a time bounds tolist()'s memory
+        # csv.writer; formatting a block at a time bounds the cells' memory
+        ends = (",0\r\n", ",1\r\n")
         for start in range(0, dataset.n_samples, WRITE_BLOCK_ROWS):
             block = slice(start, start + WRITE_BLOCK_ROWS)
-            fh.writelines(",".join(map(repr, row)) + f",{lab}\r\n"
-                          for row, lab in zip(dataset.X[block].tolist(),
-                                              dataset.labels[block].tolist()))
+            labels = dataset.labels[block].tolist()
+            # a table without features writes one empty cell per row
+            columns = [_column_cells(col) for col in dataset.X[block].T] or [[""] * len(labels)]
+            fh.writelines(",".join(row) + ends[lab] for row, lab in zip(zip(*columns), labels))
     with atomic_write(os.fspath(path) + ".meta.json") as fh:
         json.dump(dataset.meta, fh, indent=2, sort_keys=True)
+
+
+def _column_cells(col: np.ndarray) -> list[str]:
+    """``repr`` of each value: orjson prints the same shortest round-trip
+    digits for 0 and 1e-4 <= |v| < 1e16, but not Python's exponent form
+    (``1e-05``, ``1e+16``) outside that band, so those cells use ``repr``."""
+    values = col.tolist()
+    cells = orjson.dumps(values)[1:-1].decode().split(",")
+    magnitude = np.abs(col)
+    for i in np.flatnonzero((magnitude >= 1e16) | ((magnitude < 1e-4) & (col != 0))).tolist():
+        cells[i] = repr(values[i])
+    return cells
 
 
 def split(dataset: Dataset, seed: int) -> DataSplit:

@@ -2,22 +2,25 @@
 
 Deliberately naive: plain-Python counting over value tuples, no shared code
 with the package's estimators or the greedy ranking engine.  The CSV
-reference is the package's original one-cell-at-a-time parse, and the gate
-reference the package's original training loop.  The exceptions are the
-elimination path's per-step definition, which ranks with the package's
-engine (that engine is checked against the brute force above), and the
-gate reference, which steps along ``hinge_loss_and_grads``, the gradient
-that criterion 8 checks against finite differences.
+references are the package's original one-cell-at-a-time parse and its
+original ``repr``-per-cell writer, and the gate reference the package's
+original training loop.  The exceptions are the elimination path's per-step
+definition, which ranks with the package's engine (that engine is checked
+against the brute force above), and the gate reference, which steps along
+``hinge_loss_and_grads``, the gradient that criterion 8 checks against
+finite differences.
 """
 
 import csv
 import hashlib
+import json
 import math
 import os
 from collections import Counter
 
 import numpy as np
 
+from midistill import dataset as ds
 from midistill.errors import (
     DivergenceDetected,
     MalformedHeader,
@@ -188,3 +191,19 @@ def reference_load_csv(path, label_column):
     with open(path, "rb") as fh:
         sha256 = hashlib.sha256(fh.read()).hexdigest()
     return tuple(names), X, np.asarray(labels, dtype=np.int64), sha256
+
+
+def reference_write_csv(data, path, label_column):
+    """The package's original writer: ``repr`` of every float, one cell at a
+    time, plus the ``<name>.meta.json`` sidecar."""
+    with ds.atomic_write(path) as fh:
+        csv.writer(fh).writerow(list(data.feature_names) + [label_column])
+        # a finite float's repr never needs quoting, so the rows skip
+        # csv.writer; converting a block at a time bounds tolist()'s memory
+        for start in range(0, data.n_samples, ds.WRITE_BLOCK_ROWS):
+            block = slice(start, start + ds.WRITE_BLOCK_ROWS)
+            fh.writelines(",".join(map(repr, row)) + f",{lab}\r\n"
+                          for row, lab in zip(data.X[block].tolist(),
+                                              data.labels[block].tolist()))
+    with ds.atomic_write(os.fspath(path) + ".meta.json") as fh:
+        json.dump(data.meta, fh, indent=2, sort_keys=True)

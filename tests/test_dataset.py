@@ -1,9 +1,11 @@
 import csv
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from midistill import dataset as dataset_module
@@ -28,7 +30,7 @@ from midistill.errors import (
 from midistill.infotheory import BinningConfig, DiscreteColumn, discretize, mutual_information
 
 from conftest import make_dataset
-from oracles import reference_load_csv
+from oracles import reference_load_csv, reference_write_csv
 
 
 def write_lines(tmp_path, lines, name="data.csv"):
@@ -108,6 +110,74 @@ class TestLoadCsv:
         assert written.startswith(b'plain,"bytes,out",label\r\n')
         reloaded = load_csv(tmp_path / "fast.csv", "label")
         assert reloaded.X.tobytes() == data.X.tobytes()
+
+
+# Python's repr switches to exponent form outside 1e-4 <= |v| < 1e16; the
+# edges of that band, the smallest subnormal and a large negative
+BAND_EDGES = (1e-4, math.nextafter(1e-4, 0), math.nextafter(1e16, 0), 1e16, 5e-324, -1.5e300)
+# an RRw-weighted table: the weakest weight is about MINMAX_EPSILON / spread
+WEAK_WEIGHTS = np.column_stack([np.linspace(0.0, 1.0, 7), np.linspace(0.0, 1.0, 7) * 5e-9])
+
+
+@st.composite
+def write_tables(draw):
+    """(X, labels) with any finite doubles, subnormals and -0.0 included."""
+    n_rows, n_columns = draw(st.integers(0, 40)), draw(st.integers(1, 6))
+    cells = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                          min_size=n_rows * n_columns, max_size=n_rows * n_columns))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n_rows, max_size=n_rows))
+    return np.array(cells, dtype=np.float64).reshape(n_rows, n_columns), labels
+
+
+def _written(writer, data, path):
+    """The bytes a writer leaves in the CSV and in its meta sidecar."""
+    writer(data, path, "label")
+    return path.read_bytes(), path.with_name(path.name + ".meta.json").read_bytes()
+
+
+class TestWriteCsv:
+    """The writer against the original ``repr``-per-cell writer."""
+
+    @pytest.fixture(scope="class")
+    def out_dir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("write")
+
+    @settings(max_examples=300, deadline=None)
+    @given(table=write_tables(), block_rows=st.integers(1, 5))
+    @example(table=(np.array([BAND_EDGES]).T, [0, 1, 1, 0, 1, 0]), block_rows=4)
+    @example(table=(-np.array([BAND_EDGES]), [1]), block_rows=1)
+    @example(table=(WEAK_WEIGHTS, [0, 1, 0, 1, 0, 1, 1]), block_rows=3)
+    def test_matches_reference(self, out_dir, table, block_rows):
+        X, labels = table
+        data = Dataset(tuple(f"c{i}" for i in range(X.shape[1])), X,
+                       np.array(labels, dtype=np.int64), {"note": "drawn"})
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dataset_module, "WRITE_BLOCK_ROWS", block_rows)
+            assert (_written(write_csv, data, out_dir / "fast.csv")
+                    == _written(reference_write_csv, data, out_dir / "reference.csv"))
+
+    def test_random_bits_match_repr(self, tmp_path):
+        # 2**20 doubles: half with every bit random, half with an exponent
+        # from 2**-16 to 2**55, so both edges of the band are crossed often;
+        # guards against an orjson release that changes digits or forms
+        rng = np.random.default_rng(1012)
+        bits = rng.integers(0, 2**64, size=2**20, dtype=np.uint64)
+        exponents = rng.integers(1023 - 16, 1023 + 56, size=2**19, dtype=np.uint64)
+        bits[::2] = (bits[::2] & ~np.uint64(0x7FF << 52)) | (exponents << np.uint64(52))
+        values = bits.view(np.float64)
+        values[~np.isfinite(values)] = 0.5
+        data = Dataset(tuple(f"c{i}" for i in range(8)), values.reshape(-1, 8),
+                       rng.integers(0, 2, 2**17))
+        fast = _written(write_csv, data, tmp_path / "fast.csv")[0].split(b"\r\n")
+        reference = _written(reference_write_csv, data, tmp_path / "reference.csv")[0]
+        reference = reference.split(b"\r\n")
+        assert len(fast) == len(reference) == 2**17 + 2
+        assert [(a, b) for a, b in zip(fast, reference) if a != b][:3] == []
+
+    def test_table_without_features(self, tmp_path):
+        data = Dataset((), np.zeros((3, 0)), np.array([0, 1, 1]))
+        assert (_written(write_csv, data, tmp_path / "fast.csv")
+                == _written(reference_write_csv, data, tmp_path / "reference.csv"))
 
 
 # spellings for the differential test; a "clean" table draws only from the
@@ -249,6 +319,20 @@ class TestInvariants:
     def test_rejects_bad_labels(self):
         with pytest.raises(DataError):
             make_dataset({"a": [1.0, 2.0]}, [0, 3])
+
+    @pytest.mark.parametrize("labels", [[0.5, 1.7, -0.2], [0.0, np.nan, 1.0],
+                                        [0.0, 1.0, 1.0 + 2**-52]])
+    def test_rejects_labels_that_are_not_zero_or_one(self, labels):
+        # checked before the int64 cast, which would round them and warn on NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="labels must be 0/1"):
+                Dataset(("a",), np.zeros((3, 1)), np.array(labels))
+
+    def test_accepts_float_zero_one_labels(self):
+        data = Dataset(("a",), np.zeros((3, 1)), np.array([0.0, 1.0, -0.0]))
+        assert data.labels.dtype == np.int64
+        assert data.labels.tolist() == [0, 1, 0]
 
     def test_rejects_duplicate_names(self):
         with pytest.raises(DataError):

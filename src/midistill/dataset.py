@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import os
-import warnings
+import re
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
@@ -36,6 +36,12 @@ RESERVED_RANDOM_NAMES = ("__rand1", "__rand2", "__rand3")
 VALIDATION_FRACTION = 0.15
 TEST_FRACTION = 0.15
 WRITE_BLOCK_ROWS = 1024
+# a block's rows are Python floats until they are copied into X: larger
+# blocks keep more of them alive and raise peak RSS, smaller ones cost calls
+READ_BLOCK_CHARS = 1 << 14
+# "-0" that no fraction or exponent follows (the exponent "e-0" matches too,
+# which only sends such a body to the per-cell parse)
+_BARE_MINUS_ZERO = re.compile(rb"-0(?![.0-9eE])")
 
 
 @dataclass(frozen=True)
@@ -118,9 +124,10 @@ def load_csv(path, label_column: str) -> Dataset:
     """Read an RFC-4180 CSV with a header row into a Dataset.
 
     Rows with missing or unparseable numeric values are hard errors; the
-    source is expected to be a fully preprocessed numeric table.  numpy's C
-    reader parses the body; a body it cannot take as is (quoted cells, blank
-    lines, a bad value) is re-read one cell at a time, which returns the
+    source is expected to be a fully preprocessed numeric table.  orjson
+    parses the body a block of lines at a time; a body it cannot take as is
+    (quoted cells, blank lines, spellings JSON reads otherwise, a bad value)
+    is re-read one cell at a time through ``float()``, which returns the
     same table or raises the error for the first bad row.
     """
     if not os.path.exists(path):
@@ -142,8 +149,8 @@ def load_csv(path, label_column: str) -> Dataset:
             label_pos = header.index(label_column)
             names = [h for i, h in enumerate(header) if i != label_pos]
             body = _parse_body(fh, len(header), label_pos, n_lines - reader.line_num)
-        # the C reader's decode error is a ValueError, so such a body is
-        # re-read and the per-cell parse raises it again
+        # a body that is not UTF-8 is re-read too, so the per-cell parse
+        # raises its decode error, or the error of a bad row before it
         X, labels = body or _parse_cells(path, header, label_pos)
     except UnicodeDecodeError as exc:
         raise DataError(f"input {path} is not valid UTF-8: {exc.reason}") from None
@@ -157,26 +164,62 @@ def load_csv(path, label_column: str) -> Dataset:
 
 
 def _parse_body(fh, n_columns: int, label_pos: int, n_rows: int):
-    """(X, labels) of the ``n_rows`` lines left in ``fh``, parsed by numpy's
-    C reader, or None unless every line is a row of ``n_columns`` finite
-    values with a 0/1 label.  The reader skips blank lines, so the row count
-    catches them; an empty body may come back in the wrong shape and is
-    re-read.  It converts each cell as ``float()`` does, but takes no
-    quotes and no underscores: such bodies fail here and are re-read."""
+    """(X, labels) of the ``n_rows`` lines left in ``fh``, or None unless
+    every line is a row of ``n_columns`` JSON numbers with a 0/1 label.
+
+    Each block of ``_blocks`` becomes one JSON array of rows for one
+    ``orjson.loads`` call, whose doubles are the correctly rounded ones
+    ``float()`` returns, and goes straight into ``X`` and ``labels``.  A
+    block must hold nothing but digits, ``eE+-.,`` and line ends: no quotes,
+    blanks or words that JSON reads otherwise or not at all, and no bare
+    ``-0``, which JSON reads as the integer 0 without its sign.  Rows split
+    at "\\n" only and JSON skips a "\\r" as blank, so a lone "\\r" inside the
+    body leaves fewer rows than the line count and sends it to the per-cell
+    parse, as does a spelling JSON refuses (``+1``, ``.5``, ``007``), a
+    blank or ragged line, or a bad value."""
+    # a row on this path takes at least two bytes a cell, so a body of
+    # blank lines cannot make the allocation below outgrow the file
+    if 2 * n_columns * n_rows > os.fstat(fh.fileno()).st_size + 1:
+        return None
+    X = np.empty((n_rows, n_columns - 1))
+    labels = np.empty(n_rows, dtype=np.int64)
+    done = 0
     try:
-        with warnings.catch_warnings():  # "input contained no data"
-            warnings.simplefilter("ignore", UserWarning)
-            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
-                               dtype=np.float64)
-    except ValueError:
+        for block in _blocks(fh):
+            if block.translate(None, b"0123456789eE+-.,\r\n") or _BARE_MINUS_ZERO.search(block):
+                return None
+            rows = b"[[" + block.removesuffix(b"\n").replace(b"\n", b"],[") + b"]]"
+            table = np.array(orjson.loads(rows), dtype=np.float64)
+            end = done + len(table)
+            if table.shape[1] != n_columns or end > n_rows or not np.isfinite(table).all():
+                return None
+            label = table[:, label_pos]
+            if not ((label == 0.0) | (label == 1.0)).all():
+                return None
+            X[done:end, :label_pos] = table[:, :label_pos]
+            X[done:end, label_pos:] = table[:, label_pos + 1:]
+            labels[done:end] = label
+            done = end
+    except ValueError:  # not ASCII, not JSON, or ragged rows
         return None
-    if table.shape != (n_rows, n_columns):
-        return None
-    labels = table[:, label_pos]
-    X = np.delete(table, label_pos, axis=1)
-    if not (np.isfinite(X).all() and ((labels == 0.0) | (labels == 1.0)).all()):
-        return None
-    return X, labels.astype(np.int64)
+    return (X, labels) if done == n_rows else None
+
+
+def _blocks(fh):
+    """The text left in ``fh`` as bytes, in blocks of about
+    ``READ_BLOCK_CHARS`` cut after their last "\\n"; only the last block
+    may end elsewhere.  Text that is not ASCII raises a ``UnicodeError``."""
+    pending = []
+    for text in iter(lambda: fh.read(READ_BLOCK_CHARS), ""):
+        data = text.encode("ascii")
+        cut = data.rfind(b"\n") + 1
+        if cut:
+            yield b"".join([*pending, data[:cut]])
+            pending = []
+        pending.append(data[cut:])
+    tail = b"".join(pending)
+    if tail:
+        yield tail
 
 
 def _parse_cells(path, header: list[str], label_pos: int):

@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import random
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -181,16 +183,21 @@ class TestWriteCsv:
 
 
 # spellings for the differential test; a "clean" table draws only from the
-# first entries, which are what numpy's reader takes as is
-CELL_SPELLINGS = ("repr", "g17", "int", "padded", "quoted", "underscore", "inf", "nan",
+# first five, which JSON reads as float() does (but a zero may come out as a
+# bare -0); the next five are numbers JSON refuses or, for -0, reads as an
+# integer without its sign
+CELL_SPELLINGS = ("repr", "g17", "int", "exp", "tiny", "minus_zero", "plus", "zeros",
+                  "lead_dot", "trail_dot", "padded", "quoted", "underscore", "inf", "nan",
                   "empty", "word")
 LABEL_SPELLINGS = ("0", "1", "1.0", "-0", "0.0", " 1", '"1"', "2", "nan", "x")
 LINE_KINDS = ("row", "row", "row", "blank", "comment", "ragged")
-N_CLEAN = 3
+N_CLEAN = 5
 
 
 def _cell(kind: str, value: float) -> str:
     return {"repr": repr(value), "g17": f"{value:.17g}", "int": str(int(value)),
+            "exp": f"{value:.5E}", "tiny": f"{value * 1e-310:.17g}", "minus_zero": "-0",
+            "plus": f"+{abs(value)!r}", "zeros": "007", "lead_dot": ".5", "trail_dot": "5.",
             "padded": f" {value!r}\t", "quoted": f'"{value!r}"', "underscore": "1_000",
             "inf": "-inf", "nan": "nan", "empty": "", "word": "abc"}[kind]
 
@@ -237,15 +244,16 @@ def _outcome(load, path):
 
 
 class TestLoadCsvParse:
-    """The C-reader parse against the per-cell reference, and when each runs."""
+    """The block parse against the per-cell reference, and when each runs."""
 
     @pytest.fixture(scope="class")
     def table_path(self, tmp_path_factory):
         return tmp_path_factory.mktemp("parse") / "table.csv"
 
     @settings(max_examples=400, deadline=None)
-    @given(content=csv_files())
-    def test_matches_reference(self, table_path, content):
+    @given(content=csv_files(),
+           block_chars=st.sampled_from((1, 2, 5, 16, 64, dataset_module.READ_BLOCK_CHARS)))
+    def test_matches_reference(self, table_path, content, block_chars):
         table_path.write_bytes(content)
 
         def load(p):
@@ -257,7 +265,9 @@ class TestLoadCsvParse:
             names, X, labels, sha256 = reference_load_csv(p, "label")
             return names, X.shape, X.tobytes(), labels.dtype, labels.tolist(), sha256
 
-        assert _outcome(load, table_path) == _outcome(reference, table_path)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dataset_module, "READ_BLOCK_CHARS", block_chars)
+            assert _outcome(load, table_path) == _outcome(reference, table_path)
 
     def _count_fallbacks(self, monkeypatch):
         calls = []
@@ -275,17 +285,29 @@ class TestLoadCsvParse:
         X = np.vstack([[0.1, 1e-05, 1e16], [-0.0, 5e-324, -1.5e300], rng.random((50, 3))])
         data = Dataset(("plain", "with,comma", "x"), X, rng.integers(0, 2, len(X)))
         write_csv(data, tmp_path / "t.csv", "label")
-        reloaded = load_csv(tmp_path / "t.csv", "label")
+        # the benchmark's tables: 17 significant digits, "\n" line ends
+        G = np.vstack([[0.1, 1e-05, 1e16], [2.5e-7, 5e-324, -1.5e300],
+                       rng.random((50, 3)), np.exp(rng.standard_normal((50, 3)))])
+        g17 = Dataset(("a", "b", "c"), G, rng.integers(0, 2, len(G)))
+        with open(tmp_path / "g17.csv", "w", encoding="ascii") as fh:
+            fh.write("a,b,c,label\n")
+            np.savetxt(fh, np.column_stack([G, g17.labels]), fmt=["%.17g"] * 3 + ["%d"],
+                       delimiter=",")
+        for written, path in ((data, tmp_path / "t.csv"), (g17, tmp_path / "g17.csv")):
+            reloaded = load_csv(path, "label")
+            assert reloaded.feature_names == written.feature_names
+            assert reloaded.X.tobytes() == written.X.tobytes()
+            assert reloaded.labels.tolist() == written.labels.tolist()
         assert calls == []
-        assert reloaded.feature_names == data.feature_names
-        assert reloaded.X.tobytes() == data.X.tobytes()
-        assert reloaded.labels.tolist() == data.labels.tolist()
 
     @pytest.mark.parametrize("body, rows", [
         (["1,0", "", "2,1"], None),        # blank line: row 3 has the wrong length
         (['"1",0', "2,1"], [[1.0], [2.0]]),  # quoted cell
         (["1_000,1"], [[1000.0]]),          # underscore, which only float() reads
         (["1,0", "nan,1"], None),          # non-finite value at row 3
+        (["-0,1", "2,0"], [[-0.0], [2.0]]),  # bare -0, which JSON reads as the integer 0
+        (["+1,0"], [[1.0]]),                # plus sign, which JSON refuses
+        ([" 1.5\t,1"], [[1.5]]),            # padded cell
     ])
     def test_other_bodies_fall_back(self, tmp_path, monkeypatch, body, rows):
         calls = self._count_fallbacks(monkeypatch)
@@ -295,8 +317,131 @@ class TestLoadCsvParse:
                 load_csv(path, "label")
             assert err.value.row == 3
         else:
-            assert load_csv(path, "label").X.tolist() == rows
+            assert load_csv(path, "label").X.tobytes() == np.array(rows).tobytes()
         assert len(calls) == 1
+
+    def _load_spellings(self, tmp_path, monkeypatch, tokens, width=1):
+        """The features read from ``tokens`` laid out ``width`` to a row, each
+        row labelled 0, and how many times the per-cell parse ran."""
+        calls = self._count_fallbacks(monkeypatch)
+        header = ",".join([f"c{i}" for i in range(width)] + ["label"])
+        rows = (",".join(tokens[i:i + width]) + ",0" for i in range(0, len(tokens), width))
+        path = tmp_path / "spellings.csv"
+        path.write_text("\n".join([header, *rows]) + "\n", encoding="ascii")
+        return load_csv(path, "label").X.ravel(), len(calls)
+
+    @pytest.mark.parametrize("spell", [repr, "{:.17g}".format], ids=["repr", "g17"])
+    def test_random_bits_read_as_float_does(self, tmp_path, monkeypatch, spell):
+        # 2**20 doubles with every bit random, the way the benchmark and
+        # write_csv spell them; guards against an orjson release that rounds
+        # differently from float()
+        values = np.random.default_rng(1313).integers(0, 2**64, 2**20, dtype=np.uint64)
+        values = values.view(np.float64)
+        values[~np.isfinite(values)] = 0.5
+        tokens = [spell(v) for v in values.tolist()]
+        X, fallbacks = self._load_spellings(tmp_path, monkeypatch, tokens, width=8)
+        assert fallbacks == 0
+        assert X.tobytes() == np.array([float(t) for t in tokens]).tobytes()
+
+    def test_mantissas_and_exponents_read_as_float_does(self, tmp_path, monkeypatch):
+        # 1 to 25 significant digits at every exponent from -345 to 310: the
+        # subnormals, underflow to zero and the edge of overflow
+        draw = random.Random(1314)
+        tokens = ["1e-400", "-1e-400"]
+        for digits in range(1, 26):
+            for exponent in range(-345, 311):
+                m = str(draw.randrange(10 ** (digits - 1), 10 ** digits))
+                sign = draw.choice(("", "-"))
+                tokens += [f"{sign}{m}e{exponent}", f"{sign}{m[0]}.{m[1:] or 0}E{exponent:+d}",
+                           f"{sign}0.{m}e{exponent}"]
+        tokens = [t for t in tokens if math.isfinite(float(t))]
+        X, fallbacks = self._load_spellings(tmp_path, monkeypatch, tokens)
+        assert fallbacks == 0
+        assert X.tobytes() == np.array([float(t) for t in tokens]).tobytes()
+
+    def test_integers_and_zeros_read_as_float_does(self, tmp_path, monkeypatch):
+        tokens = [str(v) for v in (2**53 + 1, 2**53 + 3, -(2**53) - 1, 2**64 - 1, 2**64,
+                                   2**64 + 1, -(2**63), -(2**63) - 1, -(2**64) - 1,
+                                   10**25 + 1, int("9" * 40))]
+        tokens += ["0", "0e5", "-0.0", "-0e0", "-0.0E-7"]
+        X, fallbacks = self._load_spellings(tmp_path, monkeypatch, tokens)
+        assert fallbacks == 0
+        assert X.tobytes() == np.array([float(t) for t in tokens]).tobytes()
+
+    def test_refused_numbers_fall_back(self, tmp_path, monkeypatch):
+        # JSON reads a bare -0 as the integer 0; the per-cell parse keeps its sign
+        X, fallbacks = self._load_spellings(tmp_path, monkeypatch, ["1.5", "-0"])
+        assert fallbacks == 1
+        assert X.tobytes() == np.array([1.5, -0.0]).tobytes()
+        # past the largest double: the per-cell parse names the cell
+        with pytest.raises(NonNumericValue) as err:
+            self._load_spellings(tmp_path, monkeypatch, ["1.5", "1e400"])
+        assert (err.value.row, err.value.column) == (3, "c0")
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("last", ["terminated", "unterminated"])
+    def test_rows_across_block_edges(self, tmp_path, monkeypatch, newline, last):
+        # blocks of 1 to 64 characters split rows, cells and the "\r\n" of
+        # a line end, and hold no line end at all while a row is longer
+        calls = self._count_fallbacks(monkeypatch)
+        lines = ["a,label,b", "0.5,1,-2.5e-07", "12,0,3", "1.0E+5,1,0.125",
+                 "-0.0,0,7e300", "0.30000000000000004,1,123456789012345678901234567890"]
+        path = tmp_path / "edges.csv"
+        path.write_bytes((newline.join(lines) + (newline if last == "terminated" else "")).encode())
+        names, X, labels, _ = reference_load_csv(path, "label")
+        for block_chars in range(1, 65):
+            monkeypatch.setattr(dataset_module, "READ_BLOCK_CHARS", block_chars)
+            data = load_csv(path, "label")
+            assert (data.feature_names, data.X.tobytes(), data.labels.tolist()) == (
+                names, X.tobytes(), labels.tolist())
+        assert calls == []
+
+    @pytest.mark.parametrize("body", ["1,\r2,0\n", "1,2\r,0\n", "1,2,0\r3,4,1\n",
+                                      "1,2,0\r\n3,4\r,1\r\n"])
+    def test_lone_carriage_return_falls_back(self, tmp_path, monkeypatch, body):
+        # the line count takes a lone "\r" for a line end, as csv.reader does
+        calls = self._count_fallbacks(monkeypatch)
+        path = tmp_path / "cr.csv"
+        path.write_bytes(b"a,b,label\n" + body.encode())
+        for block_chars in (1, 3, dataset_module.READ_BLOCK_CHARS):
+            monkeypatch.setattr(dataset_module, "READ_BLOCK_CHARS", block_chars)
+            assert (_outcome(lambda p: load_csv(p, "label").X.tolist(), path)
+                    == _outcome(lambda p: reference_load_csv(p, "label")[1].tolist(), path))
+        assert len(calls) == 3
+
+    def test_peak_memory_is_the_table_and_a_few_blocks(self, tmp_path, rng):
+        n_rows, n_features = 20000, 33
+        X, labels = rng.random((n_rows, n_features)), rng.integers(0, 2, n_rows)
+        path = tmp_path / "big.csv"
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(",".join([f"c{i}" for i in range(n_features)] + ["label"]) + "\n")
+            np.savetxt(fh, np.column_stack([X, labels]),
+                       fmt=["%.17g"] * n_features + ["%d"], delimiter=",")
+        tracemalloc.start()
+        try:
+            data = load_csv(path, "label")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data.X.tobytes() == X.tobytes()
+        # X, the mask of Dataset's finiteness check (a byte a cell), the
+        # labels twice, and 16 blocks for the text, its JSON and the rows
+        assert peak <= X.nbytes * 9 // 8 + 16 * n_rows + 16 * dataset_module.READ_BLOCK_CHARS
+
+    def test_blank_lines_allocate_no_table(self, tmp_path):
+        # 10000 lines cannot hold 10000 rows of 2001 cells; a table of that
+        # shape would take 160 MB before the first block is read
+        path = tmp_path / "blank.csv"
+        path.write_text(",".join(f"c{i}" for i in range(2000)) + ",label\n" + "\n" * 10000)
+        tracemalloc.start()
+        try:
+            with pytest.raises(NonNumericValue) as err:
+                load_csv(path, "label")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err.value.row == 2
+        assert peak < 10_000_000
 
     def test_header_only(self, tmp_path):
         for text in ("a,b,label", "a,b,label\n", "a,b,label\r\n"):

@@ -14,14 +14,12 @@ import json
 import math
 import os
 import re
-from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 
 import numpy as np
 import orjson
 
 from .errors import (
-    ConfigError,
     DataError,
     MalformedHeader,
     NameCollision,
@@ -257,31 +255,11 @@ def _parse_cells(path, header: list[str], label_pos: int):
     return X, np.asarray(labels)
 
 
-@contextmanager
-def atomic_write(path):
-    """A UTF-8 text file, written at ``<path>.tmp`` and renamed over ``path``
-    when the block completes, so an interrupted write leaves the previous
-    file intact and no temporary file behind.  Newlines are not translated,
-    so the bytes are the same on every platform.  A path that cannot be
-    written, such as a directory, is a ``ConfigError``."""
-    tmp = f"{os.fspath(path)}.tmp"
-    try:
-        fh = open(tmp, "w", newline="", encoding="utf-8")
-        try:
-            with fh:
-                yield fh
-            os.replace(tmp, path)
-        finally:
-            with suppress(FileNotFoundError):
-                os.remove(tmp)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
-
-
 def write_csv(dataset: Dataset, path, label_column: str) -> None:
     """Write the dataset to CSV, every cell ``repr`` of its float, plus a
-    ``<name>.meta.json`` sidecar, both through ``atomic_write``."""
-    with atomic_write(path) as fh:
+    ``<name>.meta.json`` sidecar.  Newlines are not translated, so the bytes
+    are the same on every platform."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(list(dataset.feature_names) + [label_column])
         # a finite float's repr never needs quoting, so the rows skip
         # csv.writer; formatting a block at a time bounds the cells' memory
@@ -292,7 +270,7 @@ def write_csv(dataset: Dataset, path, label_column: str) -> None:
             # a table without features writes one empty cell per row
             columns = [_column_cells(col) for col in dataset.X[block].T] or [[""] * len(labels)]
             fh.writelines(",".join(row) + ends[lab] for row, lab in zip(zip(*columns), labels))
-    with atomic_write(os.fspath(path) + ".meta.json") as fh:
+    with open(os.fspath(path) + ".meta.json", "w", newline="", encoding="utf-8") as fh:
         json.dump(dataset.meta, fh, indent=2, sort_keys=True)
 
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset, atomic_write
+from .dataset import Dataset
 from .errors import (
     DimensionMismatch,
     DivergenceDetected,
@@ -55,11 +55,9 @@ class TrainingCurve:
 
     epochs: list[tuple[float, float]] = field(default_factory=list)
 
-    def to_csv(self, path) -> None:
-        with atomic_write(path) as fh:
-            fh.write("epoch,train_loss,val_loss\n")
-            for i, (tl, vl) in enumerate(self.epochs, start=1):
-                fh.write(f"{i},{tl!r},{vl!r}\n")
+    def to_csv(self) -> str:
+        return "epoch,train_loss,val_loss\n" + "".join(
+            f"{i},{tl!r},{vl!r}\n" for i, (tl, vl) in enumerate(self.epochs, start=1))
 
     def to_json(self) -> list[dict]:
         return [{"epoch": i, "train_loss": tl, "val_loss": vl}

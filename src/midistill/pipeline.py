@@ -1,5 +1,5 @@
-"""End-to-end workflows (fs, rrw, ae, evaluate), report emission and the
-shared configuration object backing the CLI.
+"""End-to-end workflows (fs, rrw, ae, evaluate), the one writer of their
+artifacts and reports, and the shared configuration object backing the CLI.
 
 All reports are plain JSON with the full effective configuration embedded,
 no timestamps, so identical configs produce byte-identical reports.
@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import tempfile
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass
 
@@ -111,16 +112,45 @@ def _make_out_dir(config: PipelineConfig) -> None:
                           f"{exc.strerror}") from None
 
 
-def _write_json(doc: dict, path: str, indent: int | None = None) -> None:
-    with ds.atomic_write(path) as fh:
-        json.dump(doc, fh, indent=indent, sort_keys=True)
-        fh.write("\n")
+def _json(doc: dict, indent: int | None = 2) -> str:
+    return json.dumps(doc, indent=indent, sort_keys=True) + "\n"
 
 
-def _write_report(report: dict, out_dir: str, name: str) -> str:
-    path = os.path.join(out_dir, name)
-    _write_json(report, path, indent=2)
-    return path
+def _publish(config: PipelineConfig, report: dict, files: dict) -> dict:
+    """Write a run's files and its report into a fresh staging directory
+    inside --out, then rename each into place, the report last.  ``files``
+    maps each artifact key to a file name and its content: a Dataset, which
+    ``write_csv`` writes with its sidecar, or text.  A run that fails before
+    the first rename leaves --out as it was."""
+    out = config.out_dir
+    report["artifacts"] = {key: os.path.join(out, name) for key, (name, _) in files.items()}
+    report_name = f"{report['mode']}_report.json"
+    target = out
+    with _stage("write_artifacts"):
+        try:
+            with tempfile.TemporaryDirectory(prefix=".staging-", dir=out,
+                                             ignore_cleanup_errors=True) as staging:
+                for name, content in [*files.values(), (report_name, _json(report))]:
+                    target = os.path.join(out, name)
+                    if isinstance(content, ds.Dataset):
+                        ds.write_csv(content, os.path.join(staging, name), config.label_column)
+                    else:
+                        with open(os.path.join(staging, name), "w", newline="",
+                                  encoding="utf-8") as fh:
+                            fh.write(content)
+                # once the report is in place, so is every file it names
+                names = sorted(os.listdir(staging), key=lambda n: (n == report_name, n))
+                for name in names:
+                    if os.path.isdir(os.path.join(out, name)):
+                        raise ConfigError(f"cannot write {os.path.join(out, name)}: "
+                                          "Is a directory")
+                for name in names:
+                    target = os.path.join(out, name)
+                    os.replace(os.path.join(staging, name), target)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {target}: {exc.strerror}") from None
+    report["artifacts"]["report"] = os.path.join(out, report_name)
+    return report
 
 
 def _load(config: PipelineConfig, normalize: bool = True):
@@ -174,15 +204,11 @@ def run_fs(config: PipelineConfig) -> dict:
             note=f"backward_elimination[{best_alg}], gamma={config.gamma}")
         mdrt = traces[best_alg].mdrt
 
-    artifacts = {}
+    files = {}
     if optimized is not None:
-        opt_path = os.path.join(config.out_dir, "optimized.csv")
-        ds.write_csv(optimized, opt_path, config.label_column)
-        artifacts["optimized_csv"] = opt_path
+        files["optimized_csv"] = ("optimized.csv", optimized)
     for alg, trace in traces.items():
-        csv_path = os.path.join(config.out_dir, f"elimination_{alg}.csv")
-        trace.metrics_csv(csv_path)
-        artifacts[f"elimination_csv[{alg}]"] = csv_path
+        files[f"elimination_csv[{alg}]"] = (f"elimination_{alg}.csv", trace.metrics_csv())
 
     report = {
         "mode": "fs",
@@ -203,10 +229,8 @@ def run_fs(config: PipelineConfig) -> dict:
         "mdrt": mdrt,
         "optimized_features": list(optimized.feature_names) if optimized else None,
         "rankings": {alg: trace.ranking.to_json() for alg, trace in traces.items()},
-        "artifacts": artifacts,
     }
-    report["artifacts"]["report"] = _write_report(report, config.out_dir, "fs_report.json")
-    return report
+    return _publish(config, report, files)
 
 
 def _load_fs_report(config: PipelineConfig) -> dict:
@@ -311,21 +335,16 @@ def run_rrw(config: PipelineConfig) -> dict:
     with _stage("apply_weights"):
         weighted = apply_weights(optimized, weights)
 
-    out_csv = os.path.join(config.out_dir, "rrw_optimized.csv")
-    ds.write_csv(weighted, out_csv, config.label_column)
-    weights_path = os.path.join(config.out_dir, "rrw_weights.json")
-    _write_json(weights.to_json(), weights_path, indent=2)
-
     report = {
         "mode": "rrw",
         "config": config.to_json(),
         "avg_f1": avg_f1,
         "weights": weights.to_json(),
         "optimized_features": list(optimized_features),
-        "artifacts": {"rrw_optimized_csv": out_csv, "weights_json": weights_path},
     }
-    report["artifacts"]["report"] = _write_report(report, config.out_dir, "rrw_report.json")
-    return report
+    return _publish(config, report, {
+        "rrw_optimized_csv": ("rrw_optimized.csv", weighted),
+        "weights_json": ("rrw_weights.json", _json(weights.to_json()))})
 
 
 def run_ae(config: PipelineConfig) -> dict:
@@ -348,23 +367,16 @@ def run_ae(config: PipelineConfig) -> dict:
     with _stage("ae_encode"):
         encoded = ae_encode(model, normalized)
 
-    out_csv = os.path.join(config.out_dir, "ae_generated.csv")
-    ds.write_csv(encoded, out_csv, config.label_column)
-    curve_path = os.path.join(config.out_dir, "ae_curve.csv")
-    curve.to_csv(curve_path)
-    model_path = os.path.join(config.out_dir, "ae_model.json")
-    _write_json(model_to_json(model), model_path)
-
     report = {
         "mode": "ae",
         "config": config.to_json(),
         "bottleneck": int(bottleneck),
         "curve": curve.to_json(),
-        "artifacts": {"ae_generated_csv": out_csv, "curve_csv": curve_path,
-                      "model_json": model_path},
     }
-    report["artifacts"]["report"] = _write_report(report, config.out_dir, "ae_report.json")
-    return report
+    return _publish(config, report, {
+        "ae_generated_csv": ("ae_generated.csv", encoded),
+        "curve_csv": ("ae_curve.csv", curve.to_csv()),
+        "model_json": ("ae_model.json", _json(model_to_json(model), indent=None))})
 
 
 def run_evaluate(config: PipelineConfig) -> dict:
@@ -383,19 +395,13 @@ def run_evaluate(config: PipelineConfig) -> dict:
         preds = (mlp_predict(model, test) >= 0.5).astype(np.int64)
         metrics = compute_metrics(preds, test.labels)
 
-    curve_path = os.path.join(config.out_dir, "mlp_curve.csv")
-    curve.to_csv(curve_path)
-
     report = {
         "mode": "evaluate",
         "config": config.to_json(),
         "metrics": metrics.to_json(),
         "curve": curve.to_json(),
-        "artifacts": {"curve_csv": curve_path},
     }
-    report["artifacts"]["report"] = _write_report(report, config.out_dir,
-                                                  "evaluate_report.json")
-    return report
+    return _publish(config, report, {"curve_csv": ("mlp_curve.csv", curve.to_csv())})
 
 
 def run(config: PipelineConfig) -> dict:

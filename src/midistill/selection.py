@@ -11,7 +11,6 @@ from .dataset import (
     RESERVED_RANDOM_NAMES,
     DataSplit,
     Dataset,
-    atomic_write,
     folds as row_folds,
     inject_random_features,
 )
@@ -94,14 +93,11 @@ class EliminationTrace:
             ],
         }
 
-    def metrics_csv(self, path) -> None:
-        """Export (n_features, accuracy, precision, recall) for re-plotting."""
-        with atomic_write(path) as fh:
-            fh.write("n_features,accuracy,precision,recall\n")
-            for s in self.steps:
-                m = s.metrics
-                fh.write(f"{s.n_features_after},{_cell(m.accuracy)},"
-                         f"{_cell(m.precision)},{_cell(m.recall)}\n")
+    def metrics_csv(self) -> str:
+        """(n_features, accuracy, precision, recall) per step, for re-plotting."""
+        return "n_features,accuracy,precision,recall\n" + "".join(
+            f"{s.n_features_after},{_cell(s.metrics.accuracy)},"
+            f"{_cell(s.metrics.precision)},{_cell(s.metrics.recall)}\n" for s in self.steps)
 
 
 def _cell(v) -> str:

@@ -196,7 +196,7 @@ def reference_load_csv(path, label_column):
 def reference_write_csv(data, path, label_column):
     """The package's original writer: ``repr`` of every float, one cell at a
     time, plus the ``<name>.meta.json`` sidecar."""
-    with ds.atomic_write(path) as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(list(data.feature_names) + [label_column])
         # a finite float's repr never needs quoting, so the rows skip
         # csv.writer; converting a block at a time bounds tolist()'s memory
@@ -205,5 +205,5 @@ def reference_write_csv(data, path, label_column):
             fh.writelines(",".join(map(repr, row)) + f",{lab}\r\n"
                           for row, lab in zip(data.X[block].tolist(),
                                               data.labels[block].tolist()))
-    with ds.atomic_write(os.fspath(path) + ".meta.json") as fh:
+    with open(os.fspath(path) + ".meta.json", "w", newline="", encoding="utf-8") as fh:
         json.dump(data.meta, fh, indent=2, sort_keys=True)

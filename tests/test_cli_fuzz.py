@@ -2,12 +2,12 @@
 
 Every run exits 0, 1, 2 or 3, and raises no warning.  A nonzero exit
 prints exactly one stderr line, starting with the prefix of its error
-family, and no traceback.  The inputs are bad or edge flag values,
-malformed and edge-case CSVs, truncated, foreign, non-object or mistyped
-fs reports, one whose scores span more than the float range, and, on the
-output side, directories that already exist at artifact paths or at their
-temporary paths.  Runs are in-process and desk scale: at most 40 rows, 64
-bins, 50 folds and 2 epochs.
+family, and no traceback, and adds nothing to ``--out``.  The inputs are
+bad or edge flag values, malformed and edge-case CSVs, truncated, foreign,
+non-object or mistyped fs reports, one whose scores span more than the
+float range, and, on the output side, directories that already exist at
+artifact paths or at ``<name>.tmp``, which no run writes.  Runs are
+in-process and desk scale: at most 40 rows, 64 bins, 50 folds and 2 epochs.
 """
 
 import contextlib
@@ -63,8 +63,7 @@ CLEAN_CSV = ("f0,f1,label\n" + "".join(f"{(i - 20) / 8!r},{i % 7 / 8!r},{int(i >
 LABEL_ONLY_CSV = ("label\n" + "".join(f"{i % 2}\n" for i in range(40))).encode("utf-8")
 
 
-# every artifact a mode writes into --out; atomic_write goes through
-# "<name>.tmp" first
+# every artifact a mode writes into --out
 ARTIFACTS = (
     "fs_report.json", "optimized.csv", "optimized.csv.meta.json",
     *(f"elimination_{alg}.csv" for alg in ("mRMR", "MIFS", "CIFE", "JMI", "CMIM", "DISR")),
@@ -159,7 +158,8 @@ def fs_report_text(draw):
 
 
 # directories at up to two artifact paths, each the artifact's own path or
-# its temporary one
+# "<name>.tmp": a run stages its files in a directory of its own, so a
+# directory at "<name>.tmp" must have no effect
 BLOCKED = st.lists(st.tuples(st.sampled_from(ARTIFACTS), st.sampled_from(["", ".tmp"]))
                    .map("".join), unique=True, max_size=2)
 
@@ -205,6 +205,14 @@ def test_exit_code_contract(mode, data, report, flags, blocked):
                 warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code = cli_main(argv)
+        out_dir = work / "out"
+        left = sorted(p.name for p in out_dir.iterdir()) if out_dir.exists() else []
+        # each drawn directory is left empty, and no staging directory is left
+        assert not any(any((out_dir / name).iterdir()) for name in blocked), (argv, left)
+        assert not [name for name in left if name.startswith(".staging-")], (argv, left)
+        if code:
+            # a failed run publishes nothing
+            assert left == sorted(blocked), (argv, left)
     err = err.getvalue()
     assert code in (0, 1, 2, 3), argv
     assert "Traceback" not in err

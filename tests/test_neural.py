@@ -342,13 +342,11 @@ class TestAutoencoder:
 
 
 class TestSerialization:
-    def test_curve_csv(self, tmp_path, rng):
+    def test_curve_csv(self, rng):
         x = rng.random(40)
         data = make_dataset({"x": x}, (x > 0.5).astype(int))
         model = mlp_new(1, 0)
         curve = mlp_train(model, data, data, epochs=3)
-        out = tmp_path / "curve.csv"
-        curve.to_csv(out)
-        lines = out.read_text().strip().splitlines()
+        lines = curve.to_csv().strip().splitlines()
         assert lines[0] == "epoch,train_loss,val_loss"
         assert len(lines) == 4

@@ -15,7 +15,6 @@ from midistill.neural import gate_train
 from midistill.pipeline import (
     MODES,
     PipelineConfig,
-    _write_report,
     run,
     run_ae,
     run_evaluate,
@@ -41,6 +40,11 @@ def fs_config(planted_csv, out_dir, **overrides):
         seed=3, folds=5)
     base.update(overrides)
     return PipelineConfig(**base)
+
+
+def _files(out) -> dict:
+    """Each entry of ``out`` by name: a file's bytes, or None for a directory."""
+    return {p.name: p.read_bytes() if p.is_file() else None for p in out.iterdir()}
 
 
 @pytest.fixture(scope="module")
@@ -147,30 +151,72 @@ class TestFsMode:
         assert sorted(trained) == sorted(evaluated)
         assert len(trained) < n_steps
 
-    def test_report_write_is_atomic(self, tmp_path, monkeypatch, rng):
-        _write_report({"version": 1}, str(tmp_path), "r.json")
-        before = (tmp_path / "r.json").read_bytes()
-        csv_path = tmp_path / "t.csv"
-        write_csv(make_dataset({"a": rng.random(5)}, [0, 1, 0, 1, 0]), csv_path, "label")
-        csv_before = csv_path.read_bytes()
+    def test_report_write_is_atomic(self, planted_csv, tmp_path, monkeypatch):
+        # a run that fails while it stages its files propagates the error and
+        # leaves --out as the last runs left it, with no staging directory
+        out = tmp_path / "out"
+        runs = ((run_fs, fs_config(planted_csv, out)),
+                (run_ae, fs_config(planted_csv, out, mode="ae", bottleneck=2, epochs=1)))
+        for run_mode, config in runs:
+            run_mode(config)
+        before = _files(out)
 
-        def failing_dump(doc, fh, **kwargs):
-            fh.write('{"version": ')
+        def failing_write_csv(data, path, label_column):
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("a,lab")
             raise RuntimeError("interrupted")
 
-        def failing_writer(fh):
-            fh.write("a,lab")
+        def failing_render(doc, indent=2):
             raise RuntimeError("interrupted")
 
-        monkeypatch.setattr(pipeline.json, "dump", failing_dump)
-        with pytest.raises(RuntimeError, match="interrupted"):
-            _write_report({"version": 2}, str(tmp_path), "r.json")
-        monkeypatch.setattr(dataset.csv, "writer", failing_writer)
-        with pytest.raises(RuntimeError, match="interrupted"):
-            write_csv(make_dataset({"a": rng.random(5)}, [1, 1, 0, 1, 0]), csv_path, "label")
-        assert (tmp_path / "r.json").read_bytes() == before
-        assert csv_path.read_bytes() == csv_before
-        assert sorted(os.listdir(tmp_path)) == ["r.json", "t.csv", "t.csv.meta.json"]
+        for module, name, failing in ((dataset, "write_csv", failing_write_csv),
+                                      (pipeline, "_json", failing_render)):
+            with monkeypatch.context() as patch:
+                patch.setattr(module, name, failing)
+                for run_mode, config in runs:
+                    with pytest.raises(RuntimeError, match="interrupted"):
+                        run_mode(dataclasses.replace(config, seed=4))
+                    assert _files(out) == before
+
+    def test_report_is_renamed_last(self, planted_csv, tmp_path, monkeypatch):
+        # a run cut between two renames leaves the last run's report or none,
+        # never a new report beside older files
+        replace_, renamed = os.replace, []
+
+        def record(src, dst):
+            renamed.append(os.path.basename(dst))
+            replace_(src, dst)
+
+        monkeypatch.setattr(pipeline.os, "replace", record)
+        report = run_fs(fs_config(planted_csv, tmp_path))
+        assert renamed[-1] == "fs_report.json"
+        assert sorted(renamed) == sorted(os.listdir(tmp_path)) == sorted(
+            [os.path.basename(p) for p in report["artifacts"].values()]
+            + ["optimized.csv.meta.json"])
+
+    def test_two_runs_stage_apart(self, planted_csv, tmp_path, monkeypatch):
+        # an ae run that starts and ends while an fs run's files are staged
+        # under the same --out: each run stages in its own directory, and
+        # both sets are published
+        out = tmp_path / "out"
+        write_csv_, staged = dataset.write_csv, []
+
+        def write_csv_then_run_ae(data, path, label_column):
+            staged.append(os.path.dirname(path))
+            write_csv_(data, path, label_column)
+            if len(staged) == 1:
+                run_ae(fs_config(planted_csv, out, mode="ae", bottleneck=2, epochs=1))
+                assert os.path.isfile(path)
+
+        monkeypatch.setattr(dataset, "write_csv", write_csv_then_run_ae)
+        run_fs(fs_config(planted_csv, out))
+        assert len(staged) == 2 and staged[0] != staged[1]
+        assert {os.path.dirname(d) for d in staged} == {str(out)}
+        assert all(os.path.basename(d).startswith(".staging-") for d in staged)
+        assert sorted(os.listdir(out)) == [
+            "ae_curve.csv", "ae_generated.csv", "ae_generated.csv.meta.json", "ae_model.json",
+            "ae_report.json", "elimination_mRMR.csv", "fs_report.json", "optimized.csv",
+            "optimized.csv.meta.json"]
 
 
 class TestRrwMode:
@@ -464,19 +510,37 @@ class TestCliExitCodes:
     ])
     def test_artifact_path_is_a_directory(self, planted_csv, tmp_path, capsys, mode,
                                           blocked):
-        # a directory at an artifact's path, or at its temporary path, used
-        # to end in an IsADirectoryError traceback
+        # a directory at an artifact's path used to end in an
+        # IsADirectoryError traceback; "<name>.tmp" was the temporary path
+        # of a per-file writer and is no longer in a run's way
         out = tmp_path / "out"
         (out / blocked).mkdir(parents=True)
+        (out / blocked / "kept.txt").write_text("kept\n", encoding="utf-8")
         argv = [mode, "--input", planted_csv, "--out", str(out), "--epochs", "1"]
         if mode == "fs":
             argv += ["--gamma", "0.85", "--tamper-threshold", "0.375", "--algorithms", "mRMR"]
-        err = self._config_error(capsys, argv)
-        target = blocked.removesuffix(".tmp")
-        assert f"cannot write {out / target}: Is a directory" in err
-        assert (out / blocked).is_dir()
-        assert [p.name for p in out.glob("*.tmp")] == \
-            ([blocked] if blocked.endswith(".tmp") else [])
+        if blocked.endswith(".tmp"):
+            assert cli_main(argv) == 0
+            assert (out / blocked.removesuffix(".tmp")).is_file()
+        else:
+            err = self._config_error(capsys, argv)
+            assert f"[stage write_artifacts] cannot write {out / blocked}: Is a directory" in err
+            assert os.listdir(out) == [blocked]
+        assert os.listdir(out / blocked) == ["kept.txt"]
+        assert (out / blocked / "kept.txt").read_text(encoding="utf-8") == "kept\n"
+
+    def test_failed_run_keeps_the_last_set(self, planted_csv, tmp_path, capsys):
+        # a directory at one artifact's path used to fail the run after it
+        # had put a fresh optimized.csv beside the last run's report
+        out = tmp_path / "out"
+        argv = ["fs", "--input", planted_csv, "--out", str(out), "--gamma", "0.85",
+                "--tamper-threshold", "0.375", "--algorithms", "mRMR"]
+        assert cli_main(argv) == 0
+        (out / "optimized.csv.meta.json").unlink()
+        (out / "optimized.csv.meta.json").mkdir()
+        before = _files(out)
+        self._config_error(capsys, argv + ["--seed", "4"])
+        assert _files(out) == before
 
     def test_report_is_a_directory(self, planted_csv, tmp_path, capsys):
         err = self._config_error(capsys, ["rrw", "--input", planted_csv,

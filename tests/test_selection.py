@@ -192,12 +192,10 @@ class TestBackwardEliminate:
                 hits += 1
         assert hits >= 9
 
-    def test_metrics_csv_export(self, planted_norm, tmp_path):
+    def test_metrics_csv_export(self, planted_norm):
         data, sp = planted_norm
         trace = backward_eliminate(LearnRows(data, sp, BINNING), "mRMR", 0.9)
-        out = tmp_path / "trace.csv"
-        trace.metrics_csv(out)
-        lines = out.read_text().strip().splitlines()
+        lines = trace.metrics_csv().strip().splitlines()
         assert lines[0] == "n_features,accuracy,precision,recall"
         assert len(lines) == len(trace.steps) + 1
 

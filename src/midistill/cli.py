@@ -66,7 +66,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    except (DataError, FileNotFoundError) as exc:
+    except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except TrainingError as exc:

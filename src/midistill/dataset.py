@@ -19,15 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import orjson
 
-from .errors import (
-    DataError,
-    MalformedHeader,
-    NameCollision,
-    NonBinaryLabel,
-    NonNumericValue,
-    TooFewSamples,
-    UnknownFeature,
-)
+from .errors import DataError, NonBinaryLabel, NonNumericValue
 
 RESERVED_RANDOM_NAMES = ("__rand1", "__rand2", "__rand3")
 
@@ -85,13 +77,13 @@ class Dataset:
         try:
             return self.X[:, self.feature_names.index(name)]
         except ValueError:
-            raise UnknownFeature(name) from None
+            raise DataError(f"unknown feature {name!r}") from None
 
     def select_features(self, names, note: str | None = None) -> "Dataset":
         """Project onto the given feature columns, preserving sample order."""
         missing = [n for n in names if n not in self.feature_names]
         if missing:
-            raise UnknownFeature(", ".join(missing))
+            raise DataError(f"features not in the table: {', '.join(missing)}")
         idx = [self.feature_names.index(n) for n in names]
         meta = dict(self.meta)
         meta["selected_features"] = list(names)
@@ -129,7 +121,7 @@ def load_csv(path, label_column: str) -> Dataset:
     same table or raises the error for the first bad row.
     """
     if not os.path.exists(path):
-        raise FileNotFoundError(path)
+        raise DataError(f"input {path} does not exist")
     if not os.path.isfile(path):
         raise DataError(f"input {path} is not a regular file")
     sha256, n_lines = _file_digest(path)
@@ -139,11 +131,11 @@ def load_csv(path, label_column: str) -> Dataset:
             try:
                 header = next(reader)
             except StopIteration:
-                raise MalformedHeader("empty file") from None
+                raise DataError("empty file") from None
             if len(header) != len(set(header)) or any(not h.strip() for h in header):
-                raise MalformedHeader("duplicate or blank column names")
+                raise DataError("duplicate or blank column names")
             if label_column not in header:
-                raise MalformedHeader(f"label column {label_column!r} not in header")
+                raise DataError(f"label column {label_column!r} not in header")
             label_pos = header.index(label_column)
             names = [h for i, h in enumerate(header) if i != label_pos]
             body = _parse_body(fh, len(header), label_pos, n_lines - reader.line_num)
@@ -295,7 +287,7 @@ def split(dataset: Dataset, seed: int) -> DataSplit:
     """
     n = dataset.n_samples
     if n < 10:
-        raise TooFewSamples(f"need at least 10 samples, got {n}")
+        raise DataError(f"need at least 10 samples, got {n}")
     n_val = math.ceil(VALIDATION_FRACTION * n)
     n_test = math.ceil(TEST_FRACTION * (n - n_val))
     perm = np.random.default_rng(seed).permutation(n)
@@ -348,7 +340,7 @@ def inject_random_features(dataset: Dataset, seed: int) -> Dataset:
     """
     for name in RESERVED_RANDOM_NAMES:
         if name in dataset.feature_names:
-            raise NameCollision(name)
+            raise DataError(f"feature name {name!r} is reserved for the tampering audit")
     n = dataset.n_samples
     rng = np.random.default_rng(seed)
     rand1 = rng.standard_normal(n)

@@ -1,7 +1,9 @@
 """Exception hierarchy shared by all midistill modules.
 
-Three broad families map onto the CLI exit codes: configuration problems
-(exit 1), data problems (exit 2) and training failures (exit 3).
+Three families map onto the CLI exit codes: configuration problems (exit 1),
+data problems (exit 2) and training failures (exit 3).  The CLI prints only
+an error's message, never its class, so each message names its condition.
+A leaf class is kept only where a caller reads its fields.
 """
 
 
@@ -21,12 +23,6 @@ class TrainingError(MidistillError):
     """Model training failed (divergence, degenerate data, ...)."""
 
 
-# --- data errors -----------------------------------------------------------
-
-class MalformedHeader(DataError):
-    pass
-
-
 class NonBinaryLabel(DataError):
     def __init__(self, row, value):
         self.row = row
@@ -39,54 +35,6 @@ class NonNumericValue(DataError):
         self.row = row
         self.column = column
         super().__init__(f"non-numeric value at row {row}, column {column!r}")
-
-
-class TooFewSamples(DataError):
-    pass
-
-
-class NameCollision(DataError):
-    pass
-
-
-class UnknownFeature(DataError):
-    pass
-
-
-class FeatureSetMismatch(DataError):
-    pass
-
-
-class LengthMismatch(DataError):
-    pass
-
-
-class EmptyColumn(DataError):
-    pass
-
-
-class EmptyInput(DataError):
-    pass
-
-
-class MissingWeight(DataError):
-    def __init__(self, feature):
-        self.feature = feature
-        super().__init__(f"no weight for feature {feature!r}")
-
-
-# --- training errors -------------------------------------------------------
-
-class SingleClassData(TrainingError):
-    pass
-
-
-class DimensionMismatch(TrainingError):
-    pass
-
-
-class InvalidBottleneck(ConfigError):
-    pass
 
 
 class DivergenceDetected(TrainingError):

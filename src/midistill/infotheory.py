@@ -12,7 +12,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import EmptyColumn, LengthMismatch
+from .errors import DataError
 
 
 class BinningStrategy(str, Enum):
@@ -63,7 +63,7 @@ def discretize(column, config: BinningConfig, origin: str = "") -> DiscreteColum
     """
     x = np.asarray(column, dtype=np.float64)
     if x.size == 0:
-        raise EmptyColumn(origin or "<anonymous>")
+        raise DataError(f"column {origin or '<anonymous>'} is empty")
     if not np.all(np.isfinite(x)):
         raise ValueError("column contains non-finite values")
 
@@ -116,7 +116,7 @@ def entropy(x: DiscreteColumn) -> float:
 
 def _pair_codes(x: DiscreteColumn, y: DiscreteColumn) -> np.ndarray:
     if len(x) != len(y):
-        raise LengthMismatch(f"{len(x)} vs {len(y)}")
+        raise DataError(f"columns differ in length: {len(x)} vs {len(y)}")
     return x.codes * y.k + y.codes
 
 
@@ -140,7 +140,7 @@ def conditional_mutual_information(
 ) -> float:
     """I(X;Y|Z) = sum_z p(z) I(X;Y | Z=z), computed per stratum."""
     if len(x) != len(y) or len(x) != len(z):
-        raise LengthMismatch("columns must have equal length")
+        raise DataError(f"columns differ in length: {len(x)}, {len(y)} and {len(z)}")
     n = len(z)
     total = 0.0
     for zv in np.unique(z.codes):

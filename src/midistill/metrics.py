@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyInput, LengthMismatch
+from .errors import DataError
 
 
 @dataclass(frozen=True)
@@ -46,9 +46,9 @@ def compute_metrics(predictions, labels) -> ClassifierMetrics:
     predictions = np.asarray(predictions).astype(np.int64)
     labels = np.asarray(labels).astype(np.int64)
     if predictions.shape != labels.shape:
-        raise LengthMismatch(f"{predictions.shape} vs {labels.shape}")
+        raise DataError(f"shapes differ: predictions {predictions.shape}, labels {labels.shape}")
     if predictions.size == 0:
-        raise EmptyInput("no predictions")
+        raise DataError("no predictions")
 
     tp = int(np.sum((predictions == 1) & (labels == 1)))
     fp = int(np.sum((predictions == 1) & (labels == 0)))

@@ -11,12 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset
-from .errors import (
-    DimensionMismatch,
-    DivergenceDetected,
-    InvalidBottleneck,
-    SingleClassData,
-)
+from .errors import ConfigError, DivergenceDetected, TrainingError
 
 GATE_LAMBDA = 1e-4
 GATE_EPOCHS = 200
@@ -45,7 +40,7 @@ class NeuralModel:
         """Index (into non-input layers) of the unique minimal hidden layer."""
         hidden = self.layer_dims[1:-1]
         if not hidden:
-            raise DimensionMismatch("model has no hidden layers")
+            raise TrainingError("model has no hidden layers")
         return int(np.argmin(hidden))
 
 
@@ -81,7 +76,7 @@ def forward(model: NeuralModel, X: np.ndarray) -> list[np.ndarray]:
     """All layer outputs, input first; result[-1] is the network output."""
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[1] != model.input_dim:
-        raise DimensionMismatch(f"expected {model.input_dim} inputs, got {X.shape[1]}")
+        raise TrainingError(f"expected {model.input_dim} inputs, got {X.shape[1]}")
     return _layer_outputs(model, X)
 
 
@@ -154,7 +149,7 @@ def gate_train(learn: Dataset, lam: float = GATE_LAMBDA, epochs: int = GATE_EPOC
     epoch writes into the same n-length buffers."""
     y = learn.labels
     if len(np.unique(y)) < 2:
-        raise SingleClassData("gate training needs both classes")
+        raise TrainingError("gate training needs both classes")
     A = np.ascontiguousarray(learn.X.T)
     n = A.shape[1]
     t = 2.0 * np.asarray(y, dtype=np.float64) - 1.0
@@ -184,7 +179,7 @@ def gate_train(learn: Dataset, lam: float = GATE_LAMBDA, epochs: int = GATE_EPOC
 def mlp_new(f: int, seed: int) -> NeuralModel:
     """Rectangle MLP [f, 2f, 2f, 1]: relu hidden layers, sigmoid output."""
     if f < 1:
-        raise DimensionMismatch("need at least one feature")
+        raise TrainingError("need at least one feature")
     dims = [f, 2 * f, 2 * f, 1]
     weights, biases = _init_layers(dims, np.random.default_rng(seed))
     return NeuralModel("mlp", dims, ["relu", "relu", "sigmoid"], weights, biases, seed)
@@ -249,7 +244,7 @@ def _sgd_train(model: NeuralModel, learn: Dataset, validation: Dataset, loss_kin
     'bce' fits the labels."""
     for data in (learn, validation):
         if data.n_features != model.input_dim:
-            raise DimensionMismatch(
+            raise TrainingError(
                 f"model expects {model.input_dim} features, got {data.n_features}")
     X, Xval = learn.X, validation.X
     target, val_target = (X, Xval) if loss_kind == "mse" else (learn.labels, validation.labels)
@@ -295,7 +290,7 @@ def mlp_predict(model: NeuralModel, dataset: Dataset) -> np.ndarray:
 def ae_new(input_dim: int, bottleneck: int, seed: int) -> NeuralModel:
     """Symmetric funnel AE; intermediate layer size is the midpoint."""
     if not 1 <= bottleneck < input_dim:
-        raise InvalidBottleneck(f"bottleneck {bottleneck} vs input_dim {input_dim}")
+        raise ConfigError(f"bottleneck {bottleneck} not in [1, input_dim {input_dim})")
     mid = int(round((input_dim + bottleneck) / 2))
     dims = [input_dim, mid, bottleneck, mid, input_dim]
     weights, biases = _init_layers(dims, np.random.default_rng(seed))
@@ -313,9 +308,9 @@ def ae_encode(model: NeuralModel, dataset: Dataset) -> Dataset:
     """Bottleneck activations as a new Dataset with anonymous names f1..fk.
     Only the encoder half runs: the layers up to the bottleneck."""
     if model.kind != "autoencoder":
-        raise DimensionMismatch("ae_encode needs an autoencoder model")
+        raise TrainingError("ae_encode needs an autoencoder model")
     if dataset.n_features != model.input_dim:
-        raise DimensionMismatch(
+        raise TrainingError(
             f"model expects {model.input_dim} features, got {dataset.n_features}")
     latent = _output(model, dataset.X, model.bottleneck_index() + 1)
     names = tuple(f"f{i + 1}" for i in range(latent.shape[1]))

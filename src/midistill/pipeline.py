@@ -316,6 +316,12 @@ def run_rrw(config: PipelineConfig) -> dict:
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"fs report {config.fs_report} lacks the traces or rankings "
                           f"of its final suite ({exc!r})") from None
+    for alg, ranked in entries.items():
+        seen = set()
+        for name, _ in ranked:
+            if name in seen:  # rrw_scores would count its score twice
+                raise ConfigError(f"fs report ranking of {alg} names feature {name!r} twice")
+            seen.add(name)
     _make_out_dir(config)
     normalized, sp = _load(config)
 

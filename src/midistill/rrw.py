@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset, folds
-from .errors import ConfigError, DataError, EmptyInput, FeatureSetMismatch, MissingWeight
+from .errors import ConfigError, DataError
 from .metrics import compute_metrics
 from .neural import gate_predict, gate_train
 
@@ -54,11 +54,11 @@ def rrw_scores(rankings) -> RRwWeights:
     """
     rankings = list(rankings)
     if not rankings:
-        raise EmptyInput("no rankings")
+        raise DataError("no rankings")
     reference = set(rankings[0][0].features)
     for ranking, avg_f1 in rankings:
         if set(ranking.features) != reference:
-            raise FeatureSetMismatch("rankings cover different feature sets")
+            raise DataError("rankings cover different feature sets")
         if not 0.0 < avg_f1 <= 1.0:
             raise DataError(f"avg_f1 {avg_f1} outside (0, 1]")
 
@@ -88,7 +88,7 @@ def apply_weights(dataset: Dataset, w: RRwWeights) -> Dataset:
     try:
         scale = np.array([w.weights[name] for name in dataset.feature_names])
     except KeyError as exc:
-        raise MissingWeight(exc.args[0]) from None
+        raise DataError(f"no weight for feature {exc.args[0]!r}") from None
     meta = dict(dataset.meta)
     meta["rrw_weights"] = {k: float(v) for k, v in w.weights.items()}
     return Dataset(dataset.feature_names, dataset.X * scale, dataset.labels, meta)

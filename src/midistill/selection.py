@@ -14,7 +14,7 @@ from .dataset import (
     folds as row_folds,
     inject_random_features,
 )
-from .errors import DataError, FeatureSetMismatch
+from .errors import DataError
 from .infotheory import BinningConfig
 from .metrics import ClassifierMetrics, compute_metrics
 from .neural import gate_predict, gate_train
@@ -112,7 +112,7 @@ def average_fold_ranks(rankings: list[FeatureRanking]) -> dict:
     sums: dict[str, float] = {name: 0.0 for name in reference}
     for ranking in rankings:
         if set(ranking.features) != reference:
-            raise FeatureSetMismatch("rankings cover different feature sets")
+            raise DataError("rankings cover different feature sets")
         for pos, name in enumerate(ranking.features, start=1):
             sums[name] += pos
     return {name: total / len(rankings) for name, total in sums.items()}

@@ -22,11 +22,11 @@ import numpy as np
 
 from midistill import dataset as ds
 from midistill.errors import (
+    DataError,
     DivergenceDetected,
-    MalformedHeader,
     NonBinaryLabel,
     NonNumericValue,
-    SingleClassData,
+    TrainingError,
 )
 from midistill.neural import (
     GATE_EPOCHS,
@@ -131,7 +131,7 @@ def reference_gate_train(learn, lam=GATE_LAMBDA, epochs=GATE_EPOCHS, step=GATE_S
     loss from zero, one ``hinge_loss_and_grads`` call per epoch."""
     y = learn.labels
     if len(np.unique(y)) < 2:
-        raise SingleClassData("gate training needs both classes")
+        raise TrainingError("gate training needs both classes")
     model = gate_new(learn.n_features)
     X = learn.X
     for epoch in range(epochs):
@@ -147,17 +147,17 @@ def reference_load_csv(path, label_column):
     """(names, X, labels, source_sha256) by a ``csv.reader`` and ``float()``
     for every cell, raising what the package's ``load_csv`` raises."""
     if not os.path.exists(path):
-        raise FileNotFoundError(path)
+        raise DataError(f"input {path} does not exist")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
-            raise MalformedHeader("empty file") from None
+            raise DataError("empty file") from None
         if len(header) != len(set(header)) or any(not h.strip() for h in header):
-            raise MalformedHeader("duplicate or blank column names")
+            raise DataError("duplicate or blank column names")
         if label_column not in header:
-            raise MalformedHeader(f"label column {label_column!r} not in header")
+            raise DataError(f"label column {label_column!r} not in header")
         label_pos = header.index(label_column)
         names = [h for i, h in enumerate(header) if i != label_pos]
 

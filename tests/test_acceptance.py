@@ -9,11 +9,15 @@ always run. Each test prints one "criterion N: PASS/FAIL" line.
 
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import midistill
 from midistill.dataset import load_csv, split, write_csv
 from midistill.infotheory import (
     BinningConfig,
@@ -317,3 +321,52 @@ def test_criterion_11_determinism(tmp_path):
     ok = all(stable)
     note(11, ok, f"stable reports: {sum(stable)}/4")
     assert ok
+
+
+# one elimination path at a size where the gate's weights depend on the BLAS
+# thread count (20000x33; at 10000x33 they do not): its trace digest, and
+# the digest of the full-set gate's weights
+BLAS_CHILD = """
+import hashlib, json
+from conftest import planted_dataset
+from midistill.dataset import apply_minmax, fit_minmax, split
+from midistill.infotheory import BinningConfig
+from midistill.neural import gate_train
+from midistill.selection import LearnRows, backward_eliminate
+
+data = planted_dataset(6, 27, 20000, seed=3)
+sp = split(data, 0)
+data = apply_minmax(data, fit_minmax(data, sp.learn_idx))
+gate = gate_train(data.take(sp.learn_idx))
+trace = backward_eliminate(LearnRows(data, sp, BinningConfig()), "mRMR", 0.0)
+print(json.dumps({
+    "weights": hashlib.sha256(gate.weights[0].tobytes() + gate.biases[0].tobytes()).hexdigest(),
+    "trace": hashlib.sha256(json.dumps(trace.to_json(), sort_keys=True).encode()).hexdigest(),
+}))
+"""
+
+
+def _blas_child(threads: int) -> dict:
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+           "PYTHONPATH": os.pathsep.join([str(Path(midistill.__file__).parents[1]),
+                                          str(Path(__file__).parent)])}
+    done = subprocess.run([sys.executable, "-c", BLAS_CHILD], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_criterion_11_determinism_across_blas_threads():
+    """The same elimination in two processes, at 1 and at 2 OpenBLAS
+    threads: the trace is byte-identical although the gate's weights are
+    not.  Only 1 against 2 threads is checked, which any host with 2 cores
+    can run; the contract's scope is one BLAS build on one CPU."""
+    if (os.cpu_count() or 1) < 2:
+        pytest.skip("needs at least 2 cores to run OpenBLAS on 2 threads")
+    one, two = _blas_child(1), _blas_child(2)
+    ok = one["trace"] == two["trace"]
+    note(11, ok, f"trace at 1 and 2 BLAS threads: {one['trace'][:8]}, {two['trace'][:8]}")
+    assert ok
+    if one["weights"] == two["weights"]:
+        pytest.skip("the gate's weights are the same at 1 and 2 BLAS threads on this "
+                    "BLAS build, so the threads changed no reduction the trace could show")

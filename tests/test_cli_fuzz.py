@@ -4,10 +4,11 @@ Every run exits 0, 1, 2 or 3, and raises no warning.  A nonzero exit
 prints exactly one stderr line, starting with the prefix of its error
 family, and no traceback, and adds nothing to ``--out``.  The inputs are
 bad or edge flag values, malformed and edge-case CSVs, truncated, foreign,
-non-object or mistyped fs reports, one whose scores span more than the
-float range, and, on the output side, directories that already exist at
-artifact paths or at ``<name>.tmp``, which no run writes.  Runs are
-in-process and desk scale: at most 40 rows, 64 bins, 50 folds and 2 epochs.
+non-object or mistyped fs reports, one whose ranking names a feature twice,
+one whose scores span more than the float range, and, on the output side,
+directories that already exist at artifact paths or at ``<name>.tmp``, which
+no run writes.  Runs are in-process and desk scale: at most 40 rows, 64 bins,
+50 folds and 2 epochs.
 """
 
 import contextlib
@@ -38,7 +39,8 @@ FS_REPORT = {
                                       {"feature": "f1", "score": 0.25}]}},
 }
 
-# one field of FS_REPORT, by its path, set to a value of the wrong type
+# one field of FS_REPORT, by its path, set to a value of the wrong type, or
+# (the last) a ranking entry set to a feature the ranking already names
 MISTYPED = (
     (("rankings", "mRMR", "entries", 0, "score"), "x"),
     (("rankings", "mRMR", "entries", 1, "feature"), 7),
@@ -48,6 +50,7 @@ MISTYPED = (
     (("rankings", "mRMR", "entries", 0, "score"), 10**400),
     (("rankings", "mRMR", "entries", 0, "score"), float("nan")),
     (("rankings", "mRMR", "entries", 0, "score"), float("inf")),
+    (("rankings", "mRMR", "entries", 1, "feature"), "f0"),
 )
 
 # finite scores whose spread is past the float range
@@ -177,6 +180,7 @@ BLOCKED = st.lists(st.tuples(st.sampled_from(ARTIFACTS), st.sampled_from(["", ".
 @example(mode="rrw", data=CLEAN_CSV, report=_mistyped(*MISTYPED[5]), flags={}, blocked=[])
 @example(mode="rrw", data=CLEAN_CSV, report=_mistyped(*MISTYPED[6]), flags={}, blocked=[])
 @example(mode="rrw", data=CLEAN_CSV, report=_mistyped(*MISTYPED[7]), flags={}, blocked=[])
+@example(mode="rrw", data=CLEAN_CSV, report=_mistyped(*MISTYPED[8]), flags={}, blocked=[])
 @example(mode="rrw", data=CLEAN_CSV, report=WIDE_SCORES, flags={}, blocked=[])
 @example(mode="fs", data=CLEAN_CSV, report=None, flags={}, blocked=["fs_report.json"])
 @example(mode="fs", data=CLEAN_CSV, report=None, flags={}, blocked=["fs_report.json.tmp"])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from midistill.errors import EmptyColumn, LengthMismatch
+from midistill.errors import DataError
 from midistill.infotheory import (
     BinningConfig,
     DiscreteColumn,
@@ -51,7 +51,7 @@ class TestDiscretize:
         assert col.k <= 10
 
     def test_empty_column(self):
-        with pytest.raises(EmptyColumn):
+        with pytest.raises(DataError, match="^column <anonymous> is empty$"):
             discretize([], EW)
 
 
@@ -95,7 +95,7 @@ class TestJointEntropy:
         assert joint_entropy(dc([0, 0, 0, 0], k=1), y) == pytest.approx(entropy(y), abs=1e-12)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DataError, match="^columns differ in length: 2 vs 3$"):
             joint_entropy(dc([0, 1]), dc([0, 1, 0]))
 
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from midistill.errors import EmptyInput, LengthMismatch
+from midistill.errors import DataError
 from midistill.metrics import compute_metrics
 
 
@@ -39,9 +39,9 @@ class TestComputeMetrics:
         assert m.tnr == 1.0
 
     def test_length_mismatch_and_empty(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DataError, match=r"^shapes differ: predictions \(1,\), labels \(2,\)$"):
             compute_metrics([1], [1, 0])
-        with pytest.raises(EmptyInput):
+        with pytest.raises(DataError, match="^no predictions$"):
             compute_metrics([], [])
 
     def test_passes_gate(self):

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from midistill.dataset import split
-from midistill.errors import (
-    DimensionMismatch,
-    DivergenceDetected,
-    InvalidBottleneck,
-    SingleClassData,
-)
+from midistill.errors import ConfigError, DivergenceDetected, TrainingError
 from midistill.neural import (
     ae_encode,
     ae_new,
@@ -67,7 +62,7 @@ class TestGate:
 
     def test_single_class_error(self):
         data = make_dataset({"x": [0.0, 1.0, 2.0]}, [1, 1, 1])
-        with pytest.raises(SingleClassData):
+        with pytest.raises(TrainingError, match="^gate training needs both classes$"):
             gate_train(data)
 
     def test_random_labels_near_majority_rate(self):
@@ -143,7 +138,7 @@ class TestGateMatchesReference:
     def test_single_class(self):
         data = make_dataset({"x": [0.1, 0.5, 0.9]}, [0, 0, 0])
         for train in (gate_train, reference_gate_train):
-            with pytest.raises(SingleClassData):
+            with pytest.raises(TrainingError, match="^gate training needs both classes$"):
                 train(data)
 
     def test_divergence_at_the_same_epoch(self):
@@ -224,7 +219,7 @@ class TestMlp:
     def test_dimension_mismatch(self, rng):
         model = mlp_new(3, 0)
         data = make_dataset({"a": rng.random(12)}, rng.integers(0, 2, 12))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(TrainingError, match="^model expects 3 features, got 1$"):
             mlp_train(model, data, data)
 
     def test_bce_gradient_check(self, rng):
@@ -244,9 +239,9 @@ class TestAutoencoder:
         assert ae_new(4, 2, 0).layer_dims == [4, 3, 2, 3, 4]
 
     def test_invalid_bottleneck(self):
-        with pytest.raises(InvalidBottleneck):
+        with pytest.raises(ConfigError, match=r"^bottleneck 8 not in \[1, input_dim 8\)$"):
             ae_new(8, 8, 0)
-        with pytest.raises(InvalidBottleneck):
+        with pytest.raises(ConfigError, match=r"^bottleneck 0 not in \[1, input_dim 8\)$"):
             ae_new(8, 0, 0)
 
     def test_constant_dataset_converges(self):
@@ -327,7 +322,7 @@ class TestAutoencoder:
                                   rng.integers(0, 2, 20))
         model = ae_new(4, 2, 0)
         before = [W.copy() for W in model.weights]
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(TrainingError, match="^model expects 4 features, got 3$"):
             ae_train(model, learn, validation, epochs=1)
         assert all((W == W0).all() for W, W0 in zip(model.weights, before))
 

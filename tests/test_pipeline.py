@@ -319,10 +319,12 @@ class TestCli:
                          "--out", str(tmp_path)])
         assert code == 1
 
-    def test_missing_input_exit_2(self, tmp_path):
+    def test_missing_input_exit_2(self, tmp_path, capsys):
         code = cli_main(["evaluate", "--input", str(tmp_path / "nope.csv"),
                          "--out", str(tmp_path)])
+        err = capsys.readouterr().err
         assert code == 2
+        assert err == f"data error: [stage load] input {tmp_path / 'nope.csv'} does not exist\n"
 
     def test_training_error_exit_3(self, tmp_path, rng):
         # single-class labels survive loading but break the elimination gate
@@ -466,6 +468,16 @@ class TestCliExitCodes:
         name = [key for key in report_field if isinstance(key, str)][-1]
         assert f"{name!r} has the wrong type" in err
 
+    def test_ranking_names_a_feature_twice(self, fs_run, planted_csv, tmp_path, capsys):
+        # rrw_scores compares only feature sets, so the twice-named
+        # feature's score would count twice
+        doc = json.loads(json.dumps(fs_run[0]))
+        entries = doc["rankings"]["mRMR"]["entries"]
+        twice = entries[0]["feature"]
+        entries[-1]["feature"] = twice
+        err = self._config_error(capsys, self._rrw(planted_csv, tmp_path, json.dumps(doc)))
+        assert f"ranking of mRMR names feature {twice!r} twice" in err
+
     def test_scores_span_past_float_range(self, fs_run, planted_csv, tmp_path, capsys):
         # each score is finite, but their spread is not: min-max mapping them
         # used to print numpy overflow warnings and fail in apply_weights
@@ -583,6 +595,35 @@ class TestCliExitCodes:
         assert err.startswith("data error: ")
         assert "not a regular file" in err
         assert err.count("\n") == 1
+
+    def _data_error(self, capsys, argv, stage):
+        code = cli_main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("data error: ")
+        assert err.count("\n") == 1
+        _names_one_stage(err, stage)
+        return err
+
+    def test_input_lacks_an_optimized_feature(self, fs_run, tmp_path, capsys):
+        fs_report, fs_out = fs_run
+        lost = fs_report["optimized_features"][0]
+        data = planted_dataset(5, 0, 500, seed=3)
+        path = tmp_path / "fewer.csv"
+        write_csv(data.select_features([n for n in data.feature_names if n != lost]), path,
+                  "label")
+        err = self._data_error(capsys, ["rrw", "--input", str(path), "--fs-report",
+                                        str(fs_out / "fs_report.json"),
+                                        "--out", str(tmp_path / "out")], "avg_f1_cv[mRMR]")
+        assert err.endswith(f"] features not in the table: {lost}\n")
+
+    def test_input_has_a_reserved_name(self, tmp_path, capsys):
+        data = planted_dataset(3, 0, 100, seed=3)
+        path = tmp_path / "reserved.csv"
+        write_csv(Dataset(("a", "__rand1", "b"), data.X, data.labels), path, "label")
+        err = self._data_error(capsys, ["fs", "--input", str(path),
+                                        "--out", str(tmp_path / "out")], "tampering_audit")
+        assert err.endswith("] feature name '__rand1' is reserved for the tampering audit\n")
 
 
 class TestEmptyFinalSuite:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from midistill.errors import DataError, EmptyInput, FeatureSetMismatch, MissingWeight
+from midistill.errors import DataError
 from midistill.neural import forward, mlp_new, mlp_train
 from midistill.ranking import FeatureRanking
 from midistill.rrw import RRwWeights, apply_weights, avg_f1_cv, rrw_scores
@@ -80,12 +80,12 @@ class TestRRwScores:
         assert by_raw == by_weight
 
     def test_errors(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(DataError, match="^no rankings$"):
             rrw_scores([])
-        with pytest.raises(FeatureSetMismatch):
+        with pytest.raises(DataError, match="^rankings cover different feature sets$"):
             rrw_scores([(ranking("mRMR", {"A": 1.0}), 1.0),
                         (ranking("MIFS", {"B": 1.0}), 1.0)])
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match=r"^avg_f1 0\.0 outside \(0, 1\]$"):
             rrw_scores([(ranking("mRMR", {"A": 1.0}), 0.0)])
 
 
@@ -108,7 +108,7 @@ class TestApplyWeights:
 
     def test_missing_weight(self, rng):
         data = make_dataset({"a": rng.random(5)}, [0, 1, 0, 1, 0])
-        with pytest.raises(MissingWeight):
+        with pytest.raises(DataError, match="^no weight for feature 'a'$"):
             apply_weights(data, self.weights({"b": 1.0}))
 
     def test_composition_equals_product(self, rng):

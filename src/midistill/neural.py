@@ -6,6 +6,7 @@ products run on as many threads as the BLAS library uses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,25 +64,30 @@ class TrainingCurve:
 
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
+    """Apply the activation to ``z`` in place and return it."""
     if kind == "relu":
-        return np.maximum(z, 0.0)
-    if kind == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
-    if kind == "linear":
-        return z
-    raise ValueError(f"unknown activation {kind!r}")
+        np.maximum(z, 0.0, out=z)
+    elif kind == "sigmoid":
+        # 1 / (1 + exp(-z)), one operation at a time
+        np.negative(z, out=z)
+        np.exp(z, out=z)
+        np.add(1.0, z, out=z)
+        np.divide(1.0, z, out=z)
+    elif kind != "linear":
+        raise ValueError(f"unknown activation {kind!r}")
+    return z
+
+
+def _as_input(model: NeuralModel, X: np.ndarray) -> np.ndarray:
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if X.shape[1] != model.input_dim:
+        raise TrainingError(f"expected {model.input_dim} inputs, got {X.shape[1]}")
+    return X
 
 
 def forward(model: NeuralModel, X: np.ndarray) -> list[np.ndarray]:
     """All layer outputs, input first; result[-1] is the network output."""
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[1] != model.input_dim:
-        raise TrainingError(f"expected {model.input_dim} inputs, got {X.shape[1]}")
-    return _layer_outputs(model, X)
-
-
-def _layer_outputs(model: NeuralModel, X: np.ndarray) -> list[np.ndarray]:
-    outs = [X]
+    outs = [_as_input(model, X)]
     for W, b, act in zip(model.weights, model.biases, model.activations):
         outs.append(_activate(outs[-1] @ W + b, act))
     return outs
@@ -185,92 +191,162 @@ def mlp_new(f: int, seed: int) -> NeuralModel:
     return NeuralModel("mlp", dims, ["relu", "relu", "sigmoid"], weights, biases, seed)
 
 
+def _targets(loss_kind: str, X: np.ndarray, labels: np.ndarray) -> tuple:
+    """What the loss compares the output with: for 'mse' the input X, for
+    'bce' the label column y and the factors -y and 1 - y of its terms."""
+    if loss_kind == "mse":
+        return (X,)
+    y = np.asarray(labels, dtype=np.float64).reshape(-1, 1)
+    return y, -y, 1.0 - y
+
+
+def _loss(loss_kind: str, out: np.ndarray, targets: tuple, residual: np.ndarray,
+          scratch: np.ndarray) -> float:
+    """Mean loss of the network output ``out``; ``out - y`` is left in
+    ``residual``.  ``targets`` comes from ``_targets``."""
+    if loss_kind == "bce":
+        y, neg_y, one_minus_y = targets
+        # np.clip(out, 1e-12, 1 - 1e-12): the same selections, without
+        # np.clip's Python-level argument handling
+        p = np.minimum(np.maximum(out, 1e-12, out=scratch), 1.0 - 1e-12, out=scratch)
+        np.multiply(neg_y, np.log(p, out=residual), out=residual)
+        np.subtract(1.0, p, out=p)
+        np.multiply(one_minus_y, np.log(p, out=p), out=p)
+        terms = np.subtract(residual, p, out=p)
+        np.subtract(out, y, out=residual)
+    elif loss_kind == "mse":
+        np.subtract(out, targets[0], out=residual)
+        terms = np.multiply(residual, residual, out=scratch)
+    else:
+        raise ValueError(f"unknown loss {loss_kind!r}")
+    return float(np.add.reduce(terms, axis=None) / terms.size)
+
+
+class _SGDStep:
+    """Loss and gradient of a relu network with a sigmoid output, one batch
+    at a time, in a fixed sequence of numpy calls that write into buffers.
+
+    The weights and biases are views into one flat ``theta`` and their
+    gradients views into one flat ``grad``, so an update is two calls.
+    Products are ``np.dot`` with ``out=``, the ``cblas_dgemm`` call of
+    ``@`` at less dispatch cost.  Layer outputs and deltas live in buffers
+    allocated once per batch size.  Each operation and its order is that
+    of the reference loop in ``tests/oracles.py``, so training gives the
+    same bits."""
+
+    def __init__(self, model: NeuralModel, loss_kind: str):
+        *hidden, last = model.activations
+        if last != "sigmoid" or any(act != "relu" for act in hidden):
+            raise TrainingError(f"SGD trains relu layers under a sigmoid output, "
+                                f"not {model.activations}")
+        self.loss_kind = loss_kind
+        self.activations = model.activations
+        self.dims = model.layer_dims
+        self.theta = np.concatenate(
+            [p.ravel() for W, b in zip(model.weights, model.biases) for p in (W, b)])
+        self.grad = np.empty_like(self.theta)
+        self.weights, self.biases = self._layers(self.theta)
+        self.dW, self.db = self._layers(self.grad)
+        self._buffers: dict[int, tuple] = {}
+
+    def _layers(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        Ws, bs, at = [], [], 0
+        for fan_in, fan_out in zip(self.dims[:-1], self.dims[1:]):
+            Ws.append(flat[at:at + fan_in * fan_out].reshape(fan_in, fan_out))
+            at += fan_in * fan_out
+            bs.append(flat[at:at + fan_out])
+            at += fan_out
+        return Ws, bs
+
+    def backward(self, xb: np.ndarray, targets: tuple) -> float:
+        """The loss of one batch; its gradient is left in ``grad``."""
+        m = xb.shape[0]
+        if m not in self._buffers:
+            widths = self.dims[1:]
+            self._buffers[m] = ([np.empty((m, d)) for d in widths],
+                                [np.empty((m, d)) for d in widths],
+                                np.empty((m, widths[-1])))
+        outs, deltas, scratch = self._buffers[m]
+        a = xb
+        for W, b, act, z in zip(self.weights, self.biases, self.activations, outs):
+            np.dot(a, W, out=z)
+            np.add(z, b, out=z)
+            a = _activate(z, act)
+        out, delta = outs[-1], deltas[-1]
+        loss = _loss(self.loss_kind, out, targets, delta, scratch)
+        # delta becomes the gradient w.r.t. the output layer's pre-activation
+        if self.loss_kind == "bce":
+            np.divide(delta, m, out=delta)
+        else:
+            np.multiply(2.0, delta, out=delta)
+            np.divide(delta, delta.size, out=delta)
+            np.multiply(delta, out, out=delta)
+            np.multiply(delta, np.subtract(1.0, out, out=scratch), out=delta)
+        for layer in range(len(outs) - 1, -1, -1):
+            delta = deltas[layer]
+            if layer < len(outs) - 1:
+                # relu'(z) as 1.0 or 0.0, written over this layer's output,
+                # which the layer above has already used
+                np.multiply(delta, np.greater(outs[layer], 0.0, out=outs[layer]), out=delta)
+            np.dot((outs[layer - 1] if layer else xb).T, delta, out=self.dW[layer])
+            np.add.reduce(delta, axis=0, out=self.db[layer])
+            if layer:
+                np.dot(delta, self.weights[layer].T, out=deltas[layer - 1])
+        return loss
+
+
 def loss_and_gradients(model: NeuralModel, X: np.ndarray, target: np.ndarray,
                        loss_kind: str):
-    """Loss plus per-layer parameter gradients via backpropagation.
+    """Loss plus per-layer parameter gradients: one backward pass of the
+    SGD step, on X as one batch.
 
     loss_kind 'bce' expects a 0/1 target vector against a sigmoid output;
     'mse' expects a target matrix shaped like the output.
     """
-    return _backprop(model, forward(model, X), target, loss_kind)
-
-
-def _loss(out: np.ndarray, target: np.ndarray, loss_kind: str):
-    """Mean loss of the network output and its residual ``out - target``."""
-    if loss_kind == "bce":
-        y = np.asarray(target, dtype=np.float64).reshape(-1, 1)
-        p = np.clip(out, 1e-12, 1.0 - 1e-12)
-        terms = -y * np.log(p) - (1.0 - y) * np.log(1.0 - p)
-        return float(terms.sum() / terms.size), out - y
-    if loss_kind == "mse":
-        diff = out - np.asarray(target, dtype=np.float64)
-        squares = diff ** 2
-        return float(squares.sum() / squares.size), diff
-    raise ValueError(f"unknown loss {loss_kind!r}")
-
-
-def _backprop(model: NeuralModel, outs: list[np.ndarray], target: np.ndarray,
-              loss_kind: str):
-    out = outs[-1]
-    loss, residual = _loss(out, target, loss_kind)
-    # delta is the gradient w.r.t. the output layer's pre-activation
-    if loss_kind == "bce":
-        delta = residual / out.shape[0]
-    else:
-        delta = 2.0 * residual / residual.size
-        if model.activations[-1] == "sigmoid":
-            delta = delta * out * (1.0 - out)
-
-    dWs = [None] * len(model.weights)
-    dbs = [None] * len(model.biases)
-    for layer in range(len(model.weights) - 1, -1, -1):
-        a_cur = outs[layer + 1]
-        if layer < len(model.weights) - 1:
-            act = model.activations[layer]
-            if act == "relu":
-                delta = delta * (a_cur > 0.0)
-            elif act == "sigmoid":
-                delta = delta * a_cur * (1.0 - a_cur)
-        dWs[layer] = outs[layer].T @ delta
-        dbs[layer] = delta.sum(axis=0)
-        if layer > 0:
-            delta = delta @ model.weights[layer].T
-    return loss, dWs, dbs
+    step = _SGDStep(model, loss_kind)
+    targets = _targets(loss_kind, np.asarray(target, dtype=np.float64), target)
+    loss = step.backward(_as_input(model, X), targets)
+    return loss, step.dW, step.db
 
 
 def _sgd_train(model: NeuralModel, learn: Dataset, validation: Dataset, loss_kind: str,
                epochs: int, batch: int, step: float) -> TrainingCurve:
     """Seeded mini-batch SGD.  'mse' reconstructs the input (autoencoder),
-    'bce' fits the labels."""
+    'bce' fits the labels.  The model's weights and biases become views of
+    the step's parameter vector, so they follow every update."""
     for data in (learn, validation):
         if data.n_features != model.input_dim:
             raise TrainingError(
                 f"model expects {model.input_dim} features, got {data.n_features}")
-    X, Xval = learn.X, validation.X
-    target, val_target = (X, Xval) if loss_kind == "mse" else (learn.labels, validation.labels)
+    sgd = _SGDStep(model, loss_kind)
+    model.weights, model.biases = sgd.weights, sgd.biases
+    scaled = np.empty_like(sgd.theta)
+    val_targets = _targets(loss_kind, validation.X, validation.labels)
     rng = np.random.default_rng(model.seed)
-    n = X.shape[0]
+    n = learn.n_samples
     curve = TrainingCurve()
-    for epoch in range(epochs):
-        order = rng.permutation(n)
-        seen, acc = 0, 0.0
-        for start in range(0, n, batch):
-            rows = order[start:start + batch]
-            xb = X[rows]
-            tb = xb if target is X else target[rows]
-            loss, dWs, dbs = _backprop(model, _layer_outputs(model, xb), tb, loss_kind)
-            if not np.isfinite(loss):
+    # a diverging run overflows on its way to the non-finite loss that
+    # raises DivergenceDetected; the warnings would only repeat that
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(epochs):
+            order = rng.permutation(n)
+            X = learn.X[order]
+            targets = _targets(loss_kind, X, learn.labels[order])
+            acc = 0.0
+            for start in range(0, n, batch):
+                rows = slice(start, start + batch)
+                xb = X[rows]
+                loss = sgd.backward(xb, tuple(t[rows] for t in targets))
+                if not math.isfinite(loss):
+                    raise DivergenceDetected(epoch + 1)
+                np.subtract(sgd.theta, np.multiply(step, sgd.grad, out=scaled), out=sgd.theta)
+                acc += loss * xb.shape[0]
+            train_loss = acc / n
+            out = _output(model, validation.X)
+            val_loss = _loss(loss_kind, out, val_targets, np.empty_like(out), np.empty_like(out))
+            if not math.isfinite(val_loss):
                 raise DivergenceDetected(epoch + 1)
-            for i in range(len(model.weights)):
-                model.weights[i] = model.weights[i] - step * dWs[i]
-                model.biases[i] = model.biases[i] - step * dbs[i]
-            acc += loss * len(rows)
-            seen += len(rows)
-        train_loss = acc / seen
-        val_loss, _ = _loss(_output(model, Xval), val_target, loss_kind)
-        if not np.isfinite(val_loss):
-            raise DivergenceDetected(epoch + 1)
-        curve.epochs.append((train_loss, val_loss))
+            curve.epochs.append((train_loss, val_loss))
     return curve
 
 

@@ -4,11 +4,12 @@ Deliberately naive: plain-Python counting over value tuples, no shared code
 with the package's estimators or the greedy ranking engine.  The CSV
 references are the package's original one-cell-at-a-time parse and its
 original ``repr``-per-cell writer, and the gate reference the package's
-original training loop.  The exceptions are the elimination path's per-step
-definition, which ranks with the package's engine (that engine is checked
-against the brute force above), and the gate reference, which steps along
-``hinge_loss_and_grads``, the gradient that criterion 8 checks against
-finite differences.
+original training loop, and the SGD reference the package's original
+mini-batch loop with its own forward pass, losses and backpropagation.  The
+exceptions are the elimination path's per-step definition, which ranks with
+the package's engine (that engine is checked against the brute force
+above), and the gate reference, which steps along ``hinge_loss_and_grads``,
+the gradient that criterion 8 checks against finite differences.
 """
 
 import csv
@@ -32,6 +33,7 @@ from midistill.neural import (
     GATE_EPOCHS,
     GATE_LAMBDA,
     GATE_STEP,
+    TrainingCurve,
     gate_new,
     hinge_loss_and_grads,
 )
@@ -141,6 +143,104 @@ def reference_gate_train(learn, lam=GATE_LAMBDA, epochs=GATE_EPOCHS, step=GATE_S
         model.weights[0] = model.weights[0] - step * dWs[0]
         model.biases[0] = model.biases[0] - step * dbs[0]
     return model
+
+
+def _reference_activate(z, kind):
+    if kind == "relu":
+        return np.maximum(z, 0.0)
+    if kind == "sigmoid":
+        return 1.0 / (1.0 + np.exp(-z))
+    if kind == "linear":
+        return z
+    raise ValueError(f"unknown activation {kind!r}")
+
+
+def _reference_layer_outputs(model, X):
+    outs = [X]
+    for W, b, act in zip(model.weights, model.biases, model.activations):
+        outs.append(_reference_activate(outs[-1] @ W + b, act))
+    return outs
+
+
+def _reference_loss(out, target, loss_kind):
+    """Mean loss of the network output and its residual ``out - target``."""
+    if loss_kind == "bce":
+        y = np.asarray(target, dtype=np.float64).reshape(-1, 1)
+        p = np.clip(out, 1e-12, 1.0 - 1e-12)
+        terms = -y * np.log(p) - (1.0 - y) * np.log(1.0 - p)
+        return float(terms.sum() / terms.size), out - y
+    if loss_kind == "mse":
+        diff = out - np.asarray(target, dtype=np.float64)
+        squares = diff ** 2
+        return float(squares.sum() / squares.size), diff
+    raise ValueError(f"unknown loss {loss_kind!r}")
+
+
+def _reference_backprop(model, outs, target, loss_kind):
+    out = outs[-1]
+    loss, residual = _reference_loss(out, target, loss_kind)
+    # delta is the gradient w.r.t. the output layer's pre-activation
+    if loss_kind == "bce":
+        delta = residual / out.shape[0]
+    else:
+        delta = 2.0 * residual / residual.size
+        if model.activations[-1] == "sigmoid":
+            delta = delta * out * (1.0 - out)
+
+    dWs = [None] * len(model.weights)
+    dbs = [None] * len(model.biases)
+    for layer in range(len(model.weights) - 1, -1, -1):
+        a_cur = outs[layer + 1]
+        if layer < len(model.weights) - 1:
+            act = model.activations[layer]
+            if act == "relu":
+                delta = delta * (a_cur > 0.0)
+            elif act == "sigmoid":
+                delta = delta * a_cur * (1.0 - a_cur)
+        dWs[layer] = outs[layer].T @ delta
+        dbs[layer] = delta.sum(axis=0)
+        if layer > 0:
+            delta = delta @ model.weights[layer].T
+    return loss, dWs, dbs
+
+
+def reference_sgd_train(model, learn, validation, loss_kind, epochs, batch, step):
+    """Seeded mini-batch SGD by the original loop: one fancy-index gather,
+    one allocating forward and backward pass and one update per parameter
+    array at every step.  'mse' reconstructs the input, 'bce' fits the
+    labels."""
+    for data in (learn, validation):
+        if data.n_features != model.input_dim:
+            raise TrainingError(
+                f"model expects {model.input_dim} features, got {data.n_features}")
+    X, Xval = learn.X, validation.X
+    target, val_target = (X, Xval) if loss_kind == "mse" else (learn.labels, validation.labels)
+    rng = np.random.default_rng(model.seed)
+    n = X.shape[0]
+    curve = TrainingCurve()
+    for epoch in range(epochs):
+        order = rng.permutation(n)
+        seen, acc = 0, 0.0
+        for start in range(0, n, batch):
+            rows = order[start:start + batch]
+            xb = X[rows]
+            tb = xb if target is X else target[rows]
+            loss, dWs, dbs = _reference_backprop(
+                model, _reference_layer_outputs(model, xb), tb, loss_kind)
+            if not np.isfinite(loss):
+                raise DivergenceDetected(epoch + 1)
+            for i in range(len(model.weights)):
+                model.weights[i] = model.weights[i] - step * dWs[i]
+                model.biases[i] = model.biases[i] - step * dbs[i]
+            acc += loss * len(rows)
+            seen += len(rows)
+        train_loss = acc / seen
+        val_loss, _ = _reference_loss(
+            _reference_layer_outputs(model, Xval)[-1], val_target, loss_kind)
+        if not np.isfinite(val_loss):
+            raise DivergenceDetected(epoch + 1)
+        curve.epochs.append((train_loss, val_loss))
+    return curve
 
 
 def reference_load_csv(path, label_column):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from midistill.dataset import split
 from midistill.errors import ConfigError, DivergenceDetected, TrainingError
@@ -19,7 +21,7 @@ from midistill.neural import (
 )
 
 from conftest import make_dataset, planted_dataset
-from oracles import reference_gate_train
+from oracles import reference_gate_train, reference_sgd_train
 
 
 def finite_diff_param_grads(loss_fn, model, h=1e-5):
@@ -152,6 +154,69 @@ class TestGateMatchesReference:
                     train(data)
             epochs.append(exc.value.epoch)
         assert epochs[0] == epochs[1] > 0
+
+
+class TestSgdMatchesReference:
+    """SGD against the original loop of ``tests/oracles.py``: every
+    operation and its order are the same, so weights, biases and curves
+    must be equal bit for bit."""
+
+    @staticmethod
+    def tables(f, n, n_val, seed, scale=None):
+        rng = np.random.default_rng(seed)
+        X = rng.random((n + n_val, f))
+        if scale is not None:
+            X = X * scale
+        data = make_dataset({f"f{i}": X[:, i] for i in range(f)},
+                            rng.integers(0, 2, n + n_val))
+        return data.take(np.arange(n)), data.take(np.arange(n, n + n_val))
+
+    @staticmethod
+    def models(kind, f, bottleneck, seed):
+        if kind == "bce":
+            return mlp_new(f, seed), mlp_new(f, seed)
+        return ae_new(f, bottleneck, seed), ae_new(f, bottleneck, seed)
+
+    @staticmethod
+    def train(kind, model, learn, validation, epochs, batch):
+        train = mlp_train if kind == "bce" else ae_train
+        return train(model, learn, validation, epochs=epochs, batch=batch, step=0.05)
+
+    @settings(max_examples=100, deadline=None)
+    @given(kind=st.sampled_from(["bce", "mse"]), f=st.integers(2, 12),
+           bottleneck_frac=st.floats(0.0, 1.0), n=st.integers(1, 40),
+           n_val=st.integers(1, 12), batch=st.integers(1, 50), epochs=st.integers(0, 3),
+           seed=st.integers(0, 2**32 - 1))
+    @example(kind="mse", f=5, bottleneck_frac=0.0, n=23, n_val=4, batch=1, epochs=2, seed=1)
+    @example(kind="bce", f=3, bottleneck_frac=0.0, n=7, n_val=5, batch=10, epochs=2, seed=2)
+    @example(kind="mse", f=9, bottleneck_frac=0.5, n=37, n_val=6, batch=10, epochs=3, seed=3)
+    @example(kind="bce", f=4, bottleneck_frac=0.0, n=37, n_val=6, batch=10, epochs=0, seed=4)
+    def test_same_bits(self, kind, f, bottleneck_frac, n, n_val, batch, epochs, seed):
+        # batch 1, batch above n, a partial last batch and zero epochs are
+        # pinned by the examples
+        bottleneck = 1 + int(bottleneck_frac * (f - 2))
+        learn, validation = self.tables(f, n, n_val, seed)
+        model, ref = self.models(kind, f, bottleneck, seed % 1000)
+        curve = self.train(kind, model, learn, validation, epochs, batch)
+        expected = reference_sgd_train(ref, learn, validation, kind, epochs, batch, 0.05)
+        assert curve.epochs == expected.epochs
+        assert len(curve) == epochs
+        for got, want in zip(model.weights + model.biases, ref.weights + ref.biases):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["bce", "mse"])
+    def test_divergence_at_the_same_epoch(self, kind):
+        learn, validation = self.tables(3, 60, 20, seed=11, scale=np.array([1.0, 1e200, 1.0]))
+        model, ref = self.models(kind, 3, 1, 5)
+        # the suite turns warnings into errors, so the package trainer must
+        # overflow silently; the reference loop warns on its way
+        with pytest.raises(DivergenceDetected) as fused:
+            self.train(kind, model, learn, validation, 4, 10)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceDetected) as reference:
+                reference_sgd_train(ref, learn, validation, kind, 4, 10, 0.05)
+        assert fused.value.epoch == reference.value.epoch > 0
 
 
 class TestMlp:

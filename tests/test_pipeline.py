@@ -337,6 +337,25 @@ class TestCli:
                          "--algorithms", "mRMR"])
         assert code == 3
 
+    def test_diverging_sgd_prints_one_line(self, planted_csv, tmp_path, rng, capsys):
+        # a column near 1e200 overflows the MLP's products in its first
+        # epoch; the overflow must not reach stderr as numpy warnings
+        X = rng.random((200, 3)) * np.array([1.0, 1e200, 1.0])
+        path = tmp_path / "huge.csv"
+        write_csv(make_dataset({"a": X[:, 0], "b": X[:, 1], "c": X[:, 2]},
+                               (X[:, 0] > 0.5).astype(int)), path, "label")
+        out = tmp_path / "out"
+        assert cli_main(["evaluate", "--input", planted_csv, "--epochs", "1",
+                         "--out", str(out)]) == 0
+        capsys.readouterr()
+        before = _files(out)
+        code = cli_main(["evaluate", "--input", str(path), "--epochs", "2",
+                         "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "training failure: [stage mlp_train] loss became non-finite at epoch 1\n")
+        assert _files(out) == before
+
     def test_training_error_message(self, tmp_path, rng, capsys):
         data = make_dataset({"a": rng.random(40), "b": rng.random(40)},
                             [1] * 40)

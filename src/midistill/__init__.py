@@ -13,7 +13,6 @@ from .dataset import (
 )
 from .infotheory import (
     BinningConfig,
-    BinningStrategy,
     DiscreteColumn,
     conditional_mutual_information,
     discretize,

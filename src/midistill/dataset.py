@@ -251,6 +251,8 @@ def write_csv(dataset: Dataset, path, label_column: str) -> None:
     """Write the dataset to CSV, every cell ``repr`` of its float, plus a
     ``<name>.meta.json`` sidecar.  Newlines are not translated, so the bytes
     are the same on every platform."""
+    if label_column in dataset.feature_names:
+        raise DataError(f"label column {label_column!r} is also a feature name")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(list(dataset.feature_names) + [label_column])
         # a finite float's repr never needs quoting, so the rows skip

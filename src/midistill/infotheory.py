@@ -8,27 +8,22 @@ with 0*log(0) := 0 and small negative rounding results clamped to zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import DataError
 
 
-class BinningStrategy(str, Enum):
-    EQUAL_WIDTH = "equal_width"
-    EQUAL_FREQUENCY = "equal_frequency"
-
-
 @dataclass(frozen=True)
 class BinningConfig:
     n_bins: int = 10
-    strategy: BinningStrategy = BinningStrategy.EQUAL_FREQUENCY
+    strategy: str = "equal_frequency"  # or "equal_width"
 
     def __post_init__(self):
         if self.n_bins < 2:
             raise ValueError("n_bins must be >= 2")
-        object.__setattr__(self, "strategy", BinningStrategy(self.strategy))
+        if self.strategy not in ("equal_width", "equal_frequency"):
+            raise ValueError(f"unknown binning strategy {self.strategy!r}")
 
 
 @dataclass(frozen=True)
@@ -74,7 +69,7 @@ def discretize(column, config: BinningConfig, origin: str = "") -> DiscreteColum
         codes = np.searchsorted(distinct, x)
         return DiscreteColumn(codes, distinct.size, origin)
 
-    if config.strategy is BinningStrategy.EQUAL_WIDTH:
+    if config.strategy == "equal_width":
         edges = np.linspace(x.min(), x.max(), config.n_bins + 1)[1:-1]
     else:
         qs = np.arange(1, config.n_bins) / config.n_bins

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -35,11 +35,7 @@ class ClassifierMetrics:
                    for v in (self.accuracy, self.precision, self.recall))
 
     def to_json(self) -> dict:
-        doc = {k: getattr(self, k) for k in
-               ("tp", "fp", "tn", "fn", "accuracy", "precision", "recall",
-                "f1", "tpr", "tnr", "fpr", "fnr", "fdr")}
-        doc["undefined"] = dict(self.undefined)
-        return doc
+        return asdict(self)
 
 
 def compute_metrics(predictions, labels) -> ClassifierMetrics:

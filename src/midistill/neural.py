@@ -37,13 +37,6 @@ class NeuralModel:
     def input_dim(self) -> int:
         return self.layer_dims[0]
 
-    def bottleneck_index(self) -> int:
-        """Index (into non-input layers) of the unique minimal hidden layer."""
-        hidden = self.layer_dims[1:-1]
-        if not hidden:
-            raise TrainingError("model has no hidden layers")
-        return int(np.argmin(hidden))
-
 
 @dataclass
 class TrainingCurve:
@@ -58,9 +51,6 @@ class TrainingCurve:
     def to_json(self) -> list[dict]:
         return [{"epoch": i, "train_loss": tl, "val_loss": vl}
                 for i, (tl, vl) in enumerate(self.epochs, start=1)]
-
-    def __len__(self) -> int:
-        return len(self.epochs)
 
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
@@ -78,24 +68,8 @@ def _activate(z: np.ndarray, kind: str) -> np.ndarray:
     return z
 
 
-def _as_input(model: NeuralModel, X: np.ndarray) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[1] != model.input_dim:
-        raise TrainingError(f"expected {model.input_dim} inputs, got {X.shape[1]}")
-    return X
-
-
-def forward(model: NeuralModel, X: np.ndarray) -> list[np.ndarray]:
-    """All layer outputs, input first; result[-1] is the network output."""
-    outs = [_as_input(model, X)]
-    for W, b, act in zip(model.weights, model.biases, model.activations):
-        outs.append(_activate(outs[-1] @ W + b, act))
-    return outs
-
-
 def _output(model: NeuralModel, X: np.ndarray, n_layers: int | None = None) -> np.ndarray:
-    """The output of the first ``n_layers`` layers (default: all), computed
-    as ``forward`` computes it but keeping no other layer."""
+    """The output of the first ``n_layers`` layers (default: all)."""
     a = X
     for W, b, act in zip(model.weights[:n_layers], model.biases, model.activations):
         a = _activate(a @ W + b, act)
@@ -124,58 +98,60 @@ def gate_new(n_features: int) -> NeuralModel:
     )
 
 
-def gate_decision(model: NeuralModel, X: np.ndarray) -> np.ndarray:
-    return _output(model, X)[:, 0]
-
-
 def gate_predict(model: NeuralModel, X: np.ndarray) -> np.ndarray:
-    return (gate_decision(model, X) >= 0.0).astype(np.int64)
+    return (_output(model, X)[:, 0] >= 0.0).astype(np.int64)
+
+
+class _GateStep:
+    """L2-regularized mean hinge loss of a linear gate and its gradient, on
+    a feature-major copy of X: both products read contiguous rows, the
+    signs are derived once, and each call writes into the same n-length
+    buffers."""
+
+    def __init__(self, X: np.ndarray, labels: np.ndarray, lam: float):
+        self.A = np.ascontiguousarray(np.asarray(X, dtype=np.float64).T)
+        n = self.A.shape[1]
+        self.t = 2.0 * np.asarray(labels, dtype=np.float64) - 1.0
+        self.c = -self.t / n  # ds = c * active is -(t * active) / n, signed zeros included
+        self.lam = lam
+        self.s, self.margin, self.ds = np.empty(n), np.empty(n), np.empty(n)
+        self.active = np.empty(n, dtype=bool)
+
+    def __call__(self, w: np.ndarray, b: np.ndarray):
+        """(loss, dw, db) at the weight vector ``w`` and the bias ``b``."""
+        s, margin, ds, active = self.s, self.margin, self.ds, self.active
+        np.matmul(w, self.A, out=s)
+        s += b
+        np.multiply(self.t, s, out=margin)
+        np.subtract(1.0, margin, out=margin)
+        loss = np.maximum(margin, 0.0, out=s).sum() / s.size + self.lam * np.sum(w ** 2)
+        np.greater(margin, 0.0, out=active)
+        np.multiply(self.c, active, out=ds)
+        return loss, self.A @ ds + 2.0 * self.lam * w, ds.sum()
 
 
 def hinge_loss_and_grads(model: NeuralModel, X: np.ndarray, labels: np.ndarray,
                          lam: float = GATE_LAMBDA):
-    """L2-regularized mean hinge loss and its parameter gradients."""
-    t = 2.0 * np.asarray(labels, dtype=np.float64) - 1.0
-    s = gate_decision(model, X)
-    margin = 1.0 - t * s
-    active = margin > 0.0
-    loss = float(np.mean(np.maximum(margin, 0.0)) + lam * np.sum(model.weights[0] ** 2))
-    ds = -(t * active) / len(t)
-    dW = X.T @ ds[:, None] + 2.0 * lam * model.weights[0]
-    db = np.array([ds.sum()])
-    return loss, [dW], [db]
+    """L2-regularized mean hinge loss and its parameter gradients: one call
+    of the step ``gate_train`` runs each epoch."""
+    loss, dw, db = _GateStep(X, labels, lam)(model.weights[0][:, 0], model.biases[0])
+    return float(loss), [dw[:, None]], [np.array([db])]
 
 
 def gate_train(learn: Dataset, lam: float = GATE_LAMBDA, epochs: int = GATE_EPOCHS,
                step: float = GATE_STEP) -> NeuralModel:
-    """Full-batch gradient descent on the hinge loss, zero init, deterministic.
-
-    The arithmetic of ``hinge_loss_and_grads`` on a feature-major copy of X:
-    both products read contiguous rows, the signs are derived once, and each
-    epoch writes into the same n-length buffers."""
-    y = learn.labels
-    if len(np.unique(y)) < 2:
+    """Full-batch gradient descent on the hinge loss, zero init, deterministic."""
+    if len(np.unique(learn.labels)) < 2:
         raise TrainingError("gate training needs both classes")
-    A = np.ascontiguousarray(learn.X.T)
-    n = A.shape[1]
-    t = 2.0 * np.asarray(y, dtype=np.float64) - 1.0
-    c = -t / n  # ds = c * active is -(t * active) / n, signed zeros included
-    w, b = np.zeros(A.shape[0]), np.zeros(1)
-    s, margin, ds = np.empty(n), np.empty(n), np.empty(n)
-    active = np.empty(n, dtype=bool)
+    gate = _GateStep(learn.X, learn.labels, lam)
+    w, b = np.zeros(learn.n_features), np.zeros(1)
     for epoch in range(epochs):
-        np.matmul(w, A, out=s)
-        s += b
-        np.multiply(t, s, out=margin)
-        np.subtract(1.0, margin, out=margin)
-        loss = np.maximum(margin, 0.0, out=s).sum() / n + lam * np.sum(w ** 2)
+        loss, dw, db = gate(w, b)
         if not np.isfinite(loss):
             raise DivergenceDetected(epoch)
-        np.greater(margin, 0.0, out=active)
-        np.multiply(c, active, out=ds)
-        w -= step * (A @ ds + 2.0 * lam * w)
-        b -= step * ds.sum()
-    model = gate_new(A.shape[0])
+        w -= step * dw
+        b -= step * db
+    model = gate_new(learn.n_features)
     model.weights[0], model.biases[0] = w[:, None], b
     return model
 
@@ -303,10 +279,12 @@ def loss_and_gradients(model: NeuralModel, X: np.ndarray, target: np.ndarray,
     loss_kind 'bce' expects a 0/1 target vector against a sigmoid output;
     'mse' expects a target matrix shaped like the output.
     """
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    if X.shape[1] != model.input_dim:
+        raise TrainingError(f"expected {model.input_dim} inputs, got {X.shape[1]}")
     step = _SGDStep(model, loss_kind)
     targets = _targets(loss_kind, np.asarray(target, dtype=np.float64), target)
-    loss = step.backward(_as_input(model, X), targets)
-    return loss, step.dW, step.db
+    return step.backward(X, targets), step.dW, step.db
 
 
 def _sgd_train(model: NeuralModel, learn: Dataset, validation: Dataset, loss_kind: str,
@@ -388,7 +366,7 @@ def ae_encode(model: NeuralModel, dataset: Dataset) -> Dataset:
     if dataset.n_features != model.input_dim:
         raise TrainingError(
             f"model expects {model.input_dim} features, got {dataset.n_features}")
-    latent = _output(model, dataset.X, model.bottleneck_index() + 1)
+    latent = _output(model, dataset.X, int(np.argmin(model.layer_dims[1:-1])) + 1)
     names = tuple(f"f{i + 1}" for i in range(latent.shape[1]))
     meta = dict(dataset.meta)
     meta["encoder"] = {"kind": "autoencoder", "seed": model.seed,

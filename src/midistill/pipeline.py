@@ -82,9 +82,7 @@ class PipelineConfig:
         return BinningConfig(self.n_bins, self.binning_strategy)
 
     def to_json(self) -> dict:
-        doc = asdict(self)
-        doc["algorithms"] = list(self.algorithms)
-        return doc
+        return asdict(self)
 
 
 @contextmanager

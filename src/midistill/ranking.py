@@ -207,7 +207,7 @@ def rank(table: CountTable, algorithm: str, beta: float = 1.0) -> FeatureRanking
         pos = remaining.pop(best)
         acc = np.minimum(acc, terms[:, pos]) if algorithm == "CMIM" else acc + terms[:, pos]
         entries.append((table.names[pos], float(scores[best])))
-    params = {"n_bins": table.binning.n_bins, "strategy": table.binning.strategy.value,
+    params = {"n_bins": table.binning.n_bins, "strategy": table.binning.strategy,
               "tie_rule": f"smallest_column_index(tol={TIE_TOLERANCE})"}
     if algorithm == "MIFS":
         params["beta"] = beta

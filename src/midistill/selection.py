@@ -5,7 +5,7 @@ by the linear classifier, yielding the minimal surviving feature set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from .dataset import (
     RESERVED_RANDOM_NAMES,
@@ -33,17 +33,7 @@ class TamperingAudit:
         return [a for a, rec in self.per_algorithm.items() if rec["pass"]]
 
     def to_json(self) -> dict:
-        return {
-            "folds": self.folds,
-            "threshold": self.threshold,
-            "seed": self.seed,
-            "n_features_total": self.n_features_total,
-            "per_algorithm": {
-                a: {"avg_ranks": {k: float(v) for k, v in rec["avg_ranks"].items()},
-                    "pass": bool(rec["pass"])}
-                for a, rec in self.per_algorithm.items()
-            },
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -78,20 +68,9 @@ class EliminationTrace:
         return len(self.optimized_features)
 
     def to_json(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "gamma": self.gamma,
-            "initial_features": list(self.initial_features),
-            "stopped_at": self.stopped_at,
-            "mdrt": self.mdrt,
-            "optimized_features": list(self.optimized_features),
-            "steps": [
-                {"removed_feature": s.removed_feature,
-                 "n_features_after": s.n_features_after,
-                 "metrics": s.metrics.to_json()}
-                for s in self.steps
-            ],
-        }
+        doc = asdict(self)
+        del doc["ranking"]
+        return {**doc, "mdrt": self.mdrt}
 
     def metrics_csv(self) -> str:
         """(n_features, accuracy, precision, recall) per step, for re-plotting."""

@@ -3,13 +3,15 @@
 Deliberately naive: plain-Python counting over value tuples, no shared code
 with the package's estimators or the greedy ranking engine.  The CSV
 references are the package's original one-cell-at-a-time parse and its
-original ``repr``-per-cell writer, and the gate reference the package's
-original training loop, and the SGD reference the package's original
-mini-batch loop with its own forward pass, losses and backpropagation.  The
-exceptions are the elimination path's per-step definition, which ranks with
-the package's engine (that engine is checked against the brute force
-above), and the gate reference, which steps along ``hinge_loss_and_grads``,
-the gradient that criterion 8 checks against finite differences.
+original ``repr``-per-cell writer, the gate reference the package's
+original training loop along its original hinge gradient
+(``reference_hinge_loss_and_grads``; criterion 8 differentiates the package's
+``hinge_loss_and_grads``, one call of the epoch ``gate_train`` runs), and
+the SGD reference the package's original mini-batch loop with its own
+forward pass (``reference_forward``, which tests also read layer outputs
+from), losses and backpropagation.  The exception is the elimination
+path's per-step definition, which ranks with the package's engine (that
+engine is checked against the brute force above).
 """
 
 import csv
@@ -29,14 +31,7 @@ from midistill.errors import (
     NonNumericValue,
     TrainingError,
 )
-from midistill.neural import (
-    GATE_EPOCHS,
-    GATE_LAMBDA,
-    GATE_STEP,
-    TrainingCurve,
-    gate_new,
-    hinge_loss_and_grads,
-)
+from midistill.neural import GATE_EPOCHS, GATE_LAMBDA, GATE_STEP, TrainingCurve, gate_new
 from midistill.ranking import CountTable, rank
 
 
@@ -128,16 +123,30 @@ def reference_elimination_order(dataset, binning, algorithm, beta=1.0):
     return order
 
 
+def reference_hinge_loss_and_grads(model, X, labels, lam=GATE_LAMBDA):
+    """L2-regularized mean hinge loss of a linear gate and its parameter
+    gradients, by the formula on the row-major X."""
+    t = 2.0 * np.asarray(labels, dtype=np.float64) - 1.0
+    s = (X @ model.weights[0] + model.biases[0])[:, 0]
+    margin = 1.0 - t * s
+    active = margin > 0.0
+    loss = float(np.mean(np.maximum(margin, 0.0)) + lam * np.sum(model.weights[0] ** 2))
+    ds = -(t * active) / len(t)
+    dW = X.T @ ds[:, None] + 2.0 * lam * model.weights[0]
+    db = np.array([ds.sum()])
+    return loss, [dW], [db]
+
+
 def reference_gate_train(learn, lam=GATE_LAMBDA, epochs=GATE_EPOCHS, step=GATE_STEP):
     """The gate by its definition: full-batch gradient descent on the hinge
-    loss from zero, one ``hinge_loss_and_grads`` call per epoch."""
+    loss from zero, one ``reference_hinge_loss_and_grads`` call per epoch."""
     y = learn.labels
     if len(np.unique(y)) < 2:
         raise TrainingError("gate training needs both classes")
     model = gate_new(learn.n_features)
     X = learn.X
     for epoch in range(epochs):
-        loss, dWs, dbs = hinge_loss_and_grads(model, X, y, lam)
+        loss, dWs, dbs = reference_hinge_loss_and_grads(model, X, y, lam)
         if not np.isfinite(loss):
             raise DivergenceDetected(epoch)
         model.weights[0] = model.weights[0] - step * dWs[0]
@@ -155,7 +164,8 @@ def _reference_activate(z, kind):
     raise ValueError(f"unknown activation {kind!r}")
 
 
-def _reference_layer_outputs(model, X):
+def reference_forward(model, X):
+    """All layer outputs, input first; result[-1] is the network output."""
     outs = [X]
     for W, b, act in zip(model.weights, model.biases, model.activations):
         outs.append(_reference_activate(outs[-1] @ W + b, act))
@@ -226,7 +236,7 @@ def reference_sgd_train(model, learn, validation, loss_kind, epochs, batch, step
             xb = X[rows]
             tb = xb if target is X else target[rows]
             loss, dWs, dbs = _reference_backprop(
-                model, _reference_layer_outputs(model, xb), tb, loss_kind)
+                model, reference_forward(model, xb), tb, loss_kind)
             if not np.isfinite(loss):
                 raise DivergenceDetected(epoch + 1)
             for i in range(len(model.weights)):
@@ -236,7 +246,7 @@ def reference_sgd_train(model, learn, validation, loss_kind, epochs, batch, step
             seen += len(rows)
         train_loss = acc / seen
         val_loss, _ = _reference_loss(
-            _reference_layer_outputs(model, Xval)[-1], val_target, loss_kind)
+            reference_forward(model, Xval)[-1], val_target, loss_kind)
         if not np.isfinite(val_loss):
             raise DivergenceDetected(epoch + 1)
         curve.epochs.append((train_loss, val_loss))

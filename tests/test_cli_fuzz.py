@@ -106,7 +106,7 @@ FLAGS = {
     "--beta": _float_flag(),
     "--binning": st.sampled_from(["equal_width", "equal_frequency", "kmeans"]),
     "--algorithms": st.sampled_from(["mRMR", "JMI,CMIM", "DISR,MIFS,CIFE", ",", "PCA"]),
-    "--label": st.sampled_from(["label", "f0", "nope"]),
+    "--label": st.sampled_from(["label", "f0", "f1", "nope"]),
 }
 
 

@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 from midistill.dataset import split
 from midistill.errors import ConfigError, DivergenceDetected, TrainingError
 from midistill.neural import (
+    GATE_STEP,
     ae_encode,
     ae_new,
     ae_train,
-    forward,
-    gate_decision,
+    gate_new,
     gate_predict,
     gate_train,
     hinge_loss_and_grads,
@@ -21,7 +21,7 @@ from midistill.neural import (
 )
 
 from conftest import make_dataset, planted_dataset
-from oracles import reference_gate_train, reference_sgd_train
+from oracles import reference_forward, reference_gate_train, reference_sgd_train
 
 
 def finite_diff_param_grads(loss_fn, model, h=1e-5):
@@ -109,7 +109,8 @@ class TestGateMatchesReference:
     exactly on 0, where a different rounding may legitimately flip one
     hinge."""
 
-    def table(self, f, seed, n=400):
+    @staticmethod
+    def table(f, seed, n=400):
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(n, f)) * rng.uniform(0.5, 3.0, f) + rng.uniform(-1.0, 1.0, f)
         y = (X @ rng.normal(size=f) + 0.5 * rng.normal(size=n) > 0).astype(int)
@@ -156,6 +157,24 @@ class TestGateMatchesReference:
         assert epochs[0] == epochs[1] > 0
 
 
+class TestGateStepsAlongHingeGradient:
+    """Criterion 8 differentiates ``hinge_loss_and_grads``; ``gate_train``
+    must step along exactly that gradient, bit for bit."""
+
+    @pytest.mark.parametrize("epochs", [1, 3, 200])
+    @pytest.mark.parametrize("f, seed", [(1, 1), (2, 2), (8, 8), (33, 33)])
+    def test_train_is_a_loop_over_hinge_loss_and_grads(self, f, seed, epochs):
+        data = TestGateMatchesReference.table(f, seed)
+        gate = gate_new(f)
+        for _ in range(epochs):
+            _, dWs, dbs = hinge_loss_and_grads(gate, data.X, data.labels)
+            gate.weights[0] = gate.weights[0] - GATE_STEP * dWs[0]
+            gate.biases[0] = gate.biases[0] - GATE_STEP * dbs[0]
+        trained = gate_train(data, epochs=epochs)
+        assert trained.weights[0].tobytes() == gate.weights[0].tobytes()
+        assert trained.biases[0].tobytes() == gate.biases[0].tobytes()
+
+
 class TestSgdMatchesReference:
     """SGD against the original loop of ``tests/oracles.py``: every
     operation and its order are the same, so weights, biases and curves
@@ -200,7 +219,7 @@ class TestSgdMatchesReference:
         curve = self.train(kind, model, learn, validation, epochs, batch)
         expected = reference_sgd_train(ref, learn, validation, kind, epochs, batch, 0.05)
         assert curve.epochs == expected.epochs
-        assert len(curve) == epochs
+        assert len(curve.epochs) == epochs
         for got, want in zip(model.weights + model.biases, ref.weights + ref.biases):
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
@@ -245,7 +264,7 @@ class TestMlp:
         model = mlp_new(1, 0)
         before = [W.copy() for W in model.weights]
         curve = mlp_train(model, data, data, epochs=0)
-        assert len(curve) == 0
+        assert len(curve.epochs) == 0
         for W0, W1 in zip(before, model.weights):
             np.testing.assert_array_equal(W0, W1)
 
@@ -276,9 +295,11 @@ class TestMlp:
 
     def test_batch_of_one_matches_batch_of_many(self, rng):
         model = mlp_new(4, 5)
-        X = rng.random((10, 4))
-        full = forward(model, X)[-1]
-        rows = np.vstack([forward(model, X[i:i + 1])[-1] for i in range(10)])
+        data = make_dataset({f"f{i}": rng.random(10) for i in range(4)},
+                            rng.integers(0, 2, 10))
+        full = mlp_predict(model, data)
+        rows = np.concatenate([mlp_predict(model, data.take(np.array([i])))
+                               for i in range(10)])
         np.testing.assert_allclose(full, rows, atol=1e-12)
 
     def test_dimension_mismatch(self, rng):
@@ -359,9 +380,9 @@ class TestAutoencoder:
         for input_dim, bottleneck in ((9, 3), (9, 8)):
             model = ae_new(input_dim, bottleneck, 5)
             ae_train(model, data, data, epochs=2)
-            k = model.bottleneck_index()
+            k = int(np.argmin(model.layer_dims[1:-1]))
             latent = ae_encode(model, data)
-            assert latent.X.tobytes() == forward(model, data.X)[k + 1].tobytes()
+            assert latent.X.tobytes() == reference_forward(model, data.X)[k + 1].tobytes()
 
     @pytest.mark.parametrize("kind", ["mlp", "autoencoder"])
     def test_val_loss_equals_loss_and_gradients(self, rng, kind):

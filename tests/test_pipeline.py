@@ -356,6 +356,22 @@ class TestCli:
             "training failure: [stage mlp_train] loss became non-finite at epoch 1\n")
         assert _files(out) == before
 
+    def test_label_named_like_an_encoded_feature(self, tmp_path, rng, capsys):
+        # ae names its features f1..fk; a label column "f1" used to give
+        # ae_generated.csv the header f1,f2,f1, which no run can load
+        X = rng.random((60, 4))
+        path = tmp_path / "in.csv"
+        write_csv(make_dataset({"a": X[:, 0], "b": X[:, 1], "c": X[:, 2], "d": X[:, 3]},
+                               (X[:, 0] > 0.5).astype(int)), path, "f1")
+        out = tmp_path / "out"
+        out.mkdir()
+        code = cli_main(["ae", "--input", str(path), "--label", "f1", "--bottleneck", "2",
+                         "--epochs", "1", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "data error: [stage write_artifacts] label column 'f1' is also a feature name\n")
+        assert os.listdir(out) == []
+
     def test_training_error_message(self, tmp_path, rng, capsys):
         data = make_dataset({"a": rng.random(40), "b": rng.random(40)},
                             [1] * 40)

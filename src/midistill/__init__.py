@@ -12,6 +12,7 @@ from .dataset import (
     write_csv,
 )
 from .infotheory import (
+    BINNING_STRATEGIES,
     BinningConfig,
     DiscreteColumn,
     conditional_mutual_information,

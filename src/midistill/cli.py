@@ -11,6 +11,7 @@ import json
 import sys
 
 from .errors import ConfigError, DataError, TrainingError
+from .infotheory import BINNING_STRATEGIES
 from .pipeline import MODES, PipelineConfig, run
 
 
@@ -41,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int)
     parser.add_argument("--bins", dest="n_bins", type=int, help="discretization bins")
     parser.add_argument("--binning", dest="binning_strategy",
-                        choices=["equal_width", "equal_frequency"])
+                        choices=BINNING_STRATEGIES)
     parser.add_argument("--folds", type=int)
     parser.add_argument("--gamma", type=float, help="elimination gate threshold")
     parser.add_argument("--tamper-threshold", type=float)

@@ -13,16 +13,18 @@ import numpy as np
 
 from .errors import DataError
 
+BINNING_STRATEGIES = ("equal_width", "equal_frequency")
+
 
 @dataclass(frozen=True)
 class BinningConfig:
     n_bins: int = 10
-    strategy: str = "equal_frequency"  # or "equal_width"
+    strategy: str = "equal_frequency"  # one of BINNING_STRATEGIES
 
     def __post_init__(self):
         if self.n_bins < 2:
             raise ValueError("n_bins must be >= 2")
-        if self.strategy not in ("equal_width", "equal_frequency"):
+        if self.strategy not in BINNING_STRATEGIES:
             raise ValueError(f"unknown binning strategy {self.strategy!r}")
 
 

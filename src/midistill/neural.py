@@ -53,16 +53,20 @@ class TrainingCurve:
                 for i, (tl, vl) in enumerate(self.epochs, start=1)]
 
 
+def _sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-z)) in place, one operation at a time."""
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    np.add(1.0, z, out=z)
+    return np.divide(1.0, z, out=z)
+
+
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
     """Apply the activation to ``z`` in place and return it."""
     if kind == "relu":
         np.maximum(z, 0.0, out=z)
     elif kind == "sigmoid":
-        # 1 / (1 + exp(-z)), one operation at a time
-        np.negative(z, out=z)
-        np.exp(z, out=z)
-        np.add(1.0, z, out=z)
-        np.divide(1.0, z, out=z)
+        _sigmoid(z)
     elif kind != "linear":
         raise ValueError(f"unknown activation {kind!r}")
     return z
@@ -72,7 +76,9 @@ def _output(model: NeuralModel, X: np.ndarray, n_layers: int | None = None) -> n
     """The output of the first ``n_layers`` layers (default: all)."""
     a = X
     for W, b, act in zip(model.weights[:n_layers], model.biases, model.activations):
-        a = _activate(a @ W + b, act)
+        a = a @ W
+        a += b
+        a = _activate(a, act)
     return a
 
 
@@ -205,10 +211,11 @@ class _SGDStep:
     The weights and biases are views into one flat ``theta`` and their
     gradients views into one flat ``grad``, so an update is two calls.
     Products are ``np.dot`` with ``out=``, the ``cblas_dgemm`` call of
-    ``@`` at less dispatch cost.  Layer outputs and deltas live in buffers
-    allocated once per batch size.  Each operation and its order is that
-    of the reference loop in ``tests/oracles.py``, so training gives the
-    same bits."""
+    ``@`` at less dispatch cost.  Each batch size gets one plan: the layer
+    outputs and deltas it writes into and the transposed views its backward
+    products read, so a step allocates no buffer and builds no list.  Each
+    operation and its order is that of the reference loop in
+    ``tests/oracles.py``, so training gives the same bits."""
 
     def __init__(self, model: NeuralModel, loss_kind: str):
         *hidden, last = model.activations
@@ -216,14 +223,13 @@ class _SGDStep:
             raise TrainingError(f"SGD trains relu layers under a sigmoid output, "
                                 f"not {model.activations}")
         self.loss_kind = loss_kind
-        self.activations = model.activations
         self.dims = model.layer_dims
         self.theta = np.concatenate(
             [p.ravel() for W, b in zip(model.weights, model.biases) for p in (W, b)])
         self.grad = np.empty_like(self.theta)
         self.weights, self.biases = self._layers(self.theta)
         self.dW, self.db = self._layers(self.grad)
-        self._buffers: dict[int, tuple] = {}
+        self._plans: dict[int, tuple] = {}
 
     def _layers(self, flat: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
         Ws, bs, at = [], [], 0
@@ -234,21 +240,39 @@ class _SGDStep:
             at += fan_out
         return Ws, bs
 
+    def _plan(self, m: int) -> tuple:
+        """Buffers and views for batches of ``m`` rows.  The forward pass
+        reads ``(W, b, out)`` for each relu layer and for the output layer,
+        then the output's delta and a scratch array.  The backward pass reads
+        ``(delta, relu output, transposed input, dW, db, transposed W, delta
+        below)`` for each layer, the output layer first; the output layer
+        has no relu output, and the first layer reads the batch and writes
+        no delta below."""
+        widths = self.dims[1:]
+        top = len(widths) - 1
+        outs = [np.empty((m, d)) for d in widths]
+        deltas = [np.empty((m, d)) for d in widths]
+        layers = tuple(zip(self.weights, self.biases, outs))
+        backward = tuple(
+            (deltas[l], outs[l] if l < top else None, outs[l - 1].T if l else None,
+             self.dW[l], self.db[l], self.weights[l].T, deltas[l - 1] if l else None)
+            for l in range(top, -1, -1))
+        plan = layers[:-1], layers[-1], deltas[-1], np.empty((m, widths[-1])), backward
+        self._plans[m] = plan
+        return plan
+
     def backward(self, xb: np.ndarray, targets: tuple) -> float:
         """The loss of one batch; its gradient is left in ``grad``."""
         m = xb.shape[0]
-        if m not in self._buffers:
-            widths = self.dims[1:]
-            self._buffers[m] = ([np.empty((m, d)) for d in widths],
-                                [np.empty((m, d)) for d in widths],
-                                np.empty((m, widths[-1])))
-        outs, deltas, scratch = self._buffers[m]
+        hidden, (W, b, out), delta, scratch, layers = self._plans.get(m) or self._plan(m)
         a = xb
-        for W, b, act, z in zip(self.weights, self.biases, self.activations, outs):
-            np.dot(a, W, out=z)
-            np.add(z, b, out=z)
-            a = _activate(z, act)
-        out, delta = outs[-1], deltas[-1]
+        for W_l, b_l, z in hidden:
+            np.dot(a, W_l, out=z)
+            np.add(z, b_l, out=z)
+            a = np.maximum(z, 0.0, out=z)
+        np.dot(a, W, out=out)
+        np.add(out, b, out=out)
+        _sigmoid(out)
         loss = _loss(self.loss_kind, out, targets, delta, scratch)
         # delta becomes the gradient w.r.t. the output layer's pre-activation
         if self.loss_kind == "bce":
@@ -258,16 +282,15 @@ class _SGDStep:
             np.divide(delta, delta.size, out=delta)
             np.multiply(delta, out, out=delta)
             np.multiply(delta, np.subtract(1.0, out, out=scratch), out=delta)
-        for layer in range(len(outs) - 1, -1, -1):
-            delta = deltas[layer]
-            if layer < len(outs) - 1:
+        for delta, relu, a_T, dW, db, W_T, below in layers:
+            if relu is not None:
                 # relu'(z) as 1.0 or 0.0, written over this layer's output,
                 # which the layer above has already used
-                np.multiply(delta, np.greater(outs[layer], 0.0, out=outs[layer]), out=delta)
-            np.dot((outs[layer - 1] if layer else xb).T, delta, out=self.dW[layer])
-            np.add.reduce(delta, axis=0, out=self.db[layer])
-            if layer:
-                np.dot(delta, self.weights[layer].T, out=deltas[layer - 1])
+                np.multiply(delta, np.greater(relu, 0.0, out=relu), out=delta)
+            np.dot(xb.T if a_T is None else a_T, delta, out=dW)
+            np.add.reduce(delta, axis=0, out=db)
+            if below is not None:
+                np.dot(delta, W_T, out=below)
         return loss
 
 
@@ -291,40 +314,69 @@ def _sgd_train(model: NeuralModel, learn: Dataset, validation: Dataset, loss_kin
                epochs: int, batch: int, step: float) -> TrainingCurve:
     """Seeded mini-batch SGD.  'mse' reconstructs the input (autoencoder),
     'bce' fits the labels.  The model's weights and biases become views of
-    the step's parameter vector, so they follow every update."""
+    the step's parameter vector, so they follow every update.
+
+    Each epoch gathers the learn rows in shuffled order into one buffer,
+    whose batch views are made once.  The validation set is scored after
+    training, on a copy of the parameters kept at the end of each epoch:
+    its products are large enough for the BLAS library to wake worker
+    threads, which would then spin next to the single-threaded steps."""
     for data in (learn, validation):
         if data.n_features != model.input_dim:
             raise TrainingError(
                 f"model expects {model.input_dim} features, got {data.n_features}")
     sgd = _SGDStep(model, loss_kind)
     model.weights, model.biases = sgd.weights, sgd.biases
-    scaled = np.empty_like(sgd.theta)
-    val_targets = _targets(loss_kind, validation.X, validation.labels)
-    rng = np.random.default_rng(model.seed)
+    theta, grad, scaled = sgd.theta, sgd.grad, np.empty_like(sgd.theta)
     n = learn.n_samples
-    curve = TrainingCurve()
+    X = np.empty_like(learn.X)
+    # 'mse' compares the output with X itself; the 'bce' label columns are
+    # derived once and gathered in the same order as X
+    sources = _targets(loss_kind, learn.X, learn.labels) if loss_kind == "bce" else ()
+    targets = tuple(np.empty_like(t) for t in sources) or (X,)
+    batches = [(X[s:s + batch], tuple(t[s:s + batch] for t in targets), min(batch, n - s))
+               for s in range(0, n, batch)]
+    snapshots = np.empty((epochs, theta.size))
+    train_losses = []
+    rng = np.random.default_rng(model.seed)
+    diverged = None
     # a diverging run overflows on its way to the non-finite loss that
     # raises DivergenceDetected; the warnings would only repeat that
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(epochs):
-            order = rng.permutation(n)
-            X = learn.X[order]
-            targets = _targets(loss_kind, X, learn.labels[order])
-            acc = 0.0
-            for start in range(0, n, batch):
-                rows = slice(start, start + batch)
-                xb = X[rows]
-                loss = sgd.backward(xb, tuple(t[rows] for t in targets))
-                if not math.isfinite(loss):
-                    raise DivergenceDetected(epoch + 1)
-                np.subtract(sgd.theta, np.multiply(step, sgd.grad, out=scaled), out=sgd.theta)
-                acc += loss * xb.shape[0]
-            train_loss = acc / n
+        try:
+            for epoch in range(epochs):
+                # mode="clip" writes straight into X; "raise" gathers into a copy first
+                order = rng.permutation(n)
+                np.take(learn.X, order, axis=0, out=X, mode="clip")
+                for source, target in zip(sources, targets):
+                    np.take(source, order, axis=0, out=target, mode="clip")
+                acc = 0.0
+                for xb, tb, m in batches:
+                    loss = sgd.backward(xb, tb)
+                    if not math.isfinite(loss):
+                        raise DivergenceDetected(epoch + 1)
+                    np.subtract(theta, np.multiply(step, grad, out=scaled), out=theta)
+                    acc += loss * m
+                train_losses.append(acc / n)
+                snapshots[epoch] = theta
+        except DivergenceDetected as exc:
+            diverged = exc
+        # an epoch whose validation loss is non-finite raises before a
+        # later training divergence, as when each epoch ended with its
+        # validation pass
+        trained = theta.copy()
+        val_targets = _targets(loss_kind, validation.X, validation.labels)
+        curve = TrainingCurve()
+        for epoch, train_loss in enumerate(train_losses):
+            theta[:] = snapshots[epoch]
             out = _output(model, validation.X)
             val_loss = _loss(loss_kind, out, val_targets, np.empty_like(out), np.empty_like(out))
             if not math.isfinite(val_loss):
                 raise DivergenceDetected(epoch + 1)
             curve.epochs.append((train_loss, val_loss))
+        theta[:] = trained
+    if diverged is not None:
+        raise diverged
     return curve
 
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import dataset as ds
 from .errors import ConfigError, MidistillError
-from .infotheory import BinningConfig
+from .infotheory import BINNING_STRATEGIES, BinningConfig
 from .metrics import compute_metrics
 from .neural import (
     ae_encode,
@@ -68,7 +68,7 @@ class PipelineConfig:
             v = getattr(self, name)
             if not isinstance(v, int) or v < least:
                 raise ConfigError(f"invalid {name}: {v}")
-        if self.binning_strategy not in ("equal_width", "equal_frequency"):
+        if self.binning_strategy not in BINNING_STRATEGIES:
             raise ConfigError(f"unknown binning strategy {self.binning_strategy!r}")
         if not self.algorithms:
             raise ConfigError("no ranking algorithm given")

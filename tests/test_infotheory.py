@@ -27,6 +27,12 @@ def dc(codes, k=None):
     return DiscreteColumn(codes, k or int(codes.max()) + 1)
 
 
+class TestBinningConfig:
+    def test_unknown_strategy(self):
+        with pytest.raises(ValueError, match="^unknown binning strategy 'kmeans'$"):
+            BinningConfig(4, "kmeans")
+
+
 class TestDiscretize:
     def test_binary_passthrough(self):
         col = discretize([0, 1, 0, 1], BinningConfig(10, "equal_frequency"))

@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from midistill import neural
 from midistill.dataset import split
 from midistill.errors import ConfigError, DivergenceDetected, TrainingError
 from midistill.neural import (
@@ -236,6 +239,65 @@ class TestSgdMatchesReference:
             with pytest.raises(DivergenceDetected) as reference:
                 reference_sgd_train(ref, learn, validation, kind, 4, 10, 0.05)
         assert fused.value.epoch == reference.value.epoch > 0
+
+
+class TestValidationAfterTraining:
+    """The validation set is scored once training has ended, on the
+    parameters each epoch ended with: its products are large enough to wake
+    BLAS worker threads, which must not spin next to the SGD steps."""
+
+    @pytest.mark.parametrize("kind", ["bce", "mse"])
+    def test_no_validation_output_before_the_last_step(self, monkeypatch, kind):
+        calls = []
+        backward, output = neural._SGDStep.backward, neural._output
+
+        def record_backward(self, xb, targets):
+            calls.append("backward")
+            return backward(self, xb, targets)
+
+        def record_output(model, X, n_layers=None):
+            calls.append("output")
+            return output(model, X, n_layers)
+
+        monkeypatch.setattr(neural._SGDStep, "backward", record_backward)
+        monkeypatch.setattr(neural, "_output", record_output)
+        learn, validation = TestSgdMatchesReference.tables(5, 40, 12, seed=3)
+        model, _ = TestSgdMatchesReference.models(kind, 5, 2, 3)
+        curve = TestSgdMatchesReference.train(kind, model, learn, validation, 3, 10)
+        # 3 epochs of 4 batches, then one validation pass per epoch
+        assert calls == ["backward"] * 12 + ["output"] * 3
+        assert len(curve.epochs) == 3
+
+    def test_validation_divergence_keeps_its_epoch(self):
+        # finite learn rows, so only the validation loss overflows
+        learn, validation = TestSgdMatchesReference.tables(3, 60, 20, seed=11)
+        X = validation.X * np.array([1.0, 1e200, 1.0])
+        validation = make_dataset({f"f{i}": X[:, i] for i in range(3)}, validation.labels)
+        model, ref = TestSgdMatchesReference.models("mse", 3, 1, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceDetected) as fused:
+                ae_train(model, learn, validation, epochs=4, batch=10, step=0.05)
+        with np.errstate(all="ignore"):
+            with pytest.raises(DivergenceDetected) as reference:
+                reference_sgd_train(ref, learn, validation, "mse", 4, 10, 0.05)
+        assert fused.value.epoch == reference.value.epoch == 1
+
+    @pytest.mark.parametrize("val_scale, epoch", [(1.0, 2), (1e80, 1)])
+    def test_earlier_validation_divergence_raises_first(self, val_scale, epoch):
+        # one step per epoch on rows near 1e120: training diverges at epoch
+        # 3, after the validation pass has overflowed, at epoch 2 on rows
+        # near 1e120 and at epoch 1 on rows near 1e200
+        learn, validation = TestSgdMatchesReference.tables(3, 10, 5, seed=11, scale=1e120)
+        X = validation.X * val_scale
+        validation = make_dataset({f"f{i}": X[:, i] for i in range(3)}, validation.labels)
+        model, ref = TestSgdMatchesReference.models("bce", 3, 1, 5)
+        with pytest.raises(DivergenceDetected) as fused:
+            mlp_train(model, learn, validation, epochs=4, batch=10, step=0.05)
+        with np.errstate(all="ignore"):
+            with pytest.raises(DivergenceDetected) as reference:
+                reference_sgd_train(ref, learn, validation, "bce", 4, 10, 0.05)
+        assert fused.value.epoch == reference.value.epoch == epoch
 
 
 class TestMlp:

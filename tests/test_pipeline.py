@@ -10,6 +10,7 @@ import pytest
 from midistill import cli, dataset, pipeline, selection
 from midistill.dataset import Dataset, load_csv, write_csv
 from midistill.errors import ConfigError, TrainingError
+from midistill.infotheory import BINNING_STRATEGIES
 from midistill.cli import main as cli_main
 from midistill.neural import gate_train
 from midistill.pipeline import (
@@ -87,6 +88,11 @@ class TestConfigValidation:
     def test_bad_binning_strategy(self):
         with pytest.raises(ConfigError):
             PipelineConfig("fs", "x.csv", binning_strategy="kmeans").validate()
+
+    def test_unknown_binning_strategy_rejected_before_io(self):
+        config = PipelineConfig("fs", "does-not-exist.csv", binning_strategy="kmeans")
+        with pytest.raises(ConfigError, match="^unknown binning strategy 'kmeans'$"):
+            run(config)
 
     def test_mode_mismatch(self, planted_csv, tmp_path):
         with pytest.raises(ConfigError):
@@ -603,6 +609,11 @@ class TestCliExitCodes:
     def test_bad_flag(self, capsys, argv, expected):
         # argparse used to print a usage dump and exit 2, the data-error code
         assert expected in self._config_error(capsys, argv)
+
+    def test_binning_choices_are_the_strategies(self, capsys):
+        err = self._config_error(capsys, ["fs", "--input", "t.csv", "--binning", "kmeans"])
+        assert "argument --binning: invalid choice: 'kmeans'" in err
+        assert all(repr(strategy) in err for strategy in BINNING_STRATEGIES)
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:

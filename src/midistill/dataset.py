@@ -319,12 +319,20 @@ def apply_minmax(dataset: Dataset, params: dict) -> Dataset:
     """Affinely map each column to [0,1] using stored (min, max) parameters.
 
     Constant columns (max == min) map to 0.  Out-of-range held-out values
-    are clipped so downstream sigmoid/AE inputs stay in [0,1].
+    are clipped so downstream sigmoid/AE inputs stay in [0,1]; one so far out
+    that its offset or quotient overflows clips the same way.  A column
+    whose max - min overflows has no scale and is refused.
     """
     lo, hi = np.array([params[name] for name in dataset.feature_names]).reshape(-1, 2).T
-    live = hi > lo
-    X = dataset.X - lo
-    X /= np.where(live, hi - lo, 1.0)
+    with np.errstate(over="ignore"):
+        span = hi - lo
+        if not np.isfinite(span).all():
+            i = int(np.argmin(np.isfinite(span)))
+            raise DataError(f"column {dataset.feature_names[i]!r} spans {float(lo[i])!r} to "
+                            f"{float(hi[i])!r}, wider than the float range")
+        live = hi > lo
+        X = dataset.X - lo
+        X /= np.where(live, span, 1.0)
     np.clip(X, 0.0, 1.0, out=X)
     X[:, ~live] = 0.0
     meta = dict(dataset.meta)

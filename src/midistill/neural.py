@@ -61,25 +61,30 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return np.divide(1.0, z, out=z)
 
 
-def _activate(z: np.ndarray, kind: str) -> np.ndarray:
-    """Apply the activation to ``z`` in place and return it."""
-    if kind == "relu":
-        np.maximum(z, 0.0, out=z)
-    elif kind == "sigmoid":
-        _sigmoid(z)
-    elif kind != "linear":
-        raise ValueError(f"unknown activation {kind!r}")
-    return z
+def _relu(z: np.ndarray) -> np.ndarray:
+    return np.maximum(z, 0.0, out=z)
+
+
+_ACTIVATIONS = {"relu": _relu, "sigmoid": _sigmoid, "linear": lambda z: z}
+
+
+def _forward(a: np.ndarray, layers) -> np.ndarray:
+    """The output of ``a`` through ``(W, b, out, activation)`` layers, each
+    written into its ``out``: the product, the bias, the activation."""
+    for W, b, out, activation in layers:
+        np.dot(a, W, out=out)
+        np.add(out, b, out=out)
+        a = activation(out)
+    return a
 
 
 def _output(model: NeuralModel, X: np.ndarray, n_layers: int | None = None) -> np.ndarray:
-    """The output of the first ``n_layers`` layers (default: all)."""
-    a = X
-    for W, b, act in zip(model.weights[:n_layers], model.biases, model.activations):
-        a = a @ W
-        a += b
-        a = _activate(a, act)
-    return a
+    """The output of the first ``n_layers`` layers (default: all), with at
+    most two layer outputs alive; a sigmoid's exp overflows on its way to 0."""
+    layers = zip(model.weights[:n_layers], model.biases, model.activations)
+    with np.errstate(over="ignore"):
+        return _forward(X, ((W, b, np.empty((len(X), W.shape[1])), _ACTIVATIONS[act])
+                            for W, b, act in layers))
 
 
 def _init_layers(dims: list[int], rng: np.random.Generator):
@@ -114,12 +119,11 @@ class _GateStep:
     signs are derived once, and each call writes into the same n-length
     buffers."""
 
-    def __init__(self, X: np.ndarray, labels: np.ndarray, lam: float):
+    def __init__(self, X: np.ndarray, labels: np.ndarray):
         self.A = np.ascontiguousarray(np.asarray(X, dtype=np.float64).T)
         n = self.A.shape[1]
         self.t = 2.0 * np.asarray(labels, dtype=np.float64) - 1.0
         self.c = -self.t / n  # ds = c * active is -(t * active) / n, signed zeros included
-        self.lam = lam
         self.s, self.margin, self.ds = np.empty(n), np.empty(n), np.empty(n)
         self.active = np.empty(n, dtype=bool)
 
@@ -130,33 +134,31 @@ class _GateStep:
         s += b
         np.multiply(self.t, s, out=margin)
         np.subtract(1.0, margin, out=margin)
-        loss = np.maximum(margin, 0.0, out=s).sum() / s.size + self.lam * np.sum(w ** 2)
+        loss = np.maximum(margin, 0.0, out=s).sum() / s.size + GATE_LAMBDA * np.sum(w ** 2)
         np.greater(margin, 0.0, out=active)
         np.multiply(self.c, active, out=ds)
-        return loss, self.A @ ds + 2.0 * self.lam * w, ds.sum()
+        return loss, self.A @ ds + 2.0 * GATE_LAMBDA * w, ds.sum()
 
 
-def hinge_loss_and_grads(model: NeuralModel, X: np.ndarray, labels: np.ndarray,
-                         lam: float = GATE_LAMBDA):
+def hinge_loss_and_grads(model: NeuralModel, X: np.ndarray, labels: np.ndarray):
     """L2-regularized mean hinge loss and its parameter gradients: one call
     of the step ``gate_train`` runs each epoch."""
-    loss, dw, db = _GateStep(X, labels, lam)(model.weights[0][:, 0], model.biases[0])
+    loss, dw, db = _GateStep(X, labels)(model.weights[0][:, 0], model.biases[0])
     return float(loss), [dw[:, None]], [np.array([db])]
 
 
-def gate_train(learn: Dataset, lam: float = GATE_LAMBDA, epochs: int = GATE_EPOCHS,
-               step: float = GATE_STEP) -> NeuralModel:
+def gate_train(learn: Dataset, epochs: int = GATE_EPOCHS) -> NeuralModel:
     """Full-batch gradient descent on the hinge loss, zero init, deterministic."""
     if len(np.unique(learn.labels)) < 2:
         raise TrainingError("gate training needs both classes")
-    gate = _GateStep(learn.X, learn.labels, lam)
+    gate = _GateStep(learn.X, learn.labels)
     w, b = np.zeros(learn.n_features), np.zeros(1)
     for epoch in range(epochs):
         loss, dw, db = gate(w, b)
         if not np.isfinite(loss):
             raise DivergenceDetected(epoch)
-        w -= step * dw
-        b -= step * db
+        w -= GATE_STEP * dw
+        b -= GATE_STEP * db
     model = gate_new(learn.n_features)
     model.weights[0], model.biases[0] = w[:, None], b
     return model
@@ -196,11 +198,9 @@ def _loss(loss_kind: str, out: np.ndarray, targets: tuple, residual: np.ndarray,
         np.multiply(one_minus_y, np.log(p, out=p), out=p)
         terms = np.subtract(residual, p, out=p)
         np.subtract(out, y, out=residual)
-    elif loss_kind == "mse":
+    else:
         np.subtract(out, targets[0], out=residual)
         terms = np.multiply(residual, residual, out=scratch)
-    else:
-        raise ValueError(f"unknown loss {loss_kind!r}")
     return float(np.add.reduce(terms, axis=None) / terms.size)
 
 
@@ -241,38 +241,27 @@ class _SGDStep:
         return Ws, bs
 
     def _plan(self, m: int) -> tuple:
-        """Buffers and views for batches of ``m`` rows.  The forward pass
-        reads ``(W, b, out)`` for each relu layer and for the output layer,
-        then the output's delta and a scratch array.  The backward pass reads
+        """Buffers and views for batches of ``m`` rows: the ``_forward``
+        layers, the output's delta, a scratch array, and the backward pass's
         ``(delta, relu output, transposed input, dW, db, transposed W, delta
-        below)`` for each layer, the output layer first; the output layer
-        has no relu output, and the first layer reads the batch and writes
-        no delta below."""
+        below)`` per layer, output layer first; that layer has no relu
+        output, and the first layer reads the batch and writes no delta."""
         widths = self.dims[1:]
         top = len(widths) - 1
         outs = [np.empty((m, d)) for d in widths]
         deltas = [np.empty((m, d)) for d in widths]
-        layers = tuple(zip(self.weights, self.biases, outs))
+        forward = tuple(zip(self.weights, self.biases, outs, [_relu] * top + [_sigmoid]))
         backward = tuple(
             (deltas[l], outs[l] if l < top else None, outs[l - 1].T if l else None,
              self.dW[l], self.db[l], self.weights[l].T, deltas[l - 1] if l else None)
             for l in range(top, -1, -1))
-        plan = layers[:-1], layers[-1], deltas[-1], np.empty((m, widths[-1])), backward
-        self._plans[m] = plan
-        return plan
+        return self._plans.setdefault(m, (forward, deltas[-1], np.empty((m, widths[-1])), backward))
 
     def backward(self, xb: np.ndarray, targets: tuple) -> float:
         """The loss of one batch; its gradient is left in ``grad``."""
         m = xb.shape[0]
-        hidden, (W, b, out), delta, scratch, layers = self._plans.get(m) or self._plan(m)
-        a = xb
-        for W_l, b_l, z in hidden:
-            np.dot(a, W_l, out=z)
-            np.add(z, b_l, out=z)
-            a = np.maximum(z, 0.0, out=z)
-        np.dot(a, W, out=out)
-        np.add(out, b, out=out)
-        _sigmoid(out)
+        forward, delta, scratch, layers = self._plans.get(m) or self._plan(m)
+        out = _forward(xb, forward)
         loss = _loss(self.loss_kind, out, targets, delta, scratch)
         # delta becomes the gradient w.r.t. the output layer's pre-activation
         if self.loss_kind == "bce":
@@ -294,6 +283,11 @@ class _SGDStep:
         return loss
 
 
+def _check_width(model: NeuralModel, n_features: int) -> None:
+    if n_features != model.input_dim:
+        raise TrainingError(f"model expects {model.input_dim} features, got {n_features}")
+
+
 def loss_and_gradients(model: NeuralModel, X: np.ndarray, target: np.ndarray,
                        loss_kind: str):
     """Loss plus per-layer parameter gradients: one backward pass of the
@@ -303,15 +297,14 @@ def loss_and_gradients(model: NeuralModel, X: np.ndarray, target: np.ndarray,
     'mse' expects a target matrix shaped like the output.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    if X.shape[1] != model.input_dim:
-        raise TrainingError(f"expected {model.input_dim} inputs, got {X.shape[1]}")
+    _check_width(model, X.shape[1])
     step = _SGDStep(model, loss_kind)
     targets = _targets(loss_kind, np.asarray(target, dtype=np.float64), target)
     return step.backward(X, targets), step.dW, step.db
 
 
 def _sgd_train(model: NeuralModel, learn: Dataset, validation: Dataset, loss_kind: str,
-               epochs: int, batch: int, step: float) -> TrainingCurve:
+               epochs: int, batch: int) -> TrainingCurve:
     """Seeded mini-batch SGD.  'mse' reconstructs the input (autoencoder),
     'bce' fits the labels.  The model's weights and biases become views of
     the step's parameter vector, so they follow every update.
@@ -322,9 +315,7 @@ def _sgd_train(model: NeuralModel, learn: Dataset, validation: Dataset, loss_kin
     its products are large enough for the BLAS library to wake worker
     threads, which would then spin next to the single-threaded steps."""
     for data in (learn, validation):
-        if data.n_features != model.input_dim:
-            raise TrainingError(
-                f"model expects {model.input_dim} features, got {data.n_features}")
+        _check_width(model, data.n_features)
     sgd = _SGDStep(model, loss_kind)
     model.weights, model.biases = sgd.weights, sgd.biases
     theta, grad, scaled = sgd.theta, sgd.grad, np.empty_like(sgd.theta)
@@ -355,7 +346,7 @@ def _sgd_train(model: NeuralModel, learn: Dataset, validation: Dataset, loss_kin
                     loss = sgd.backward(xb, tb)
                     if not math.isfinite(loss):
                         raise DivergenceDetected(epoch + 1)
-                    np.subtract(theta, np.multiply(step, grad, out=scaled), out=theta)
+                    np.subtract(theta, np.multiply(MLP_STEP, grad, out=scaled), out=theta)
                     acc += loss * m
                 train_losses.append(acc / n)
                 snapshots[epoch] = theta
@@ -381,9 +372,9 @@ def _sgd_train(model: NeuralModel, learn: Dataset, validation: Dataset, loss_kin
 
 
 def mlp_train(model: NeuralModel, learn: Dataset, validation: Dataset,
-              epochs: int = 10, batch: int = 10, step: float = MLP_STEP) -> TrainingCurve:
+              epochs: int = 10, batch: int = 10) -> TrainingCurve:
     """Mini-batch SGD on binary cross-entropy; records TLC/VLC per epoch."""
-    return _sgd_train(model, learn, validation, "bce", epochs, batch, step)
+    return _sgd_train(model, learn, validation, "bce", epochs, batch)
 
 
 def mlp_predict(model: NeuralModel, dataset: Dataset) -> np.ndarray:
@@ -405,9 +396,9 @@ def ae_new(input_dim: int, bottleneck: int, seed: int) -> NeuralModel:
 
 
 def ae_train(model: NeuralModel, learn: Dataset, validation: Dataset,
-             epochs: int = 10, batch: int = 10, step: float = MLP_STEP) -> TrainingCurve:
+             epochs: int = 10, batch: int = 10) -> TrainingCurve:
     """Mini-batch SGD on mean squared reconstruction error."""
-    return _sgd_train(model, learn, validation, "mse", epochs, batch, step)
+    return _sgd_train(model, learn, validation, "mse", epochs, batch)
 
 
 def ae_encode(model: NeuralModel, dataset: Dataset) -> Dataset:
@@ -415,9 +406,7 @@ def ae_encode(model: NeuralModel, dataset: Dataset) -> Dataset:
     Only the encoder half runs: the layers up to the bottleneck."""
     if model.kind != "autoencoder":
         raise TrainingError("ae_encode needs an autoencoder model")
-    if dataset.n_features != model.input_dim:
-        raise TrainingError(
-            f"model expects {model.input_dim} features, got {dataset.n_features}")
+    _check_width(model, dataset.n_features)
     latent = _output(model, dataset.X, int(np.argmin(model.layer_dims[1:-1])) + 1)
     names = tuple(f"f{i + 1}" for i in range(latent.shape[1]))
     meta = dict(dataset.meta)

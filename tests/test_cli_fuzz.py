@@ -3,7 +3,8 @@
 Every run exits 0, 1, 2 or 3, and raises no warning.  A nonzero exit
 prints exactly one stderr line, starting with the prefix of its error
 family, and no traceback, and adds nothing to ``--out``.  The inputs are
-bad or edge flag values, malformed and edge-case CSVs, truncated, foreign,
+bad or edge flag values, malformed and edge-case CSVs (among them columns
+that overflow min-max scaling and subnormal columns), truncated, foreign,
 non-object or mistyped fs reports, one whose ranking names a feature twice,
 one whose scores span more than the float range, and, on the output side,
 directories that already exist at artifact paths or at ``<name>.tmp``, which
@@ -62,6 +63,12 @@ WIDE_SCORES = json.dumps({**FS_REPORT, "rankings": {"mRMR": {"entries": [
 CLEAN_CSV = ("f0,f1,label\n" + "".join(f"{(i - 20) / 8!r},{i % 7 / 8!r},{int(i >= 20)}\n"
                                        for i in range(40))).encode("utf-8")
 
+# CLEAN_CSV with f0 spread from -1e308 to 1e308: past the float range for
+# min-max scaling, and, unnormalized, large enough that an untrained MLP's
+# sigmoid overflows exp
+HUGE_CSV = ("f0,f1,label\n" + "".join(f"{(i - 20) / 20 * 1e308!r},{i % 7 / 8!r},{int(i >= 20)}\n"
+                                      for i in range(40))).encode("utf-8")
+
 # a label column and no feature: the audit passes on its random columns alone
 LABEL_ONLY_CSV = ("label\n" + "".join(f"{i % 2}\n" for i in range(40))).encode("utf-8")
 
@@ -110,11 +117,21 @@ FLAGS = {
 }
 
 
+# column f0's cells in the numeric-edge kinds: a min-max span past the float
+# range; a finite span from -1e308 to 0 that one row at 1e308 overflows
+# unless it is a learn row; subnormal values
+EDGE_COLUMNS = {
+    "huge_span": st.integers(-50, 50).map(lambda v: repr(v / 50 * 1e308)),
+    "huge_offset": st.integers(-50, 0).map(lambda v: repr(v / 50 * 1e308)),
+    "subnormal": st.integers(-50, 50).map(lambda v: repr(v * 5e-324)),
+}
+
+
 @st.composite
 def csv_bytes(draw):
     # the kind is drawn first: drawn after the cells, it is starved
     kind = draw(st.sampled_from(["clean", "empty", "header_only", "ragged", "bom",
-                                 "quoted", "single_class", "non_utf8"]))
+                                 "quoted", "single_class", "non_utf8", *EDGE_COLUMNS]))
     if kind == "empty":
         return b""
     n = 0 if kind == "header_only" else draw(st.integers(0, 40))
@@ -130,6 +147,11 @@ def csv_bytes(draw):
     elif kind == "single_class":
         for row in rows:
             row[-1] = "0"
+    elif kind in EDGE_COLUMNS and f and rows:
+        for row in rows:
+            row[0] = draw(EDGE_COLUMNS[kind])
+        if kind == "huge_offset":
+            rows[draw(st.integers(0, n - 1))][0] = "1e+308"
     text = "\n".join([header] + [",".join(r) for r in rows]) + "\n"
     data = text.encode("utf-8")
     if kind == "bom":
@@ -182,6 +204,8 @@ BLOCKED = st.lists(st.tuples(st.sampled_from(ARTIFACTS), st.sampled_from(["", ".
 @example(mode="rrw", data=CLEAN_CSV, report=_mistyped(*MISTYPED[7]), flags={}, blocked=[])
 @example(mode="rrw", data=CLEAN_CSV, report=_mistyped(*MISTYPED[8]), flags={}, blocked=[])
 @example(mode="rrw", data=CLEAN_CSV, report=WIDE_SCORES, flags={}, blocked=[])
+@example(mode="evaluate", data=HUGE_CSV, report=None, flags={"--epochs": "0"}, blocked=[])
+@example(mode="fs", data=HUGE_CSV, report=None, flags={}, blocked=[])
 @example(mode="fs", data=CLEAN_CSV, report=None, flags={}, blocked=["fs_report.json"])
 @example(mode="fs", data=CLEAN_CSV, report=None, flags={}, blocked=["fs_report.json.tmp"])
 @example(mode="evaluate", data=CLEAN_CSV, report=None, flags={"--epochs": "1"},

@@ -402,6 +402,22 @@ class TestLoadCsvParse:
                     == _outcome(lambda p: reference_load_csv(p, "label")[1].tolist(), path))
         assert len(calls) == 3
 
+    def test_crlf_across_the_digest_chunk_keeps_the_block_parse(self, tmp_path, monkeypatch):
+        # the line count reads the file in 2**20-byte chunks; a "\r\n" split
+        # between two chunks is one line end, or the count is off by one and
+        # the body goes to the per-cell parse
+        calls = self._count_fallbacks(monkeypatch)
+        n_rows = 131075  # the 131071st row's "\r\n" sits at bytes 2**20 - 1 and 2**20
+        rows = [(f"0.{i % 10}5", str(i % 2)) for i in range(n_rows)]
+        data = ("a,label\r\n" + "".join(f"{v},{y}\r\n" for v, y in rows)).encode("ascii")
+        assert data[2**20 - 1:2**20 + 1] == b"\r\n"
+        path = tmp_path / "crlf.csv"
+        path.write_bytes(data)
+        loaded = load_csv(path, "label")
+        assert loaded.X.ravel().tolist() == [float(v) for v, _ in rows]
+        assert loaded.labels.tolist() == [int(y) for _, y in rows]
+        assert len(calls) == 0
+
     def test_peak_memory_is_the_table_and_a_few_blocks(self, tmp_path, rng):
         n_rows, n_features = 20000, 33
         X, labels = rng.random((n_rows, n_features)), rng.integers(0, 2, n_rows)
@@ -557,6 +573,24 @@ class TestMinmax:
         normalized = apply_minmax(data, fit_minmax(data))
         assert normalized.meta["minmax_params"]["a"] == [2.0, 6.0]
         assert "minmax" in normalized.meta["transforms"]
+
+    def test_span_past_the_float_range_refused(self):
+        # the suite turns warnings into errors: the refusal comes before
+        # any arithmetic overflows
+        data = make_dataset({"a": [0.0, 1.0], "b": [-1e308, 1e308]}, [0, 1])
+        with pytest.raises(DataError, match=r"^column 'b' spans -1e\+308 to 1e\+308, "
+                                            r"wider than the float range$"):
+            apply_minmax(data, fit_minmax(data))
+
+    def test_held_out_offset_overflow_clips(self):
+        fit = make_dataset({"a": [-1e308, 0.0]}, [0, 1])
+        new = make_dataset({"a": [1e308, -1e308, -0.5e308, 0.0]}, [0, 1, 0, 1])
+        assert apply_minmax(new, fit_minmax(fit)).column("a").tolist() == [1.0, 0.0, 0.5, 1.0]
+
+    def test_held_out_quotient_overflow_clips(self):
+        fit = make_dataset({"a": [5e-324, 1e-323]}, [0, 1])
+        new = make_dataset({"a": [1.0, -1.0, 1e-323]}, [0, 1, 0])
+        assert apply_minmax(new, fit_minmax(fit)).column("a").tolist() == [1.0, 0.0, 1.0]
 
 
 class TestInjectRandomFeatures:

@@ -24,7 +24,12 @@ from midistill.neural import (
 )
 
 from conftest import make_dataset, planted_dataset
-from oracles import reference_forward, reference_gate_train, reference_sgd_train
+from oracles import (
+    reference_forward,
+    reference_gate_train,
+    reference_hinge_loss_and_grads,
+    reference_sgd_train,
+)
 
 
 def finite_diff_param_grads(loss_fn, model, h=1e-5):
@@ -141,6 +146,22 @@ class TestGateMatchesReference:
     def test_planted_table(self):
         self.assert_same_gate(planted_dataset(6, 2, 600, seed=5))
 
+    @pytest.mark.parametrize("w, b", [([0.5, -1.25], [0.25]), ([0.5, 0.0], [0.5])],
+                             ids=["off_the_hinge", "on_the_hinge"])
+    def test_loss_and_grads_equal_the_formula(self, w, b):
+        # dyadic values, so both orders of summation are exact; at the
+        # second weights row 0 lies on the hinge (margin exactly 0), where
+        # the formula takes the row as inactive
+        X = np.array([[1.0, 0.5], [0.0, -2.0], [-1.5, 1.0], [2.0, 0.25]])
+        labels = np.array([1, 0, 0, 1])
+        gate = gate_new(2)
+        gate.weights[0], gate.biases[0] = np.array(w)[:, None], np.array(b)
+        loss, dWs, dbs = hinge_loss_and_grads(gate, X, labels)
+        ref_loss, ref_dWs, ref_dbs = reference_hinge_loss_and_grads(gate, X, labels)
+        assert loss == ref_loss
+        assert dWs[0].tobytes() == ref_dWs[0].tobytes()
+        assert dbs[0].tobytes() == ref_dbs[0].tobytes()
+
     def test_single_class(self):
         data = make_dataset({"x": [0.1, 0.5, 0.9]}, [0, 0, 0])
         for train in (gate_train, reference_gate_train):
@@ -202,7 +223,7 @@ class TestSgdMatchesReference:
     @staticmethod
     def train(kind, model, learn, validation, epochs, batch):
         train = mlp_train if kind == "bce" else ae_train
-        return train(model, learn, validation, epochs=epochs, batch=batch, step=0.05)
+        return train(model, learn, validation, epochs=epochs, batch=batch)
 
     @settings(max_examples=100, deadline=None)
     @given(kind=st.sampled_from(["bce", "mse"]), f=st.integers(2, 12),
@@ -277,7 +298,7 @@ class TestValidationAfterTraining:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DivergenceDetected) as fused:
-                ae_train(model, learn, validation, epochs=4, batch=10, step=0.05)
+                ae_train(model, learn, validation, epochs=4, batch=10)
         with np.errstate(all="ignore"):
             with pytest.raises(DivergenceDetected) as reference:
                 reference_sgd_train(ref, learn, validation, "mse", 4, 10, 0.05)
@@ -293,7 +314,7 @@ class TestValidationAfterTraining:
         validation = make_dataset({f"f{i}": X[:, i] for i in range(3)}, validation.labels)
         model, ref = TestSgdMatchesReference.models("bce", 3, 1, 5)
         with pytest.raises(DivergenceDetected) as fused:
-            mlp_train(model, learn, validation, epochs=4, batch=10, step=0.05)
+            mlp_train(model, learn, validation, epochs=4, batch=10)
         with np.errstate(all="ignore"):
             with pytest.raises(DivergenceDetected) as reference:
                 reference_sgd_train(ref, learn, validation, "bce", 4, 10, 0.05)

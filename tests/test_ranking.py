@@ -1,4 +1,5 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -160,6 +161,18 @@ class TestEngineProperties:
             # the greedy engine picks the same order as this hand-driven loop
             assert rank(table, "mRMR").features == [
                 data.feature_names[i] for i in selected]
+
+    @pytest.mark.parametrize("below, order", [(0, ["a", "b"]), (1, ["b", "a"])])
+    def test_tie_tolerance_boundary(self, below, order):
+        # a's score is max - TIE_TOLERANCE as rank computes it, so a ties with
+        # b and wins on its smaller column index; one ulp lower, b wins
+        top = np.float64(0.5)
+        score = top - ranking.TIE_TOLERANCE
+        for _ in range(below):
+            score = np.nextafter(score, -np.inf)
+        table = SimpleNamespace(names=("a", "b"), relevance=np.array([score, top]),
+                                mi=np.zeros((2, 2)), binning=BINNING)
+        assert rank(table, "mRMR").features == order
 
     def test_unknown_algorithm(self, rng):
         data = random_discrete_dataset(rng)

@@ -71,6 +71,28 @@ class TestTamperingAudit:
                 wins += 1
         assert wins >= 8
 
+    @pytest.mark.parametrize("positions, passes", [
+        ((5, 5, 5, 5, 5), False), ((4, 6, 5, 5, 5), False), ((6, 6, 6, 6, 5), True)])
+    def test_mean_rank_at_the_cutoff_fails(self, monkeypatch, positions, passes):
+        # 7 features and 3 random ones at threshold 0.5: the cutoff is rank
+        # 5.0, and a random feature must average strictly above it
+        def fixed_rank(table, algorithm, beta=1.0):
+            order = [n for n in table.names if not n.startswith("__rand")]
+            order.insert(positions[len(calls)] - 1, "__rand1")
+            calls.append(algorithm)
+            return ranking_of(order + ["__rand2", "__rand3"])
+
+        calls = []
+        monkeypatch.setattr(selection, "rank", fixed_rank)
+        rng = np.random.default_rng(0)
+        data = make_dataset({f"f{i}": rng.random(50) for i in range(7)},
+                            rng.integers(0, 2, 50))
+        audit = tampering_audit(data, ("mRMR",), folds=5, seed=0, threshold=0.5,
+                                binning=BINNING)
+        record = audit.per_algorithm["mRMR"]
+        assert record["avg_ranks"]["__rand1"] == sum(positions) / 5
+        assert record["pass"] is passes
+
     def test_serialization(self):
         data = planted_dataset(3, 0, 150, seed=2)
         audit = tampering_audit(data, ("mRMR",), folds=2, seed=2, binning=BINNING)

@@ -269,13 +269,22 @@ def write_csv(dataset: Dataset, path, label_column: str) -> None:
 
 
 def _column_cells(col: np.ndarray) -> list[str]:
-    """``repr`` of each value: orjson prints the same shortest round-trip
-    digits for 0 and 1e-4 <= |v| < 1e16, but not Python's exponent form
-    (``1e-05``, ``1e+16``) outside that band, so those cells use ``repr``."""
+    """``repr`` of each value.  orjson prints the same shortest round-trip
+    digits, positionally for 1e-5 <= |v| < 1e16 and with an exponent outside
+    that band, which only needs repr's spelling.  repr uses an exponent below
+    1e-4 too, so cells with 1e-5 <= |v| < 1e-4 use repr."""
     values = col.tolist()
-    cells = orjson.dumps(values)[1:-1].decode().split(",")
+    # a "," after every cell, the last one too, ends each exponent
+    text = orjson.dumps(values)[1:-1].decode() + ","
+    if "e" in text:
+        # exponents from -5 to 15 never occur; repr signs the rest (1e+16)
+        # and writes them with two digits at least (1e-09)
+        text = text.replace("e", "e+").replace("+-", "-")
+        for digit in "6789":
+            text = text.replace(f"e-{digit},", f"e-0{digit},")
+    cells = text.split(",")[:-1]
     magnitude = np.abs(col)
-    for i in np.flatnonzero((magnitude >= 1e16) | ((magnitude < 1e-4) & (col != 0))).tolist():
+    for i in np.flatnonzero((magnitude >= 1e-5) & (magnitude < 1e-4)).tolist():
         cells[i] = repr(values[i])
     return cells
 

@@ -64,23 +64,24 @@ def discretize(column, config: BinningConfig, origin: str = "") -> DiscreteColum
     if not np.all(np.isfinite(x)):
         raise ValueError("column contains non-finite values")
 
-    distinct = np.unique(x)
-    if distinct.size == 1:
+    lo, hi = x.min(), x.max()
+    if lo == hi:
         return DiscreteColumn(np.zeros(x.size, dtype=np.int64), 1, origin)
-    if distinct.size <= config.n_bins and np.all(distinct == np.floor(distinct)):
-        codes = np.searchsorted(distinct, x)
-        return DiscreteColumn(codes, distinct.size, origin)
+    if np.all(x == np.floor(x)):
+        distinct = np.unique(x)
+        if distinct.size <= config.n_bins:
+            return DiscreteColumn(np.searchsorted(distinct, x), distinct.size, origin)
 
     if config.strategy == "equal_width":
-        edges = np.linspace(x.min(), x.max(), config.n_bins + 1)[1:-1]
+        edges = np.linspace(lo, hi, config.n_bins + 1)[1:-1]
     else:
         qs = np.arange(1, config.n_bins) / config.n_bins
         edges = np.unique(np.quantile(x, qs))
     codes = np.searchsorted(edges, x, side="left")
-    # drop empty bins so codes stay dense in 0..k-1
-    _, codes = np.unique(codes, return_inverse=True)
-    k = int(codes.max()) + 1
-    return DiscreteColumn(codes.astype(np.int64), k, origin)
+    # drop empty bins so codes stay dense in 0..k-1: each bin's new code is
+    # the number of filled bins below it
+    filled = np.bincount(codes) > 0
+    return DiscreteColumn((np.cumsum(filled) - 1)[codes], int(filled.sum()), origin)
 
 
 def _entropy_from_counts(counts: np.ndarray) -> float:
@@ -91,18 +92,25 @@ def _entropy_from_counts(counts: np.ndarray) -> float:
 def row_entropies(counts: np.ndarray) -> np.ndarray:
     """``_entropy_from_counts`` of every row of a 2-D count array, bit for bit.
 
-    Zero cells are dropped as there; rows left with the same number of cells
-    are stacked and summed along their last axis, which numpy sums pairwise
-    row by row exactly as it sums one 1-D array.  A row of zeros gives 0.
+    Zero cells are dropped as there.  Rows are sorted by how many cells they
+    keep, so each such width's cells form one contiguous block, which is
+    summed along its last axis; numpy sums pairwise row by row exactly as it
+    sums one 1-D array.  A row of zeros gives +0.0.
     """
-    out = np.zeros(len(counts))
     nonzero = counts > 0
     widths = nonzero.sum(axis=1)
-    totals = counts.sum(axis=1)
-    for width in np.unique(widths[widths > 0]):
-        rows = np.flatnonzero(widths == width)
-        p = counts[rows][nonzero[rows]].reshape(rows.size, width) / totals[rows, None]
-        out[rows] = -(p * np.log2(p)).sum(axis=1)
+    order = np.argsort(widths)
+    # a row of zeros divides by 1 and keeps no cell
+    p = (counts / np.maximum(counts.sum(axis=1), 1)[:, None])[order][nonzero[order]]
+    terms = np.log2(p)
+    terms *= p
+    out = np.zeros(len(counts))
+    row = cell = 0
+    for width, n_rows in enumerate(np.bincount(widths).tolist()):
+        if width and n_rows:
+            block = terms[cell:cell + n_rows * width].reshape(n_rows, width)
+            out[order[row:row + n_rows]] = -block.sum(axis=1)
+        row, cell = row + n_rows, cell + n_rows * width
     return out
 
 

@@ -26,7 +26,7 @@ TIE_TOLERANCE = 1e-12
 
 # column pairs are counted and turned into quantities in chunks of about this
 # many count cells, so no more than one chunk's counts is ever alive
-PAIR_CHUNK_CELLS = 1 << 14
+PAIR_CHUNK_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -79,17 +79,28 @@ class CountTable:
         self.binning = binning
         self.names = dataset.feature_names
         self.n = dataset.n_samples
+        # each column is discretized and kept only as lo = x*2 + c and, once
+        # w is known, hi = x*2w, so that a pair's cell (x_a*w + x_b)*2 + c is
+        # hi[a] + lo[b]; since w <= n_bins, it fits the narrowest signed type
+        # that holds -2 * n_bins**2
         y = dataset.labels
-        cols = [discretize(dataset.X[:, i], binning, name)
-                for i, name in enumerate(self.names)]
-        self.k = tuple(c.k for c in cols)
-        f, w = len(cols), max(self.k, default=1)
+        f = len(self.names)
+        lo = np.empty((f, self.n), dtype=np.min_scalar_type(-2 * binning.n_bins ** 2))
+        k = []
+        for i, name in enumerate(self.names):
+            col = discretize(dataset.X[:, i], binning, name)
+            lo[i] = col.codes * 2 + y
+            k.append(col.k)
+        self.k = tuple(k)
+        w = max(self.k, default=1)
+        hi = lo >> 1
+        hi *= 2 * w
         # marginal[i, x, c] and, for a chunk's pairs p = (a, b) with a < b,
         # cells[p, x_a, x_b, c]
         self.label_counts = np.bincount(y, minlength=2)
         self.marginal = np.zeros((f, w, 2), dtype=np.int64)
-        for i, c in enumerate(cols):
-            self.marginal[i] = np.bincount(c.codes * 2 + y, minlength=2 * w).reshape(w, 2)
+        for i, cells in enumerate(lo):
+            self.marginal[i] = np.bincount(cells, minlength=2 * w).reshape(w, 2)
 
         self._h_label = row_entropies(self.label_counts[None])[0]
         self._h = row_entropies(self.marginal.sum(axis=2))
@@ -108,9 +119,8 @@ class CountTable:
         chunk = max(1, PAIR_CHUNK_CELLS // (2 * w * w))
         for start in range(0, len(first), chunk):
             a, b = first[start:start + chunk], second[start:start + chunk]
-            cells = np.stack([
-                np.bincount((cols[i].codes * w + cols[j].codes) * 2 + y, minlength=2 * w * w)
-                for i, j in zip(a, b)]).reshape(-1, w, w, 2)
+            cells = np.stack([np.bincount(hi[i] + lo[j], minlength=2 * w * w)
+                              for i, j in zip(a.tolist(), b.tolist())]).reshape(-1, w, w, 2)
             self._pair_quantities(a, b, cells)
 
     def _pair_quantities(self, a: np.ndarray, b: np.ndarray, cells: np.ndarray) -> None:

@@ -107,9 +107,11 @@ class TestLoadCsv:
         assert reloaded.X.tobytes() == data.X.tobytes()
 
 
-# Python's repr switches to exponent form outside 1e-4 <= |v| < 1e16; the
-# edges of that band, the smallest subnormal and a large negative
-BAND_EDGES = (1e-4, math.nextafter(1e-4, 0), math.nextafter(1e16, 0), 1e16, 5e-324, -1.5e300)
+# Python's repr switches to exponent form outside 1e-4 <= |v| < 1e16 and
+# orjson outside 1e-5 <= |v| < 1e16; the edges of both bands, the smallest
+# subnormal and a large negative
+BAND_EDGES = (1e-4, math.nextafter(1e-4, 0), math.nextafter(1e16, 0), 1e16, 5e-324, -1.5e300,
+              1e-5, math.nextafter(1e-5, 0), math.nextafter(1e16, math.inf))
 # an RRw-weighted table: the weakest weight is about MINMAX_EPSILON / spread
 WEAK_WEIGHTS = np.column_stack([np.linspace(0.0, 1.0, 7), np.linspace(0.0, 1.0, 7) * 5e-9])
 
@@ -139,7 +141,7 @@ class TestWriteCsv:
 
     @settings(max_examples=300, deadline=None)
     @given(table=write_tables(), block_rows=st.integers(1, 5))
-    @example(table=(np.array([BAND_EDGES]).T, [0, 1, 1, 0, 1, 0]), block_rows=4)
+    @example(table=(np.array([BAND_EDGES]).T, [0, 1, 1, 0, 1, 0, 1, 1, 0]), block_rows=4)
     @example(table=(-np.array([BAND_EDGES]), [1]), block_rows=1)
     @example(table=(WEAK_WEIGHTS, [0, 1, 0, 1, 0, 1, 1]), block_rows=3)
     def test_matches_reference(self, out_dir, table, block_rows):
@@ -168,6 +170,17 @@ class TestWriteCsv:
         reference = reference.split(b"\r\n")
         assert len(fast) == len(reference) == 2**17 + 2
         assert [(a, b) for a, b in zip(fast, reference) if a != b][:3] == []
+
+    def test_exponent_spellings_are_pinned(self):
+        # orjson's bare exponents are respelled as repr's; between 1e-5 and
+        # 1e-4 orjson is positional and repr is not, so repr writes the cell
+        values = [math.nextafter(1e-5, 0), 1e-5, math.nextafter(1e-5, 1), -2.5e-5,
+                  math.nextafter(1e-4, 0), 1e-4, math.nextafter(1e16, 0), 1e16,
+                  math.nextafter(1e16, math.inf), 5e-324, -5e-324, -1e-9, -1.5e300, 1e-100]
+        assert dataset_module._column_cells(np.array(values)) == [
+            "9.999999999999999e-06", "1e-05", "1.0000000000000003e-05", "-2.5e-05",
+            "9.999999999999999e-05", "0.0001", "9999999999999998.0", "1e+16",
+            "1.0000000000000002e+16", "5e-324", "-5e-324", "-1e-09", "-1.5e+300", "1e-100"]
 
     def test_table_without_features(self, tmp_path):
         data = Dataset((), np.zeros((3, 0)), np.array([0, 1, 1]))

@@ -56,6 +56,17 @@ class TestDiscretize:
         assert col.codes.max() == col.k - 1
         assert col.k <= 10
 
+    @pytest.mark.parametrize("values, binning", [
+        ([0.0, 0.1, 0.2, 10.0], BinningConfig(4, "equal_width")),
+        ([0.5, 0.5, 0.5, 10.5], BinningConfig(4, "equal_frequency")),
+    ], ids=["equal_width", "equal_frequency"])
+    def test_empty_bins_are_dropped(self, values, binning):
+        # an outlier leaves the middle equal-width bins empty, and the top
+        # quantile edge (3.0) falls between two values; codes stay dense
+        col = discretize(values, binning)
+        assert col.codes.tolist() == [0, 0, 0, 1]
+        assert col.k == 2
+
     def test_empty_column(self):
         with pytest.raises(DataError, match="^column <anonymous> is empty$"):
             discretize([], EW)
@@ -84,8 +95,23 @@ class TestRowEntropies:
                 expected = np.array([_entropy_from_counts(row) for row in counts])
                 assert row_entropies(counts).tobytes() == expected.tobytes()
 
+    def test_one_call_mixes_widths_and_zero_rows(self, rng):
+        # every width from 0 to 300 cells, twice, in shuffled rows: a row's
+        # cells keep their places, and a row of zeros reads +0.0, not -0.0
+        widths = rng.permutation(np.repeat(np.arange(301), 2))
+        counts = np.zeros((widths.size, 300), dtype=np.int64)
+        for row, width in zip(counts, widths):
+            row[rng.choice(300, width, replace=False)] = rng.integers(1, 5000, width)
+        expected = np.array([_entropy_from_counts(row) if row.any() else 0.0 for row in counts])
+        assert row_entropies(counts).tobytes() == expected.tobytes()
+
     def test_zero_row_is_zero(self):
-        assert row_entropies(np.array([[0, 0, 0], [2, 0, 2]])).tolist() == [0.0, 1.0]
+        got = row_entropies(np.array([[0, 0, 0], [2, 0, 2]]))
+        assert got.tobytes() == np.array([0.0, 1.0]).tobytes()
+
+    def test_no_rows(self):
+        got = row_entropies(np.zeros((0, 4), dtype=np.int64))
+        assert got.shape == (0,) and got.dtype == np.float64
 
 
 class TestJointEntropy:

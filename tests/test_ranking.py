@@ -292,6 +292,24 @@ class TestCountTable:
                 expected[x, c] += 1
             assert table.marginal[i].tolist() == expected.tolist()
 
+    @pytest.mark.parametrize("n_bins", [8, 9, 127, 128, 129])
+    def test_narrow_codes_at_their_type_boundaries(self, rng, n_bins):
+        # cells are counted in the narrowest signed type that holds
+        # -2 * n_bins**2: int8 up to 8 bins, int16 up to 128, int32 above.
+        # Every column takes all n_bins codes, and row 0 holds the top code
+        # in each with label 1, so the largest pair cell 2 * w**2 - 1 counts
+        n = 2 * n_bins + 5
+        labels = rng.integers(0, 2, n)
+        labels[0] = 1
+        cols = {}
+        for i in range(3):
+            codes = rng.permutation(np.arange(n) % n_bins)
+            codes[0] = n_bins - 1  # every code still occurs at least once
+            cols[f"c{i}"] = codes.astype(float)
+        data = make_dataset(cols, labels)
+        assert CountTable(data, BinningConfig(n_bins)).k == (n_bins,) * 3
+        self._check_against_oracles(data, BinningConfig(n_bins))
+
     def test_chunk_boundaries_keep_every_bit(self, rng, monkeypatch):
         # 8 columns give 28 pairs: chunks of 1 pair, then chunks of 3 with a
         # ragged last chunk of 1, against the default single chunk

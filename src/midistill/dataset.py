@@ -56,7 +56,7 @@ class Dataset:
             raise DataError("duplicate feature names")
         if labels.shape != (X.shape[0],):
             raise DataError("labels length must equal n_samples")
-        if not np.all(np.isfinite(X)):
+        if X.size and not (np.isfinite(X.min()) and np.isfinite(X.max())):
             raise DataError("NaN/infinite values in feature matrix")
         # checked as given: the int64 cast would turn 0.5 into 0 and warn on NaN
         if not np.all((labels == 0) | (labels == 1)):

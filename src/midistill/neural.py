@@ -115,12 +115,12 @@ def gate_predict(model: NeuralModel, X: np.ndarray) -> np.ndarray:
 
 class _GateStep:
     """L2-regularized mean hinge loss of a linear gate and its gradient, on
-    a feature-major copy of X: both products read contiguous rows, the
-    signs are derived once, and each call writes into the same n-length
-    buffers."""
+    the feature-major rows ``A`` (features x rows): both products read
+    contiguous rows, the signs are derived once, and each call writes into
+    the same n-length buffers."""
 
-    def __init__(self, X: np.ndarray, labels: np.ndarray):
-        self.A = np.ascontiguousarray(np.asarray(X, dtype=np.float64).T)
+    def __init__(self, A: np.ndarray, labels: np.ndarray):
+        self.A = np.ascontiguousarray(A, dtype=np.float64)
         n = self.A.shape[1]
         self.t = 2.0 * np.asarray(labels, dtype=np.float64) - 1.0
         self.c = -self.t / n  # ds = c * active is -(t * active) / n, signed zeros included
@@ -140,27 +140,26 @@ class _GateStep:
         return loss, self.A @ ds + 2.0 * GATE_LAMBDA * w, ds.sum()
 
 
-def hinge_loss_and_grads(model: NeuralModel, X: np.ndarray, labels: np.ndarray):
-    """L2-regularized mean hinge loss and its parameter gradients: one call
-    of the step ``gate_train`` runs each epoch."""
-    loss, dw, db = _GateStep(X, labels)(model.weights[0][:, 0], model.biases[0])
+def hinge_loss_and_grads(model: NeuralModel, A: np.ndarray, labels: np.ndarray):
+    """L2-regularized mean hinge loss and its parameter gradients on the
+    feature-major rows ``A``: one call of the step ``gate_train`` runs each epoch."""
+    loss, dw, db = _GateStep(A, labels)(model.weights[0][:, 0], model.biases[0])
     return float(loss), [dw[:, None]], [np.array([db])]
 
 
-def gate_train(learn: Dataset, epochs: int = GATE_EPOCHS) -> NeuralModel:
-    """Full-batch gradient descent on the hinge loss, zero init, deterministic."""
-    if len(np.unique(learn.labels)) < 2:
+def gate_train(A: np.ndarray, labels: np.ndarray, epochs: int = GATE_EPOCHS) -> NeuralModel:
+    """Full-batch hinge-loss descent from zero, on feature-major rows ``A`` and their labels."""
+    if not 0 < labels.sum() < labels.size:
         raise TrainingError("gate training needs both classes")
-    gate = _GateStep(learn.X, learn.labels)
-    w, b = np.zeros(learn.n_features), np.zeros(1)
+    gate = _GateStep(A, labels)
+    model = gate_new(len(gate.A))
+    w, b = model.weights[0][:, 0], model.biases[0]  # views: the steps update the model
     for epoch in range(epochs):
         loss, dw, db = gate(w, b)
         if not np.isfinite(loss):
             raise DivergenceDetected(epoch)
         w -= GATE_STEP * dw
         b -= GATE_STEP * db
-    model = gate_new(learn.n_features)
-    model.weights[0], model.biases[0] = w[:, None], b
     return model
 
 

@@ -38,9 +38,10 @@ def avg_f1_cv(dataset: Dataset, k: int = 5, seed: int = 0) -> float:
     chunks = folds(dataset.n_samples, k, seed)
     scores = []
     for i, held in enumerate(chunks):
-        gate = gate_train(dataset.take(np.concatenate(chunks[:i] + chunks[i + 1:])))
-        test = dataset.take(held)
-        m = compute_metrics(gate_predict(gate, test.X), test.labels)
+        rows = np.concatenate(chunks[:i] + chunks[i + 1:])
+        # one copy: np.take gathers the fold feature-major and C-ordered, as the gate reads it
+        gate = gate_train(np.take(dataset.X.T, rows, axis=1), dataset.labels[rows])
+        m = compute_metrics(gate_predict(gate, dataset.X[held]), dataset.labels[held])
         scores.append(0.0 if m.f1 is None else m.f1)
     return float(np.mean(scores))
 

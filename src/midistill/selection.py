@@ -141,18 +141,19 @@ class LearnRows:
     """
 
     def __init__(self, dataset: Dataset, split: DataSplit, binning: BinningConfig):
-        self.dataset = dataset
-        self.split = split
-        self.table = CountTable(dataset.take(split.learn_idx), binning)
+        learn = dataset.take(split.learn_idx)
+        self.table = CountTable(learn, binning)
+        self.A, self.labels = learn.X.T.copy(), learn.labels
+        self.test = dataset.take(split.test_idx)
         self._metrics: dict[tuple[str, ...], ClassifierMetrics] = {}
 
     def metrics(self, features) -> ClassifierMetrics:
         key = tuple(features)
         if key not in self._metrics:
-            reduced = self.dataset.select_features(key)
-            gate = gate_train(reduced.take(self.split.learn_idx))
-            test = reduced.take(self.split.test_idx)
-            self._metrics[key] = compute_metrics(gate_predict(gate, test.X), test.labels)
+            cols = [self.table.names.index(name) for name in key]
+            gate = gate_train(self.A[cols], self.labels)
+            test_X = self.test.X.take(cols, axis=1)  # C-ordered, as the reports were pinned
+            self._metrics[key] = compute_metrics(gate_predict(gate, test_X), self.test.labels)
         return self._metrics[key]
 
 
@@ -170,7 +171,7 @@ def backward_eliminate(rows: LearnRows, algorithm: str, gamma: float,
     """
     if not 0 <= gamma < 1:
         raise DataError("gamma must be in [0, 1)")
-    initial = rows.dataset.feature_names
+    initial = rows.table.names
     if len(initial) < 2:
         raise DataError("need at least 2 features to eliminate")
 

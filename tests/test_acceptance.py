@@ -224,10 +224,10 @@ def test_criterion_8_gradient_checks():
     rng = np.random.default_rng(8)
     data = make_dataset({"a": rng.random(16), "b": rng.random(16)},
                         rng.integers(0, 2, 16).tolist())
-    gate = gate_train(data, epochs=3)
-    _, gdW, gdb = hinge_loss_and_grads(gate, data.X, data.labels)
+    gate = gate_train(data.X.T, data.labels, epochs=3)
+    _, gdW, gdb = hinge_loss_and_grads(gate, data.X.T, data.labels)
     fdW, fdb = finite_diff_param_grads(
-        lambda: hinge_loss_and_grads(gate, data.X, data.labels)[0], gate)
+        lambda: hinge_loss_and_grads(gate, data.X.T, data.labels)[0], gate)
 
     mlp = mlp_new(3, 8)
     Xm = rng.random((8, 3))
@@ -336,7 +336,8 @@ from midistill.selection import LearnRows, backward_eliminate
 data = planted_dataset(6, 27, 20000, seed=3)
 sp = split(data, 0)
 data = apply_minmax(data, fit_minmax(data, sp.learn_idx))
-gate = gate_train(data.take(sp.learn_idx))
+learn = data.take(sp.learn_idx)
+gate = gate_train(learn.X.T.copy(), learn.labels)
 trace = backward_eliminate(LearnRows(data, sp, BinningConfig()), "mRMR", 0.0)
 print(json.dumps({
     "weights": hashlib.sha256(gate.weights[0].tobytes() + gate.biases[0].tobytes()).hexdigest(),

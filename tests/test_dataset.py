@@ -446,9 +446,9 @@ class TestLoadCsvParse:
         finally:
             tracemalloc.stop()
         assert data.X.tobytes() == X.tobytes()
-        # X, the mask of Dataset's finiteness check (a byte a cell), the
-        # labels twice, and 16 blocks for the text, its JSON and the rows
-        assert peak <= X.nbytes * 9 // 8 + 16 * n_rows + 16 * dataset_module.READ_BLOCK_CHARS
+        # X, the labels twice, and 16 blocks for the text, its JSON and the
+        # rows; Dataset's finiteness check allocates nothing a cell
+        assert peak <= X.nbytes + 16 * n_rows + 16 * dataset_module.READ_BLOCK_CHARS
 
     def test_blank_lines_allocate_no_table(self, tmp_path):
         # 10000 lines cannot hold 10000 rows of 2001 cells; a table of that
@@ -479,9 +479,30 @@ class TestLoadCsvParse:
 
 
 class TestInvariants:
-    def test_rejects_nan(self):
-        with pytest.raises(DataError):
-            make_dataset({"a": [1.0, np.nan]}, [0, 1])
+    @pytest.mark.parametrize("X, finite", [
+        ([[1.0], [np.nan]], False),
+        ([[np.inf], [1.0]], False),
+        ([[1.0], [-np.inf]], False),
+        ([[-np.inf], [np.inf]], False),
+        ([[np.nan, 2.0], [np.inf, -1.0]], False),
+        ([[-1.7e308, 1.7e308], [1.7976931348623157e308, -1.7976931348623157e308]], True),
+        (np.empty((2, 0)), True),  # a table of labels alone
+    ])
+    def test_rejects_nan(self, X, finite):
+        X = np.asarray(X, dtype=float)
+        names = tuple(f"c{i}" for i in range(X.shape[1]))
+        if finite:
+            assert Dataset(names, X, np.array([0, 1])).X.tobytes() == X.tobytes()
+        else:
+            with pytest.raises(DataError, match="^NaN/infinite values in feature matrix$"):
+                Dataset(names, X, np.array([0, 1]))
+
+    def test_normalizes_and_freezes_its_fields(self):
+        # names as a tuple, cells as float64, labels as int64, neither array writable
+        data = Dataset(["a", "b"], [[1, 2], [3, 4]], np.array([0.0, 1.0]))
+        assert data.feature_names == ("a", "b")
+        assert data.X.dtype == np.float64 and data.labels.dtype == np.int64
+        assert not data.X.flags.writeable and not data.labels.flags.writeable
 
     def test_rejects_bad_labels(self):
         with pytest.raises(DataError):

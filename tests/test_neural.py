@@ -66,19 +66,20 @@ class TestGate:
 
     def test_separable_perfect_accuracy(self):
         data = self.separable()
-        gate = gate_train(data)
+        gate = gate_train(data.X.T, data.labels)
         preds = gate_predict(gate, data.X)
         assert np.mean(preds == data.labels) == 1.0
 
-    def test_single_class_error(self):
-        data = make_dataset({"x": [0.0, 1.0, 2.0]}, [1, 1, 1])
+    @pytest.mark.parametrize("labels", [[1, 1, 1], [0, 0, 0], []])
+    def test_single_class_error(self, labels):
+        A = np.arange(len(labels), dtype=float)[None, :]
         with pytest.raises(TrainingError, match="^gate training needs both classes$"):
-            gate_train(data)
+            gate_train(A, np.array(labels, dtype=np.int64))
 
     def test_random_labels_near_majority_rate(self):
         rng = np.random.default_rng(0)
         data = make_dataset({"x": rng.random(600)}, rng.integers(0, 2, 600))
-        gate = gate_train(data)
+        gate = gate_train(data.X.T, data.labels)
         acc = np.mean(gate_predict(gate, data.X) == data.labels)
         majority = max(np.mean(data.labels), 1 - np.mean(data.labels))
         assert abs(acc - majority) < 0.05 or acc > majority
@@ -92,9 +93,9 @@ class TestGate:
         # their weights stay equal and the predicted classes agree with the
         # single-column model (decision values differ: duplicates double the
         # effective step along that direction)
-        gd = gate_train(double)
+        gd = gate_train(double.X.T, y)
         assert gd.weights[0][0, 0] == pytest.approx(gd.weights[0][1, 0], abs=1e-12)
-        p1 = gate_predict(gate_train(single), single.X)
+        p1 = gate_predict(gate_train(single.X.T, y), single.X)
         p2 = gate_predict(gd, double.X)
         assert np.mean(p1 == p2) > 0.95  # disagreement confined to the margin
         assert np.mean(p2 == y) > 0.9
@@ -102,10 +103,10 @@ class TestGate:
     def test_hinge_gradient_check(self, rng):
         data = make_dataset({"a": rng.random(16), "b": rng.random(16)},
                             rng.integers(0, 2, 16).tolist())
-        gate = gate_train(data, epochs=3)
-        _, dWs, dbs = hinge_loss_and_grads(gate, data.X, data.labels)
+        gate = gate_train(data.X.T, data.labels, epochs=3)
+        _, dWs, dbs = hinge_loss_and_grads(gate, data.X.T, data.labels)
         fdW, fdb = finite_diff_param_grads(
-            lambda: hinge_loss_and_grads(gate, data.X, data.labels)[0], gate)
+            lambda: hinge_loss_and_grads(gate, data.X.T, data.labels)[0], gate)
         assert_grads_close(dWs, fdW)
         assert_grads_close(dbs, fdb)
 
@@ -125,7 +126,8 @@ class TestGateMatchesReference:
         return make_dataset({f"f{i}": X[:, i] for i in range(f)}, y)
 
     def assert_same_gate(self, data, **kwargs):
-        gate, ref = gate_train(data, **kwargs), reference_gate_train(data, **kwargs)
+        gate = gate_train(data.X.T, data.labels, **kwargs)
+        ref = reference_gate_train(data, **kwargs)
         assert gate.weights[0].shape == ref.weights[0].shape == (data.n_features, 1)
         assert gate.biases[0].shape == ref.biases[0].shape == (1,)
         np.testing.assert_array_equal(gate_predict(gate, data.X), gate_predict(ref, data.X))
@@ -156,7 +158,7 @@ class TestGateMatchesReference:
         labels = np.array([1, 0, 0, 1])
         gate = gate_new(2)
         gate.weights[0], gate.biases[0] = np.array(w)[:, None], np.array(b)
-        loss, dWs, dbs = hinge_loss_and_grads(gate, X, labels)
+        loss, dWs, dbs = hinge_loss_and_grads(gate, X.T, labels)
         ref_loss, ref_dWs, ref_dbs = reference_hinge_loss_and_grads(gate, X, labels)
         assert loss == ref_loss
         assert dWs[0].tobytes() == ref_dWs[0].tobytes()
@@ -164,7 +166,7 @@ class TestGateMatchesReference:
 
     def test_single_class(self):
         data = make_dataset({"x": [0.1, 0.5, 0.9]}, [0, 0, 0])
-        for train in (gate_train, reference_gate_train):
+        for train in (lambda d: gate_train(d.X.T, d.labels), reference_gate_train):
             with pytest.raises(TrainingError, match="^gate training needs both classes$"):
                 train(data)
 
@@ -173,7 +175,7 @@ class TestGateMatchesReference:
         X = data.X * np.array([1.0, 1e200, 1.0])
         data = make_dataset({f"f{i}": X[:, i] for i in range(3)}, data.labels)
         epochs = []
-        for train in (gate_train, reference_gate_train):
+        for train in (lambda d: gate_train(d.X.T, d.labels), reference_gate_train):
             with np.errstate(over="ignore", invalid="ignore"):
                 with pytest.raises(DivergenceDetected) as exc:
                     train(data)
@@ -191,10 +193,10 @@ class TestGateStepsAlongHingeGradient:
         data = TestGateMatchesReference.table(f, seed)
         gate = gate_new(f)
         for _ in range(epochs):
-            _, dWs, dbs = hinge_loss_and_grads(gate, data.X, data.labels)
+            _, dWs, dbs = hinge_loss_and_grads(gate, data.X.T, data.labels)
             gate.weights[0] = gate.weights[0] - GATE_STEP * dWs[0]
             gate.biases[0] = gate.biases[0] - GATE_STEP * dbs[0]
-        trained = gate_train(data, epochs=epochs)
+        trained = gate_train(data.X.T, data.labels, epochs=epochs)
         assert trained.weights[0].tobytes() == gate.weights[0].tobytes()
         assert trained.biases[0].tobytes() == gate.biases[0].tobytes()
 

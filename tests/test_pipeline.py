@@ -135,12 +135,14 @@ class TestFsMode:
 
     def test_each_feature_tuple_trained_once(self, planted_csv, tmp_path, monkeypatch):
         # all six criteria share one gate cache: every gate evaluated by any
-        # elimination step or by the post-elimination gate is trained once
+        # elimination step or by the post-elimination gate is trained once;
+        # a gate is known by its input, its columns of the learn rows
+        # feature-major
         trained = []
 
-        def counting(learn, *args, **kwargs):
-            trained.append(learn.feature_names)
-            return gate_train(learn, *args, **kwargs)
+        def counting(A, *args, **kwargs):
+            trained.append((A.shape, A.tobytes()))
+            return gate_train(A, *args, **kwargs)
 
         monkeypatch.setattr(selection, "gate_train", counting)
         report = run_fs(fs_config(planted_csv, tmp_path, algorithms=ALGORITHMS,
@@ -153,9 +155,39 @@ class TestFsMode:
                 current.remove(step["removed_feature"])
                 evaluated.add(tuple(current))
                 n_steps += 1
+        data = load_csv(planted_csv, "label")
+        sp = dataset.split(data, 3)
+        normalized = dataset.apply_minmax(data, dataset.fit_minmax(data, sp.learn_idx))
+        learn = normalized.take(sp.learn_idx)
+        inputs = [learn.select_features(f).X.T for f in evaluated]
         assert len(report["traces"]) == len(ALGORITHMS)
-        assert sorted(trained) == sorted(evaluated)
+        assert sorted(trained) == sorted((A.shape, A.tobytes()) for A in inputs)
         assert len(trained) < n_steps
+
+    def test_no_dataset_per_gate(self, tmp_path, monkeypatch):
+        # gates train on arrays: the Datasets a run builds are the same
+        # whether elimination trains 6 gates or 12
+        path = tmp_path / "planted.csv"
+        write_csv(planted_dataset(5, 3, 2000, seed=3), path, "label")
+        built, gates = Counter(), Counter()
+        post_init = Dataset.__post_init__
+
+        def counting_post_init(data):
+            built[gamma] += 1
+            post_init(data)
+
+        def counting_gate(*args, **kwargs):
+            gates[gamma] += 1
+            return gate_train(*args, **kwargs)
+
+        monkeypatch.setattr(Dataset, "__post_init__", counting_post_init)
+        monkeypatch.setattr(selection, "gate_train", counting_gate)
+        for gamma in (0.95, 0.0):
+            report = run_fs(fs_config(str(path), tmp_path / str(gamma), algorithms=ALGORITHMS,
+                                      gamma=gamma, tamper_threshold=0.5))
+            assert report["final_suite"] == list(ALGORITHMS)
+        assert gates[0.95] < gates[0.0]
+        assert built[0.95] == built[0.0]
 
     def test_report_write_is_atomic(self, planted_csv, tmp_path, monkeypatch):
         # a run that fails while it stages its files propagates the error and

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from midistill import rrw
 from midistill.errors import DataError
-from midistill.neural import mlp_new, mlp_train
+from midistill.neural import gate_predict, gate_train, mlp_new, mlp_train
 from midistill.ranking import FeatureRanking
 from midistill.rrw import RRwWeights, apply_weights, avg_f1_cv, rrw_scores
 
-from conftest import make_dataset
+from conftest import make_dataset, planted_dataset
 from oracles import reference_forward
 
 
@@ -37,6 +38,26 @@ class TestAvgF1:
         labels = rng.integers(0, 2, 200)
         data = make_dataset({"copy": labels.astype(float)}, labels)
         assert abs(avg_f1_cv(data, k=2, seed=0) - avg_f1_cv(data, k=5, seed=0)) < 0.05
+
+    def test_folds_train_on_c_ordered_feature_major_rows(self, monkeypatch):
+        # each fold arrives in the layout the gate reads, so the gate copies
+        # it no further, and the held-out rows reach gate_predict C-ordered
+        data = planted_dataset(3, 2, 200, seed=1)
+        data = data.select_features(data.feature_names[1:])
+        layouts = []
+
+        def train(A, labels):
+            layouts.append((A.shape, A.flags.c_contiguous))
+            return gate_train(A, labels)
+
+        def predict(model, X):
+            layouts.append((X.shape, X.flags.c_contiguous))
+            return gate_predict(model, X)
+
+        monkeypatch.setattr(rrw, "gate_train", train)
+        monkeypatch.setattr(rrw, "gate_predict", predict)
+        avg_f1_cv(data, k=4, seed=0)
+        assert layouts == [((4, 150), True), ((50, 4), True)] * 4
 
     def test_k_must_be_at_least_two(self, rng):
         data = make_dataset({"a": rng.random(20)}, rng.integers(0, 2, 20))

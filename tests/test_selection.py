@@ -1,9 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from midistill import selection
+from midistill.metrics import compute_metrics
+from midistill.neural import gate_predict, gate_train
 from midistill.dataset import apply_minmax, fit_minmax, split
 from midistill.errors import DataError
 from midistill.infotheory import BinningConfig
@@ -16,6 +19,7 @@ from midistill.selection import (
 )
 
 from conftest import make_dataset, planted_dataset
+from oracles import reference_gate_train
 
 BINNING = BinningConfig(10, "equal_frequency")
 
@@ -168,6 +172,50 @@ class TestBackwardEliminate:
                 assert rank(CountTable(projected, BINNING), algorithm).features[-1] == \
                     step.removed_feature
                 current.remove(step.removed_feature)
+
+    def test_metrics_follow_the_key_order(self, planted_norm):
+        # a gate trains and predicts on the key's columns in the key's order
+        data, sp = planted_norm
+        key = ("inf2", "noise1", "inf0", "inf3", "inf1")
+        reduced = data.select_features(key)
+        gate = reference_gate_train(reduced.take(sp.learn_idx))
+        test = reduced.take(sp.test_idx)
+        expected = compute_metrics(gate_predict(gate, test.X), test.labels)
+        assert LearnRows(data, sp, BINNING).metrics(key) == expected
+
+    def test_gates_read_c_ordered_rows(self, planted_norm, monkeypatch):
+        # the layouts the reports are pinned with: the epoch reads C-ordered
+        # feature-major rows, and gate_predict C-ordered test rows
+        data, sp = planted_norm
+        layouts = []
+
+        def train(A, labels):
+            layouts.append(A.flags.c_contiguous)
+            return gate_train(A, labels)
+
+        def predict(model, X):
+            layouts.append(X.flags.c_contiguous)
+            return gate_predict(model, X)
+
+        monkeypatch.setattr(selection, "gate_train", train)
+        monkeypatch.setattr(selection, "gate_predict", predict)
+        LearnRows(data, sp, BINNING).metrics(data.feature_names[1:])
+        assert layouts == [True, True]
+
+    def test_a_gate_holds_one_copy_of_the_learn_rows(self):
+        # the full-set gate gathers every column of the feature-major learn
+        # rows once; its buffers and the projected test rows are small
+        data = planted_dataset(6, 27, 20000, seed=3)
+        sp = split(data, 0)
+        rows = LearnRows(apply_minmax(data, fit_minmax(data, sp.learn_idx)), sp, BINNING)
+        one_copy = len(sp.learn_idx) * data.n_features * 8
+        tracemalloc.start()
+        try:
+            rows.metrics(data.feature_names)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= one_copy * 3 // 2
 
     def test_ranks_once(self, planted_norm, monkeypatch):
         calls = []

@@ -73,12 +73,6 @@ class Dataset:
     def n_features(self) -> int:
         return self.X.shape[1]
 
-    def column(self, name: str) -> np.ndarray:
-        try:
-            return self.X[:, self.feature_names.index(name)]
-        except ValueError:
-            raise DataError(f"unknown feature {name!r}") from None
-
     def select_features(self, names, note: str | None = None) -> "Dataset":
         """Project onto the given feature columns, preserving sample order."""
         missing = [n for n in names if n not in self.feature_names]

@@ -140,13 +140,6 @@ class _GateStep:
         return loss, self.A @ ds + 2.0 * GATE_LAMBDA * w, ds.sum()
 
 
-def hinge_loss_and_grads(model: NeuralModel, A: np.ndarray, labels: np.ndarray):
-    """L2-regularized mean hinge loss and its parameter gradients on the
-    feature-major rows ``A``: one call of the step ``gate_train`` runs each epoch."""
-    loss, dw, db = _GateStep(A, labels)(model.weights[0][:, 0], model.biases[0])
-    return float(loss), [dw[:, None]], [np.array([db])]
-
-
 def gate_train(A: np.ndarray, labels: np.ndarray, epochs: int = GATE_EPOCHS) -> NeuralModel:
     """Full-batch hinge-loss descent from zero, on feature-major rows ``A`` and their labels."""
     if not 0 < labels.sum() < labels.size:
@@ -285,21 +278,6 @@ class _SGDStep:
 def _check_width(model: NeuralModel, n_features: int) -> None:
     if n_features != model.input_dim:
         raise TrainingError(f"model expects {model.input_dim} features, got {n_features}")
-
-
-def loss_and_gradients(model: NeuralModel, X: np.ndarray, target: np.ndarray,
-                       loss_kind: str):
-    """Loss plus per-layer parameter gradients: one backward pass of the
-    SGD step, on X as one batch.
-
-    loss_kind 'bce' expects a 0/1 target vector against a sigmoid output;
-    'mse' expects a target matrix shaped like the output.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    _check_width(model, X.shape[1])
-    step = _SGDStep(model, loss_kind)
-    targets = _targets(loss_kind, np.asarray(target, dtype=np.float64), target)
-    return step.backward(X, targets), step.dW, step.db
 
 
 def _sgd_train(model: NeuralModel, learn: Dataset, validation: Dataset, loss_kind: str,

@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import dataset as ds
-from .errors import ConfigError, MidistillError
+from .errors import ConfigError, DataError, MidistillError
 from .infotheory import BINNING_STRATEGIES, BinningConfig
 from .metrics import compute_metrics
 from .neural import (
@@ -151,12 +151,16 @@ def _publish(config: PipelineConfig, report: dict, files: dict) -> dict:
     return report
 
 
-def _load(config: PipelineConfig, normalize: bool = True):
-    """Load the input CSV, split it, and (if ``normalize``) min-max normalize
-    fit on learn.  The normalized table replaces the raw one, so the raw
-    table is freed before any training."""
+def _load(config: PipelineConfig, normalize: bool = True, source_sha256: str | None = None):
+    """Load the input CSV, refuse it unless its digest is ``source_sha256``
+    (if given), split it, and (if ``normalize``) min-max normalize fit on
+    learn.  The normalized table replaces the raw one, so the raw table is
+    freed before any training."""
     with _stage("load"):
         data = ds.load_csv(config.input_path, config.label_column)
+        if source_sha256 is not None and data.meta["source_sha256"] != source_sha256:
+            raise DataError(f"fs report {config.fs_report} was made from another input "
+                            f"(sha256 {source_sha256[:12]}), not {config.input_path}")
     with _stage("split"):
         sp = ds.split(data, config.seed)
     if normalize:
@@ -227,29 +231,9 @@ def run_fs(config: PipelineConfig) -> dict:
         "mdrt": mdrt,
         "optimized_features": list(optimized.feature_names) if optimized else None,
         "rankings": {alg: trace.ranking.to_json() for alg, trace in traces.items()},
+        "source_sha256": normalized.meta["source_sha256"],
     }
     return _publish(config, report, files)
-
-
-def _load_fs_report(config: PipelineConfig) -> dict:
-    if not config.fs_report:
-        raise ConfigError(f"mode={config.mode} requires --fs-report from a prior fs run")
-    try:
-        with open(config.fs_report, encoding="utf-8") as fh:
-            report = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read fs report {config.fs_report}: {exc.strerror}") from None
-    except ValueError as exc:
-        raise ConfigError(f"fs report {config.fs_report} is not valid JSON: {exc}") from None
-    if not isinstance(report, dict):
-        raise ConfigError(f"fs report {config.fs_report} is not a JSON object")
-    if not report.get("final_suite") or not report.get("optimized_features"):
-        raise ConfigError("fs report has no surviving algorithms / optimized features"
-                          + _why_no_suite(report))
-    _names(report["optimized_features"], "optimized_features")
-    if report.get("mdrt") is not None:
-        _expect(report["mdrt"], int, "mdrt")
-    return report
 
 
 def _why_no_suite(report: dict) -> str:
@@ -296,23 +280,45 @@ def _names(value, field: str) -> tuple[str, ...]:
     return tuple(_expect(name, str, field) for name in _expect(value, list, field))
 
 
-def run_rrw(config: PipelineConfig) -> dict:
-    """Cross-validated F1 per surviving algorithm, RRw weights, and the
-    re-weighted optimized dataset.  Algorithms that kept the same feature
-    set share one cross-validation: its gates are identical."""
-    _validate(config, "rrw")
-    fs_report = _load_fs_report(config)
-    optimized_features = fs_report["optimized_features"]
+def _read_fs_report(config: PipelineConfig) -> dict:
+    """The fields of ``--fs-report`` that rrw and ae read, after a check of
+    the whole report: the types; each final-suite criterion is known, with a
+    trace and a ranking; each ranking is a permutation of its trace's initial
+    features; ``optimized_features`` is one of their optimized sets, of
+    length ``mdrt``.  A report that fails a check is a ConfigError."""
+    path = config.fs_report
+    if not path:
+        raise ConfigError(f"mode={config.mode} requires --fs-report from a prior fs run")
     try:
-        own_features = {alg: _names(fs_report["traces"][alg]["optimized_features"],
-                                    "optimized_features")
-                        for alg in fs_report["final_suite"]}
-        entries = {alg: [(_expect(e["feature"], str, "feature"),
-                          _score(e["score"]))
-                         for e in fs_report["rankings"][alg]["entries"]]
-                   for alg in fs_report["final_suite"]}
+        with open(path, encoding="utf-8") as fh:
+            report = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read fs report {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ConfigError(f"fs report {path} is not valid JSON: {exc}") from None
+    if not isinstance(report, dict):
+        raise ConfigError(f"fs report {path} is not a JSON object")
+    if not report.get("final_suite") or not report.get("optimized_features"):
+        raise ConfigError("fs report has no surviving algorithms / optimized features"
+                          + _why_no_suite(report))
+    if "source_sha256" not in report:  # written before fs recorded its input
+        raise ConfigError(f"fs report {path} has no source_sha256: run fs again")
+    optimized = _names(report["optimized_features"], "optimized_features")
+    mdrt = _expect(report.get("mdrt"), int, "mdrt")
+    source_sha256 = _expect(report["source_sha256"], str, "source_sha256")
+    suite = _names(report["final_suite"], "final_suite")
+    if not set(suite) <= set(ALGORITHMS):
+        raise ConfigError(f"fs report final suite {list(suite)} names an unknown criterion")
+    try:
+        traces = {alg: report["traces"][alg] for alg in suite}
+        initial = {alg: _names(t["initial_features"], "initial_features")
+                   for alg, t in traces.items()}
+        own = {alg: _names(t["optimized_features"], "optimized_features")
+               for alg, t in traces.items()}
+        entries = {alg: [(_expect(e["feature"], str, "feature"), _score(e["score"]))
+                         for e in report["rankings"][alg]["entries"]] for alg in suite}
     except (KeyError, TypeError) as exc:
-        raise ConfigError(f"fs report {config.fs_report} lacks the traces or rankings "
+        raise ConfigError(f"fs report {path} lacks the traces or rankings "
                           f"of its final suite ({exc!r})") from None
     for alg, ranked in entries.items():
         seen = set()
@@ -320,22 +326,38 @@ def run_rrw(config: PipelineConfig) -> dict:
             if name in seen:  # rrw_scores would count its score twice
                 raise ConfigError(f"fs report ranking of {alg} names feature {name!r} twice")
             seen.add(name)
+        if sorted(seen) != sorted(initial[alg]):
+            raise ConfigError(f"fs report ranking of {alg} is not a permutation of its "
+                              "trace's initial_features")
+    if optimized not in own.values() or mdrt != len(optimized):
+        raise ConfigError("fs report optimized_features and mdrt are not the optimized "
+                          "set of a final-suite criterion and its length")
+    return {"own_features": own, "entries": entries, "optimized_features": optimized,
+            "mdrt": mdrt, "source_sha256": source_sha256}
+
+
+def run_rrw(config: PipelineConfig) -> dict:
+    """Cross-validated F1 per surviving algorithm, RRw weights, and the
+    re-weighted optimized dataset.  Algorithms that kept the same feature
+    set share one cross-validation: its gates are identical."""
+    _validate(config, "rrw")
+    fs = _read_fs_report(config)
     _make_out_dir(config)
-    normalized, sp = _load(config)
+    normalized, sp = _load(config, source_sha256=fs["source_sha256"])
 
     pairs, avg_f1, f1_of_features = [], {}, {}
-    for alg, features in own_features.items():
+    for alg, features in fs["own_features"].items():
         if features not in f1_of_features:
             with _stage(f"avg_f1_cv[{alg}]"):
                 f1_of_features[features] = avg_f1_cv(
                     normalized.select_features(features), k=config.folds, seed=config.seed)
         avg_f1[alg] = f1_of_features[features]
-        kept = tuple(e for e in entries[alg] if e[0] in optimized_features)
+        kept = tuple(e for e in fs["entries"][alg] if e[0] in fs["optimized_features"])
         pairs.append((FeatureRanking(alg, kept), avg_f1[alg]))
 
     with _stage("rrw_scores"):
         weights = rrw_scores(pairs)
-    optimized = normalized.select_features(optimized_features)
+    optimized = normalized.select_features(fs["optimized_features"])
     with _stage("apply_weights"):
         weighted = apply_weights(optimized, weights)
 
@@ -344,7 +366,7 @@ def run_rrw(config: PipelineConfig) -> dict:
         "config": config.to_json(),
         "avg_f1": avg_f1,
         "weights": weights.to_json(),
-        "optimized_features": list(optimized_features),
+        "optimized_features": list(fs["optimized_features"]),
     }
     return _publish(config, report, {
         "rrw_optimized_csv": ("rrw_optimized.csv", weighted),
@@ -354,14 +376,12 @@ def run_rrw(config: PipelineConfig) -> dict:
 def run_ae(config: PipelineConfig) -> dict:
     """Train the bottleneck autoencoder and emit the latent dataset."""
     _validate(config, "ae")
-    bottleneck = config.bottleneck
+    fs = _read_fs_report(config) if config.fs_report else None
+    bottleneck = config.bottleneck or (fs["mdrt"] if fs else None)
     if bottleneck is None:
-        if config.fs_report:
-            bottleneck = _load_fs_report(config).get("mdrt")
-        if bottleneck is None:
-            raise ConfigError("ae mode needs --bottleneck or an fs report with an MDRt")
+        raise ConfigError("ae mode needs --bottleneck or --fs-report")
     _make_out_dir(config)
-    normalized, sp = _load(config)
+    normalized, sp = _load(config, source_sha256=fs and fs["source_sha256"])
 
     with _stage("ae_train"):
         model = ae_new(normalized.n_features, bottleneck, config.seed)

@@ -5,8 +5,8 @@ with the package's estimators or the greedy ranking engine.  The CSV
 references are the package's original one-cell-at-a-time parse and its
 original ``repr``-per-cell writer, the gate reference the package's
 original training loop along its original hinge gradient
-(``reference_hinge_loss_and_grads``; criterion 8 differentiates the package's
-``hinge_loss_and_grads``, one call of the epoch ``gate_train`` runs), and
+(``reference_hinge_loss_and_grads``; criterion 8 differentiates one call
+of the package's ``_GateStep``, the epoch ``gate_train`` runs), and
 the SGD reference the package's original mini-batch loop with its own
 forward pass (``reference_forward``, which tests also read layer outputs
 from), losses and backpropagation.  The exception is the elimination

@@ -31,8 +31,6 @@ from midistill.neural import (
     ae_new,
     ae_train,
     gate_train,
-    hinge_loss_and_grads,
-    loss_and_gradients,
     mlp_new,
     mlp_train,
 )
@@ -48,7 +46,7 @@ from midistill.selection import tampering_audit
 
 from conftest import make_dataset, planted_dataset
 from oracles import bf_cmi, bf_greedy_ranking, bf_mi, reference_forward
-from test_neural import assert_grads_close, finite_diff_param_grads
+from test_neural import assert_grads_close, finite_diff_param_grads, loss_and_grads
 
 BINNING = BinningConfig(4, "equal_frequency")
 
@@ -225,22 +223,22 @@ def test_criterion_8_gradient_checks():
     data = make_dataset({"a": rng.random(16), "b": rng.random(16)},
                         rng.integers(0, 2, 16).tolist())
     gate = gate_train(data.X.T, data.labels, epochs=3)
-    _, gdW, gdb = hinge_loss_and_grads(gate, data.X.T, data.labels)
+    _, gdW, gdb = loss_and_grads(gate, data.X, data.labels, "hinge")
     fdW, fdb = finite_diff_param_grads(
-        lambda: hinge_loss_and_grads(gate, data.X.T, data.labels)[0], gate)
+        lambda: loss_and_grads(gate, data.X, data.labels, "hinge")[0], gate)
 
     mlp = mlp_new(3, 8)
     Xm = rng.random((8, 3))
     ym = rng.integers(0, 2, 8).astype(float)
-    _, mdW, mdb = loss_and_gradients(mlp, Xm, ym, "bce")
+    _, mdW, mdb = loss_and_grads(mlp, Xm, ym, "bce")
     mfW, mfb = finite_diff_param_grads(
-        lambda: loss_and_gradients(mlp, Xm, ym, "bce")[0], mlp)
+        lambda: loss_and_grads(mlp, Xm, ym, "bce")[0], mlp)
 
     ae = ae_new(4, 2, 8)
     Xa = rng.random((6, 4))
-    _, adW, adb = loss_and_gradients(ae, Xa, Xa, "mse")
+    _, adW, adb = loss_and_grads(ae, Xa, Xa, "mse")
     afW, afb = finite_diff_param_grads(
-        lambda: loss_and_gradients(ae, Xa, Xa, "mse")[0], ae)
+        lambda: loss_and_grads(ae, Xa, Xa, "mse")[0], ae)
 
     ok = True
     try:

@@ -6,13 +6,15 @@ family, and no traceback, and adds nothing to ``--out``.  The inputs are
 bad or edge flag values, malformed and edge-case CSVs (among them columns
 that overflow min-max scaling and subnormal columns), truncated, foreign,
 non-object or mistyped fs reports, one whose ranking names a feature twice,
-one whose scores span more than the float range, and, on the output side,
+lacks one or names one its trace lacks, one made from another input, one
+whose scores span more than the float range, and, on the output side,
 directories that already exist at artifact paths or at ``<name>.tmp``, which
 no run writes.  Runs are in-process and desk scale: at most 40 rows, 64 bins,
 50 folds and 2 epochs.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import tempfile
@@ -29,19 +31,25 @@ PREFIX = {1: "configuration error: ", 2: "data error: ", 3: "training failure: "
 BAD_NUMBERS = ("abc", "", "1.5", "nan", "inf", "-inf", "1e309", "0x10")
 MISSING = "<missing>"  # --fs-report names a file that does not exist
 
-# an fs report in the shape rrw and ae read, for a table with columns f0, f1
+# a separable table with columns f0, f1, on which rrw and ae get past
+# loading and training to the fields they read
+CLEAN_CSV = ("f0,f1,label\n" + "".join(f"{(i - 20) / 8!r},{i % 7 / 8!r},{int(i >= 20)}\n"
+                                       for i in range(40))).encode("utf-8")
+
+# an fs report in the shape rrw and ae read, made from CLEAN_CSV
 FS_REPORT = {
     "mode": "fs",
     "final_suite": ["mRMR"],
     "mdrt": 2,
     "optimized_features": ["f0", "f1"],
-    "traces": {"mRMR": {"optimized_features": ["f0", "f1"]}},
+    "traces": {"mRMR": {"initial_features": ["f0", "f1"], "optimized_features": ["f0", "f1"]}},
     "rankings": {"mRMR": {"entries": [{"feature": "f0", "score": 0.5},
                                       {"feature": "f1", "score": 0.25}]}},
+    "source_sha256": hashlib.sha256(CLEAN_CSV).hexdigest(),
 }
 
 # one field of FS_REPORT, by its path, set to a value of the wrong type, or
-# (the last) a ranking entry set to a feature the ranking already names
+# (the ninth) a ranking entry set to a feature the ranking already names
 MISTYPED = (
     (("rankings", "mRMR", "entries", 0, "score"), "x"),
     (("rankings", "mRMR", "entries", 1, "feature"), 7),
@@ -52,16 +60,27 @@ MISTYPED = (
     (("rankings", "mRMR", "entries", 0, "score"), float("nan")),
     (("rankings", "mRMR", "entries", 0, "score"), float("inf")),
     (("rankings", "mRMR", "entries", 1, "feature"), "f0"),
+    (("source_sha256",), 7),
+    (("traces", "mRMR", "initial_features"), "f0"),
+    (("traces", "mRMR", "initial_features", 1), None),
 )
+
+# the ranking without its last entry, or naming a feature its trace lacks
+RANKING_MISSING = json.dumps({**FS_REPORT, "rankings": {"mRMR": {"entries": [
+    {"feature": "f0", "score": 0.5}]}}})
+RANKING_FOREIGN = json.dumps({**FS_REPORT, "rankings": {"mRMR": {"entries": [
+    {"feature": "f0", "score": 0.5}, {"feature": "g1", "score": 0.25}]}}})
+
+# FS_REPORT as if made from another input
+FOREIGN_INPUT = json.dumps({**FS_REPORT, "source_sha256": hashlib.sha256(b"other").hexdigest()})
+
+# well-typed reports that the input or their own fields contradict
+CONTRADICTED = {"foreign_input": FOREIGN_INPUT, "ranking_missing": RANKING_MISSING,
+                "ranking_foreign": RANKING_FOREIGN}
 
 # finite scores whose spread is past the float range
 WIDE_SCORES = json.dumps({**FS_REPORT, "rankings": {"mRMR": {"entries": [
     {"feature": "f0", "score": 1.7e308}, {"feature": "f1", "score": -1.7e308}]}}})
-
-# a separable table with FS_REPORT's columns, on which rrw and ae get past
-# loading and training to the fields they read
-CLEAN_CSV = ("f0,f1,label\n" + "".join(f"{(i - 20) / 8!r},{i % 7 / 8!r},{int(i >= 20)}\n"
-                                       for i in range(40))).encode("utf-8")
 
 # CLEAN_CSV with f0 spread from -1e308 to 1e308: past the float range for
 # min-max scaling, and, unnormalized, large enough that an untrained MLP's
@@ -130,10 +149,12 @@ EDGE_COLUMNS = {
 @st.composite
 def csv_bytes(draw):
     # the kind is drawn first: drawn after the cells, it is starved
-    kind = draw(st.sampled_from(["clean", "empty", "header_only", "ragged", "bom",
-                                 "quoted", "single_class", "non_utf8", *EDGE_COLUMNS]))
+    kind = draw(st.sampled_from(["clean", "report_input", "empty", "header_only", "ragged",
+                                 "bom", "quoted", "single_class", "non_utf8", *EDGE_COLUMNS]))
     if kind == "empty":
         return b""
+    if kind == "report_input":  # the table FS_REPORT was made from
+        return CLEAN_CSV
     n = 0 if kind == "header_only" else draw(st.integers(0, 40))
     f = draw(st.integers(0, 4))
     header = ",".join([f"f{i}" for i in range(f)] + ["label"])
@@ -166,9 +187,11 @@ def csv_bytes(draw):
 def fs_report_text(draw):
     text = json.dumps(FS_REPORT)
     kind = draw(st.sampled_from(["valid", "truncated", "foreign_mode", "foreign_csv",
-                                 "list", "mistyped", "missing", "absent"]))
+                                 *CONTRADICTED, "list", "mistyped", "missing", "absent"]))
     if kind == "mistyped":
         return _mistyped(*draw(st.sampled_from(MISTYPED)))
+    if kind in CONTRADICTED:
+        return CONTRADICTED[kind]
     if kind == "truncated":
         return text[:draw(st.integers(0, len(text) - 1))]
     if kind == "foreign_mode":
@@ -203,7 +226,15 @@ BLOCKED = st.lists(st.tuples(st.sampled_from(ARTIFACTS), st.sampled_from(["", ".
 @example(mode="rrw", data=CLEAN_CSV, report=_mistyped(*MISTYPED[6]), flags={}, blocked=[])
 @example(mode="rrw", data=CLEAN_CSV, report=_mistyped(*MISTYPED[7]), flags={}, blocked=[])
 @example(mode="rrw", data=CLEAN_CSV, report=_mistyped(*MISTYPED[8]), flags={}, blocked=[])
+@example(mode="rrw", data=CLEAN_CSV, report=_mistyped(*MISTYPED[9]), flags={}, blocked=[])
+@example(mode="ae", data=CLEAN_CSV, report=_mistyped(*MISTYPED[10]), flags={}, blocked=[])
+@example(mode="rrw", data=CLEAN_CSV, report=_mistyped(*MISTYPED[11]), flags={}, blocked=[])
 @example(mode="rrw", data=CLEAN_CSV, report=WIDE_SCORES, flags={}, blocked=[])
+@example(mode="rrw", data=CLEAN_CSV, report=RANKING_MISSING, flags={}, blocked=[])
+@example(mode="rrw", data=CLEAN_CSV, report=RANKING_FOREIGN, flags={}, blocked=[])
+@example(mode="rrw", data=CLEAN_CSV, report=FOREIGN_INPUT, flags={}, blocked=[])
+@example(mode="ae", data=CLEAN_CSV, report=FOREIGN_INPUT, flags={"--bottleneck": "1"},
+         blocked=[])
 @example(mode="evaluate", data=HUGE_CSV, report=None, flags={"--epochs": "0"}, blocked=[])
 @example(mode="fs", data=HUGE_CSV, report=None, flags={}, blocked=[])
 @example(mode="fs", data=CLEAN_CSV, report=None, flags={}, blocked=["fs_report.json"])

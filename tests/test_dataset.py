@@ -41,7 +41,7 @@ class TestLoadCsv:
         assert data.feature_names == ("a", "b")
         assert data.n_samples == 4
         assert data.labels.tolist() == [0, 1, 0, 1]
-        assert data.column("a").tolist() == [1, 3, 5, 7]
+        assert data.X[:, data.feature_names.index("a")].tolist() == [1, 3, 5, 7]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match=r"nope\.csv does not exist$"):
@@ -583,17 +583,17 @@ class TestMinmax:
     def test_basic(self):
         data = make_dataset({"a": [2.0, 4.0, 6.0]}, [0, 1, 0])
         normalized = apply_minmax(data, fit_minmax(data))
-        assert normalized.column("a").tolist() == [0.0, 0.5, 1.0]
+        assert normalized.X[:, 0].tolist() == [0.0, 0.5, 1.0]
 
     def test_constant_column(self):
         data = make_dataset({"a": [5.0, 5.0, 5.0]}, [0, 1, 0])
-        assert apply_minmax(data, fit_minmax(data)).column("a").tolist() == [0.0, 0.0, 0.0]
+        assert apply_minmax(data, fit_minmax(data)).X[:, 0].tolist() == [0.0, 0.0, 0.0]
 
     def test_stored_transform_applies_to_new_data(self):
         fit = make_dataset({"a": [2.0, 6.0]}, [0, 1])
         params = fit_minmax(fit)
         new = make_dataset({"a": [4.0, 2.0]}, [0, 1])
-        assert apply_minmax(new, params).column("a").tolist() == [0.5, 0.0]
+        assert apply_minmax(new, params).X[:, 0].tolist() == [0.5, 0.0]
 
     def test_idempotent(self, rng):
         data = make_dataset({"a": rng.random(30) * 9, "b": rng.standard_normal(30)},
@@ -619,12 +619,12 @@ class TestMinmax:
     def test_held_out_offset_overflow_clips(self):
         fit = make_dataset({"a": [-1e308, 0.0]}, [0, 1])
         new = make_dataset({"a": [1e308, -1e308, -0.5e308, 0.0]}, [0, 1, 0, 1])
-        assert apply_minmax(new, fit_minmax(fit)).column("a").tolist() == [1.0, 0.0, 0.5, 1.0]
+        assert apply_minmax(new, fit_minmax(fit)).X[:, 0].tolist() == [1.0, 0.0, 0.5, 1.0]
 
     def test_held_out_quotient_overflow_clips(self):
         fit = make_dataset({"a": [5e-324, 1e-323]}, [0, 1])
         new = make_dataset({"a": [1.0, -1.0, 1e-323]}, [0, 1, 0])
-        assert apply_minmax(new, fit_minmax(fit)).column("a").tolist() == [1.0, 0.0, 1.0]
+        assert apply_minmax(new, fit_minmax(fit)).X[:, 0].tolist() == [1.0, 0.0, 1.0]
 
 
 class TestInjectRandomFeatures:
@@ -655,7 +655,7 @@ class TestInjectRandomFeatures:
         label_col = DiscreteColumn(labels, 2)
         binning = BinningConfig(10, "equal_frequency")
         for name in ("__rand1", "__rand2", "__rand3"):
-            col = tampered.column(name)
+            col = tampered.X[:, tampered.feature_names.index(name)]
             r = np.corrcoef(col, labels)[0, 1]
             assert abs(r) < 0.05
             mi = mutual_information(discretize(col, binning), label_col)

@@ -29,7 +29,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 GOLDEN = {
     "fs/fs_report.json":
-        "63efcea7f1989889d8ff4f9ba1ddf08efdf2866605a7cd4db89f67902b1f2375",
+        "1217e4bb1401c47bf499cb6740ccb0fabf741e6d3e41426837d25d53ea057551",
     "fs/optimized.csv":
         "0eab0f9cad4eb790436c8002e1a5b8129cd1e02da884e553abb322fb7be73cf3",
     "fs/optimized.csv.meta.json":
@@ -87,7 +87,7 @@ COMMANDS = (
 # 4-feature gate does and all six criteria stay in the final suite.
 GOLDEN_STEP1 = {
     "fs/fs_report.json":
-        "c071a2de93b53eb25e8c4e21834689d14faaa538fc056c4991cc8f255bf6eb12",
+        "73201ddcbd37fb8a8d63250453ced8d612c5faa7f09ecc218a39ee9ca82471fc",
     "fs/optimized.csv":
         "ea52996674d2a67c7b6e175f87b8ff5a0dde468930a2d37b40675cf2516430a4",
     "fs/optimized.csv.meta.json":
@@ -108,7 +108,7 @@ STEP1_COMMAND = ["fs", "--input", "noisy.csv", "--out", "fs", "--seed", "3",
 # elimination CSVs pin every feature each criterion drops.
 GOLDEN_FULL_DEPTH = {
     "fs/fs_report.json":
-        "f0118b708b36eaf97ee20fed8e183a4ed0efb3f2b02c1ef6165757612b508e45",
+        "fb0516ab1100de9e8799e8de6da8d5e1e35ff40febd9cc300bc4527026d35085",
     "fs/optimized.csv":
         "f551537a2853c17f36302913b888476477da5a0dea49c03d7c404873b0e18915",
     **{f"fs/elimination_{alg}.csv":
@@ -132,7 +132,7 @@ FULL_DEPTH_COMMAND = ["fs", "--input", "planted.csv", "--out", "fs", "--seed", "
 # last one ragged.  All six criteria survive and walk to depth 1.
 GOLDEN_CHUNKED = {
     "fs/fs_report.json":
-        "83d19beb0d682ac7a98cbec3e0cdf44d38a3aba567174b094d931f438913d420",
+        "68d666c0af35ca6f0df43d9dec8cf1e53e77f81f03938f0d4da85f9d3baed3a9",
     "fs/optimized.csv":
         "f551537a2853c17f36302913b888476477da5a0dea49c03d7c404873b0e18915",
     "fs/elimination_mRMR.csv":

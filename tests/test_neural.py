@@ -16,8 +16,6 @@ from midistill.neural import (
     gate_new,
     gate_predict,
     gate_train,
-    hinge_loss_and_grads,
-    loss_and_gradients,
     mlp_new,
     mlp_predict,
     mlp_train,
@@ -50,6 +48,21 @@ def finite_diff_param_grads(loss_fn, model, h=1e-5):
                 g[idx] = (lp - lm) / (2 * h)
             grads.append(g)
     return dWs, dbs
+
+
+def loss_and_grads(model, X, target, loss_kind):
+    """(loss, dWs, dbs) at ``model``'s parameters from the package's own
+    kernels, which criterion 8 differentiates: for "hinge" one epoch of the
+    gate's ``_GateStep`` on the feature-major ``X.T``, else one backward pass
+    of the SGD step, on ``X`` as one batch, against ``target`` (0/1 labels for
+    "bce", the output matrix for "mse")."""
+    if loss_kind == "hinge":
+        loss, dw, db = neural._GateStep(X.T, target)(model.weights[0][:, 0], model.biases[0])
+        return float(loss), [dw[:, None]], [np.array([db])]
+    step = neural._SGDStep(model, loss_kind)
+    loss = step.backward(np.asarray(X, dtype=np.float64),
+                         neural._targets(loss_kind, np.asarray(target, dtype=np.float64), target))
+    return loss, step.dW, step.db
 
 
 def assert_grads_close(analytic, numeric, rtol=1e-4):
@@ -104,9 +117,9 @@ class TestGate:
         data = make_dataset({"a": rng.random(16), "b": rng.random(16)},
                             rng.integers(0, 2, 16).tolist())
         gate = gate_train(data.X.T, data.labels, epochs=3)
-        _, dWs, dbs = hinge_loss_and_grads(gate, data.X.T, data.labels)
+        _, dWs, dbs = loss_and_grads(gate, data.X, data.labels, "hinge")
         fdW, fdb = finite_diff_param_grads(
-            lambda: hinge_loss_and_grads(gate, data.X.T, data.labels)[0], gate)
+            lambda: loss_and_grads(gate, data.X, data.labels, "hinge")[0], gate)
         assert_grads_close(dWs, fdW)
         assert_grads_close(dbs, fdb)
 
@@ -158,7 +171,7 @@ class TestGateMatchesReference:
         labels = np.array([1, 0, 0, 1])
         gate = gate_new(2)
         gate.weights[0], gate.biases[0] = np.array(w)[:, None], np.array(b)
-        loss, dWs, dbs = hinge_loss_and_grads(gate, X.T, labels)
+        loss, dWs, dbs = loss_and_grads(gate, X, labels, "hinge")
         ref_loss, ref_dWs, ref_dbs = reference_hinge_loss_and_grads(gate, X, labels)
         assert loss == ref_loss
         assert dWs[0].tobytes() == ref_dWs[0].tobytes()
@@ -184,21 +197,23 @@ class TestGateMatchesReference:
 
 
 class TestGateStepsAlongHingeGradient:
-    """Criterion 8 differentiates ``hinge_loss_and_grads``; ``gate_train``
-    must step along exactly that gradient, bit for bit."""
+    """Criterion 8 differentiates one call of ``_GateStep``; ``gate_train``
+    must step along exactly that gradient, bit for bit, one step object
+    across the epochs."""
 
     @pytest.mark.parametrize("epochs", [1, 3, 200])
     @pytest.mark.parametrize("f, seed", [(1, 1), (2, 2), (8, 8), (33, 33)])
-    def test_train_is_a_loop_over_hinge_loss_and_grads(self, f, seed, epochs):
+    def test_train_is_a_loop_over_the_gate_step(self, f, seed, epochs):
         data = TestGateMatchesReference.table(f, seed)
-        gate = gate_new(f)
+        step = neural._GateStep(data.X.T, data.labels)
+        w, b = np.zeros(f), np.zeros(1)
         for _ in range(epochs):
-            _, dWs, dbs = hinge_loss_and_grads(gate, data.X.T, data.labels)
-            gate.weights[0] = gate.weights[0] - GATE_STEP * dWs[0]
-            gate.biases[0] = gate.biases[0] - GATE_STEP * dbs[0]
+            _, dw, db = step(w, b)
+            w = w - GATE_STEP * dw
+            b = b - GATE_STEP * db
         trained = gate_train(data.X.T, data.labels, epochs=epochs)
-        assert trained.weights[0].tobytes() == gate.weights[0].tobytes()
-        assert trained.biases[0].tobytes() == gate.biases[0].tobytes()
+        assert trained.weights[0][:, 0].tobytes() == w.tobytes()
+        assert trained.biases[0].tobytes() == b.tobytes()
 
 
 class TestSgdMatchesReference:
@@ -397,9 +412,9 @@ class TestMlp:
         model = mlp_new(3, 11)
         X = rng.random((8, 3))
         y = rng.integers(0, 2, 8).astype(float)
-        _, dWs, dbs = loss_and_gradients(model, X, y, "bce")
+        _, dWs, dbs = loss_and_grads(model, X, y, "bce")
         fdW, fdb = finite_diff_param_grads(
-            lambda: loss_and_gradients(model, X, y, "bce")[0], model)
+            lambda: loss_and_grads(model, X, y, "bce")[0], model)
         assert_grads_close(dWs, fdW)
         assert_grads_close(dbs, fdb)
 
@@ -470,8 +485,8 @@ class TestAutoencoder:
             assert latent.X.tobytes() == reference_forward(model, data.X)[k + 1].tobytes()
 
     @pytest.mark.parametrize("kind", ["mlp", "autoencoder"])
-    def test_val_loss_equals_loss_and_gradients(self, rng, kind):
-        # the per-epoch validation loss is the loss of loss_and_gradients
+    def test_val_loss_equals_the_sgd_step_loss(self, rng, kind):
+        # the per-epoch validation loss is the loss of one SGD step on its rows
         X = rng.random((120, 5))
         data = make_dataset({f"f{i}": X[:, i] for i in range(5)},
                             (X[:, 0] > 0.5).astype(int))
@@ -479,11 +494,11 @@ class TestAutoencoder:
         if kind == "mlp":
             model = mlp_new(5, 4)
             curve = mlp_train(model, learn, validation, epochs=2)
-            expected = loss_and_gradients(model, validation.X, validation.labels, "bce")[0]
+            expected = loss_and_grads(model, validation.X, validation.labels, "bce")[0]
         else:
             model = ae_new(5, 2, 4)
             curve = ae_train(model, learn, validation, epochs=2)
-            expected = loss_and_gradients(model, validation.X, validation.X, "mse")[0]
+            expected = loss_and_grads(model, validation.X, validation.X, "mse")[0]
         assert curve.epochs[-1][1] == expected
 
     def test_validation_width_checked_before_training(self, rng):
@@ -500,9 +515,9 @@ class TestAutoencoder:
     def test_mse_gradient_check(self, rng):
         model = ae_new(4, 2, 13)
         X = rng.random((6, 4))
-        _, dWs, dbs = loss_and_gradients(model, X, X, "mse")
+        _, dWs, dbs = loss_and_grads(model, X, X, "mse")
         fdW, fdb = finite_diff_param_grads(
-            lambda: loss_and_gradients(model, X, X, "mse")[0], model)
+            lambda: loss_and_grads(model, X, X, "mse")[0], model)
         assert_grads_close(dWs, fdW)
         assert_grads_close(dbs, fdb)
 

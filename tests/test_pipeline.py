@@ -304,6 +304,13 @@ class TestAeMode:
         report = run_ae(config)
         assert report["bottleneck"] == fs_report["mdrt"]
 
+    def test_bottleneck_overrides_the_reports_mdrt(self, fs_run, planted_csv, tmp_path):
+        fs_report, fs_out = fs_run
+        assert fs_report["mdrt"] != 1
+        config = fs_config(planted_csv, tmp_path, mode="ae", epochs=1, bottleneck=1,
+                           fs_report=str(fs_out / "fs_report.json"))
+        assert run_ae(config)["bottleneck"] == 1
+
     def test_missing_bottleneck(self, planted_csv, tmp_path):
         with pytest.raises(ConfigError):
             run_ae(fs_config(planted_csv, tmp_path, mode="ae"))
@@ -498,10 +505,15 @@ class TestCliExitCodes:
         assert "traces or rankings" in err
 
     @pytest.mark.parametrize("mode", ["fs", "rrw"])
-    def test_more_folds_than_rows(self, fs_run, tmp_path, capsys, mode):
-        path = tmp_path / "small.csv"
-        write_csv(planted_dataset(5, 0, 20, seed=3), path, "label")
-        argv = [mode, "--input", str(path), "--folds", "50", "--out", str(tmp_path / "out")]
+    def test_more_folds_than_rows(self, fs_run, planted_csv, tmp_path, capsys, mode):
+        # rrw splits its fs report's own input, which has 500 rows
+        if mode == "fs":
+            path, rows = tmp_path / "small.csv", 20
+            write_csv(planted_dataset(5, 0, rows, seed=3), path, "label")
+        else:
+            path, rows = planted_csv, 500
+        argv = [mode, "--input", str(path), "--folds", str(rows + 30),
+                "--out", str(tmp_path / "out")]
         if mode == "rrw":
             argv += ["--fs-report", str(fs_run[1] / "fs_report.json")]
         code = cli_main(argv)
@@ -509,10 +521,14 @@ class TestCliExitCodes:
         assert code == 2
         assert err.startswith("data error: ")
         assert err.count("\n") == 1
-        assert "20 rows" in err and "50 folds" in err
+        assert f"{rows} rows" in err and f"{rows + 30} folds" in err
         _names_one_stage(err, "tampering_audit" if mode == "fs" else "avg_f1_cv[mRMR]")
 
     @pytest.mark.parametrize("report_field, value, mode", [
+        (("source_sha256",), 7, "rrw"),
+        (("source_sha256",), None, "ae"),
+        (("traces", "mRMR", "initial_features"), "inf0", "rrw"),
+        (("traces", "mRMR", "initial_features", 0), 0.5, "ae"),
         (("rankings", "mRMR", "entries", 0, "score"), "x", "rrw"),
         (("rankings", "mRMR", "entries", 0, "feature"), 7, "rrw"),
         (("optimized_features", 0), 7, "rrw"),
@@ -524,7 +540,7 @@ class TestCliExitCodes:
         (("rankings", "mRMR", "entries", 0, "score"), 10**400, "rrw"),
         (("rankings", "mRMR", "entries", 0, "score"), float("nan"), "rrw"),
         (("rankings", "mRMR", "entries", 0, "score"), float("inf"), "rrw"),
-    ], ids=["score", "ranked_feature", "optimized_feature", "optimized_feature_ae",
+    ], ids=["sha_int", "sha_null", "initial_str", "initial_float", "score", "ranked_feature", "optimized_feature", "optimized_feature_ae",
             "trace_feature", "mdrt_str", "mdrt_float", "mdrt_bool", "score_past_float",
             "score_nan", "score_inf"])
     def test_report_field_mistyped(self, fs_run, planted_csv, tmp_path, capsys,
@@ -684,16 +700,101 @@ class TestCliExitCodes:
         return err
 
     def test_input_lacks_an_optimized_feature(self, fs_run, tmp_path, capsys):
+        # such a table is not the report's input, so it is refused as it
+        # loads, not after every cross-validation gate
         fs_report, fs_out = fs_run
         lost = fs_report["optimized_features"][0]
         data = planted_dataset(5, 0, 500, seed=3)
         path = tmp_path / "fewer.csv"
         write_csv(data.select_features([n for n in data.feature_names if n != lost]), path,
                   "label")
+        report = fs_out / "fs_report.json"
         err = self._data_error(capsys, ["rrw", "--input", str(path), "--fs-report",
-                                        str(fs_out / "fs_report.json"),
-                                        "--out", str(tmp_path / "out")], "avg_f1_cv[mRMR]")
-        assert err.endswith(f"] features not in the table: {lost}\n")
+                                        str(report), "--out", str(tmp_path / "out")], "load")
+        assert err.endswith(f"] fs report {report} was made from another input (sha256 "
+                            f"{fs_report['source_sha256'][:12]}), not {path}\n")
+
+    @pytest.mark.parametrize("mode", ["rrw", "ae"])
+    def test_foreign_input(self, fs_run, tmp_path, capsys, monkeypatch, mode):
+        # the same columns, other rows: refused before the split, so no
+        # gate or SGD step runs and --out keeps its bytes
+        for stage in ("avg_f1_cv", "ae_train"):
+            monkeypatch.setattr(pipeline, stage,
+                                lambda *a, stage=stage, **k: pytest.fail(f"{stage} ran"))
+        path = tmp_path / "foreign.csv"
+        write_csv(planted_dataset(5, 0, 500, seed=4), path, "label")
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / f"{mode}_report.json").write_text("{}\n", encoding="utf-8")
+        before = _files(out)
+        argv = [mode, "--input", str(path), "--fs-report", str(fs_run[1] / "fs_report.json"),
+                "--out", str(out)]
+        # ae binds the report even when --bottleneck overrides its mdrt
+        err = self._data_error(capsys, argv + ["--bottleneck", "2"] * (mode == "ae"), "load")
+        assert "was made from another input" in err
+        assert _files(out) == before
+
+    @staticmethod
+    def _doc(fs_run) -> dict:
+        return json.loads(json.dumps(fs_run[0]))
+
+    @pytest.mark.parametrize("change", ["drop_last", "foreign", "initial_extra",
+                                        "initial_twice"])
+    def test_ranking_is_not_a_permutation(self, fs_run, planted_csv, tmp_path, capsys,
+                                          change):
+        doc = self._doc(fs_run)
+        entries = doc["rankings"]["mRMR"]["entries"]
+        if change == "drop_last":
+            entries.pop()
+        elif change == "foreign":
+            entries[-1]["feature"] = "zzz"
+        else:
+            initial = doc["traces"]["mRMR"]["initial_features"]
+            initial.append("zzz" if change == "initial_extra" else initial[0])
+        err = self._config_error(capsys, self._rrw(planted_csv, tmp_path, json.dumps(doc)))
+        assert "ranking of mRMR is not a permutation of its trace's initial_features" in err
+
+    @pytest.mark.parametrize("mode", ["rrw", "ae"])
+    @pytest.mark.parametrize("change", ["not_a_trace_set", "mdrt_off_by_one"])
+    def test_optimized_features_disagree(self, fs_run, planted_csv, tmp_path, capsys,
+                                         change, mode):
+        doc = self._doc(fs_run)
+        if change == "not_a_trace_set":
+            doc["optimized_features"] = doc["optimized_features"][1:]
+            doc["mdrt"] -= 1
+        else:
+            doc["mdrt"] += 1
+        argv = self._rrw(planted_csv, tmp_path, json.dumps(doc))
+        argv[0] = mode
+        err = self._config_error(capsys, argv)
+        assert "optimized_features and mdrt are not the optimized set" in err
+
+    def test_final_suite_names_an_unknown_criterion(self, fs_run, planted_csv, tmp_path,
+                                                    capsys):
+        # PCA has a trace and a ranking, copied from mRMR's
+        doc = self._doc(fs_run)
+        doc["final_suite"].append("PCA")
+        doc["traces"]["PCA"] = doc["traces"]["mRMR"]
+        doc["rankings"]["PCA"] = doc["rankings"]["mRMR"]
+        err = self._config_error(capsys, self._rrw(planted_csv, tmp_path, json.dumps(doc)))
+        assert "final suite ['mRMR', 'PCA'] names an unknown criterion" in err
+
+    def test_report_without_source_sha256(self, fs_run, planted_csv, tmp_path, capsys):
+        # a report written before fs recorded its input's digest
+        doc = self._doc(fs_run)
+        del doc["source_sha256"]
+        err = self._config_error(capsys, self._rrw(planted_csv, tmp_path, json.dumps(doc)))
+        assert "has no source_sha256: run fs again" in err
+
+    @pytest.mark.parametrize("report", [None, "{not json"], ids=["missing", "junk"])
+    def test_ae_reads_the_report_beside_bottleneck(self, planted_csv, tmp_path, capsys,
+                                                   report):
+        path = tmp_path / "fs_report.json"
+        if report is not None:
+            path.write_text(report, encoding="utf-8")
+        self._config_error(capsys, ["ae", "--input", planted_csv, "--bottleneck", "2",
+                                    "--fs-report", str(path), "--out", str(tmp_path / "out")])
+        assert not (tmp_path / "out").exists()
 
     def test_input_has_a_reserved_name(self, tmp_path, capsys):
         data = planted_dataset(3, 0, 100, seed=3)

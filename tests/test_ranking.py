@@ -82,7 +82,8 @@ class TestCriterionBehaviour:
     def test_mifs_beta_zero_sorts_by_relevance(self, rng):
         data = random_discrete_dataset(rng, n_features=5, n_samples=48)
         r = rank(CountTable(data, BINNING), "MIFS", beta=0.0)
-        rels = [bf_mi(data.column(n).astype(int).tolist(), data.labels.tolist())
+        rels = [bf_mi(data.X[:, data.feature_names.index(n)].astype(int).tolist(),
+                      data.labels.tolist())
                 for n in r.features]
         assert all(rels[i] >= rels[i + 1] - 1e-12 for i in range(len(rels) - 1))
 

@@ -20,9 +20,6 @@ ALLOWED = {
         "row-level estimator the benchmark's tracer wraps",
     "infotheory.joint_entropy": "row-level estimator the benchmark's tracer wraps",
     "infotheory.pair_column": "the joint variable of the row-level estimators",
-    "dataset.Dataset.column": "an accessor of the container",
-    "neural.loss_and_gradients": "criterion 8 differentiates one backward pass of SGD",
-    "neural.hinge_loss_and_grads": "criterion 8 differentiates one epoch of the gate",
 }
 
 

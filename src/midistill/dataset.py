@@ -104,8 +104,9 @@ class DataSplit:
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.int64))
 
 
-def load_csv(path, label_column: str) -> Dataset:
-    """Read an RFC-4180 CSV with a header row into a Dataset.
+def load_csv(path, label_column: str, check_digest=None) -> Dataset:
+    """Read an RFC-4180 CSV with a header row into a Dataset; a
+    ``check_digest(sha256)`` may refuse the file before it is parsed.
 
     Rows with missing or unparseable numeric values are hard errors; the
     source is expected to be a fully preprocessed numeric table.  orjson
@@ -119,6 +120,8 @@ def load_csv(path, label_column: str) -> Dataset:
     if not os.path.isfile(path):
         raise DataError(f"input {path} is not a regular file")
     sha256, n_lines = _file_digest(path)
+    if check_digest is not None:
+        check_digest(sha256)
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)

@@ -115,29 +115,40 @@ def gate_predict(model: NeuralModel, X: np.ndarray) -> np.ndarray:
 
 class _GateStep:
     """L2-regularized mean hinge loss of a linear gate and its gradient, on
-    the feature-major rows ``A`` (features x rows): both products read
-    contiguous rows, the signs are derived once, and each call writes into
-    the same n-length buffers."""
+    the feature-major rows ``A`` (features x rows).  The first call sums the
+    gradient over all rows in one einsum, whose sums no BLAS thread splits;
+    a later call adds only the rows whose hinge state flipped since the
+    last.  Each call writes into the same n-length buffers."""
 
     def __init__(self, A: np.ndarray, labels: np.ndarray):
         self.A = np.ascontiguousarray(A, dtype=np.float64)
         n = self.A.shape[1]
         self.t = 2.0 * np.asarray(labels, dtype=np.float64) - 1.0
         self.c = -self.t / n  # ds = c * active is -(t * active) / n, signed zeros included
-        self.s, self.margin, self.ds = np.empty(n), np.empty(n), np.empty(n)
-        self.active = np.empty(n, dtype=bool)
+        self.s, self.margin = np.empty(n), np.empty(n)
+        self.active, self.prev, self.flip = (np.empty(n, dtype=bool) for _ in range(3))
+        self.g = None
 
     def __call__(self, w: np.ndarray, b: np.ndarray):
         """(loss, dw, db) at the weight vector ``w`` and the bias ``b``."""
-        s, margin, ds, active = self.s, self.margin, self.ds, self.active
+        s, margin = self.s, self.margin
         np.matmul(w, self.A, out=s)
         s += b
         np.multiply(self.t, s, out=margin)
         np.subtract(1.0, margin, out=margin)
         loss = np.maximum(margin, 0.0, out=s).sum() / s.size + GATE_LAMBDA * np.sum(w ** 2)
-        np.greater(margin, 0.0, out=active)
-        np.multiply(self.c, active, out=ds)
-        return loss, self.A @ ds + 2.0 * GATE_LAMBDA * w, ds.sum()
+        self.active, self.prev = self.prev, self.active
+        active = np.greater(margin, 0.0, out=self.active)
+        if self.g is None:
+            ds = np.multiply(self.c, active, out=s)
+            self.g, self.db = np.einsum("fn,n->f", self.A, ds), ds.sum()
+        else:
+            idx = np.not_equal(active, self.prev, out=self.flip).nonzero()[0]
+            if idx.size:  # d = c for a row that joined the hinge, -c for one that left
+                d = self.c.take(idx) * np.where(active.take(idx), 1.0, -1.0)
+                self.g += self.A.take(idx, axis=1) @ d
+                self.db += d.sum()
+        return loss, self.g + 2.0 * GATE_LAMBDA * w, self.db
 
 
 def gate_train(A: np.ndarray, labels: np.ndarray, epochs: int = GATE_EPOCHS) -> NeuralModel:

@@ -156,11 +156,12 @@ def _load(config: PipelineConfig, normalize: bool = True, source_sha256: str | N
     (if given), split it, and (if ``normalize``) min-max normalize fit on
     learn.  The normalized table replaces the raw one, so the raw table is
     freed before any training."""
-    with _stage("load"):
-        data = ds.load_csv(config.input_path, config.label_column)
-        if source_sha256 is not None and data.meta["source_sha256"] != source_sha256:
+    def bind(sha256: str) -> None:
+        if source_sha256 is not None and sha256 != source_sha256:
             raise DataError(f"fs report {config.fs_report} was made from another input "
                             f"(sha256 {source_sha256[:12]}), not {config.input_path}")
+    with _stage("load"):
+        data = ds.load_csv(config.input_path, config.label_column, bind)
     with _stage("split"):
         sp = ds.split(data, config.seed)
     if normalize:

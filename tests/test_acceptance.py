@@ -320,9 +320,9 @@ def test_criterion_11_determinism(tmp_path):
     assert ok
 
 
-# one elimination path at a size where the gate's weights depend on the BLAS
-# thread count (20000x33; at 10000x33 they do not): its trace digest, and
-# the digest of the full-set gate's weights
+# one elimination path at a size where a BLAS product split across threads
+# used to change the gate's weights (20000x33; at 10000x33 it did not): its
+# trace digest, and the digest of the full-set gate's weights
 BLAS_CHILD = """
 import hashlib, json
 from conftest import planted_dataset
@@ -344,11 +344,32 @@ print(json.dumps({
 """
 
 
-def _blas_child(threads: int) -> dict:
+# one gate on the min-max scaled learn rows of three tables, 46639x33,
+# 14450x33 and 48137x12, at each of which the weights of a gate whose
+# full-batch product was a BLAS call differed between 1 and 2 threads
+GATE_CHILD = """
+import hashlib, json
+from conftest import planted_dataset
+from midistill.dataset import apply_minmax, fit_minmax, split
+from midistill.neural import gate_train
+
+digests = {}
+for n_noise, n in ((27, 64554), (27, 20000), (6, 66627)):
+    data = planted_dataset(6, n_noise, n, seed=3)
+    sp = split(data, 0)
+    learn = apply_minmax(data, fit_minmax(data, sp.learn_idx)).take(sp.learn_idx)
+    gate = gate_train(learn.X.T.copy(), learn.labels)
+    digests["x".join(map(str, learn.X.shape))] = hashlib.sha256(
+        gate.weights[0].tobytes() + gate.biases[0].tobytes()).hexdigest()
+print(json.dumps(digests))
+"""
+
+
+def _blas_child(threads: int, script: str = BLAS_CHILD) -> dict:
     env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
            "PYTHONPATH": os.pathsep.join([str(Path(midistill.__file__).parents[1]),
                                           str(Path(__file__).parent)])}
-    done = subprocess.run([sys.executable, "-c", BLAS_CHILD], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
@@ -356,15 +377,23 @@ def _blas_child(threads: int) -> dict:
 
 def test_criterion_11_determinism_across_blas_threads():
     """The same elimination in two processes, at 1 and at 2 OpenBLAS
-    threads: the trace is byte-identical although the gate's weights are
-    not.  Only 1 against 2 threads is checked, which any host with 2 cores
-    can run; the contract's scope is one BLAS build on one CPU."""
+    threads: the trace and the gate's weights are byte-identical.  Only 1
+    against 2 threads is checked, which any host with 2 cores can run; the
+    contract's scope is one BLAS build on one CPU."""
     if (os.cpu_count() or 1) < 2:
         pytest.skip("needs at least 2 cores to run OpenBLAS on 2 threads")
     one, two = _blas_child(1), _blas_child(2)
     ok = one["trace"] == two["trace"]
     note(11, ok, f"trace at 1 and 2 BLAS threads: {one['trace'][:8]}, {two['trace'][:8]}")
     assert ok
-    if one["weights"] == two["weights"]:
-        pytest.skip("the gate's weights are the same at 1 and 2 BLAS threads on this "
-                    "BLAS build, so the threads changed no reduction the trace could show")
+    assert one["weights"] == two["weights"]
+
+
+def test_gate_weights_do_not_depend_on_blas_threads():
+    """One gate per table in two processes, at 1 and at 2 OpenBLAS threads:
+    the weight and bias bytes are the same.  The full-batch gradient is an
+    einsum, which splits no sum across threads, and each later epoch's
+    correction is a product over the few rows that flipped."""
+    one, two = _blas_child(1, GATE_CHILD), _blas_child(2, GATE_CHILD)
+    assert sorted(one) == ["14450x33", "46639x33", "48137x12"]
+    assert one == two

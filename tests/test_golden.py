@@ -6,10 +6,12 @@ CLI.
 These digests are the "unchanged behaviour" gate for refactors and speedups.
 Re-pin them only when a change alters a report on purpose, and record why.
 
-Each mode runs in a subprocess with ``OPENBLAS_NUM_THREADS=1``: the gate's
-full-batch reduction is split across BLAS threads, so its last bits depend
-on the thread count.  All paths are relative to a temporary working
-directory, so no report embeds a temporary path.
+Each mode runs in a subprocess with ``OPENBLAS_NUM_THREADS=1``, so the
+digests never rest on how the BLAS library splits a product across
+threads: the gate's weights are checked to be the same at 1 and 2 threads
+(``tests/test_acceptance.py``), but the SGD and validation products are
+not.  All paths are relative to a temporary working directory, so no
+report embeds a temporary path.
 """
 
 import hashlib

@@ -161,6 +161,23 @@ class TestGateMatchesReference:
     def test_planted_table(self):
         self.assert_same_gate(planted_dataset(6, 2, 600, seed=5))
 
+    def test_noisy_table_flips_rows_late(self):
+        # a fifth of the labels flipped: rows still cross the hinge after
+        # epoch 100, so the gradient is corrected, not summed, to the end
+        data = self.table(12, seed=12, n=5000)
+        labels = data.labels.copy()
+        noisy = np.random.default_rng(12).choice(5000, 1000, replace=False)
+        labels[noisy] = 1 - labels[noisy]
+        data = make_dataset({f"f{i}": data.X[:, i] for i in range(12)}, labels)
+        step = neural._GateStep(data.X.T, labels)
+        w, b, late = np.zeros(12), np.zeros(1), 0
+        for epoch in range(200):
+            _, dw, db = step(w, b)
+            w, b = w - GATE_STEP * dw, b - GATE_STEP * db
+            late += epoch > 100 and int(np.count_nonzero(step.flip))
+        assert late > 0
+        self.assert_same_gate(data)
+
     @pytest.mark.parametrize("w, b", [([0.5, -1.25], [0.25]), ([0.5, 0.0], [0.5])],
                              ids=["off_the_hinge", "on_the_hinge"])
     def test_loss_and_grads_equal_the_formula(self, w, b):
@@ -214,6 +231,71 @@ class TestGateStepsAlongHingeGradient:
         trained = gate_train(data.X.T, data.labels, epochs=epochs)
         assert trained.weights[0][:, 0].tobytes() == w.tobytes()
         assert trained.biases[0].tobytes() == b.tobytes()
+
+
+class TestGateStepFlippedRows:
+    """After its first call, ``_GateStep`` corrects the gradient by the rows
+    whose hinge state flipped; at every point it must agree with a fresh
+    step's full sum there."""
+
+    @staticmethod
+    def separable(f=5, n=300, seed=0):
+        """Rows with |v . x| >= 0.1 and y = (v . x > 0): at ``1e3 * v`` every
+        margin is below 0, at ``v = 0`` every one is 1."""
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-1.0, 1.0, size=(4 * n, f))
+        v = rng.normal(size=f)
+        keep = np.abs(X @ v) >= 0.1
+        X = X[keep][:n]
+        return X, (X @ v > 0).astype(np.int64), v
+
+    def test_each_call_matches_a_fresh_step(self):
+        X, y, v = self.separable()
+        rng = np.random.default_rng(1)
+        zero = (np.zeros(len(v)), np.zeros(1))
+        points = [zero, zero, (1e3 * v, np.zeros(1)), zero]  # repeat, then all flip twice
+        points += [(rng.normal(size=len(v)), rng.normal(size=1)) for _ in range(20)]
+        points += [(p[0] + 1e-3 * rng.normal(size=len(v)), p[1]) for p in points[-5:]]
+        step = neural._GateStep(X.T, y)
+        # a component the flips cancel to zero keeps a rounding residue
+        atol = 1e-12 * np.abs(X).max()
+        for w, b in points:
+            loss, dw, db = step(w, b)
+            ref_loss, ref_dw, ref_db = neural._GateStep(X.T, y)(w, b)
+            assert loss == ref_loss
+            np.testing.assert_allclose(dw, ref_dw, rtol=1e-12, atol=atol)
+            np.testing.assert_allclose(db, ref_db, rtol=1e-12, atol=atol)
+
+    def test_every_row_flips(self):
+        X, y, v = self.separable()
+        step = neural._GateStep(X.T, y)
+        step(np.zeros(len(v)), np.zeros(1))
+        assert step.active.all()
+        _, dw, db = step(1e3 * v, np.zeros(1))
+        assert not step.active.any() and step.flip.all()
+        np.testing.assert_allclose(dw, 2.0 * neural.GATE_LAMBDA * 1e3 * v, rtol=1e-12,
+                                   atol=1e-12)
+        assert abs(db) < 1e-12
+
+    def test_no_flip_keeps_the_gradient_bits(self):
+        data = TestGateMatchesReference.table(4, seed=4)
+        step = neural._GateStep(data.X.T, data.labels)
+        w, b = np.array([0.3, -0.2, 0.1, 0.05]), np.array([0.1])
+        step(np.zeros(4), np.zeros(1))
+        first = step(w, b)
+        again = step(w, b)
+        assert not step.flip.any()
+        assert again[0] == first[0]
+        assert again[1].tobytes() == first[1].tobytes()
+        assert np.float64(again[2]).tobytes() == np.float64(first[2]).tobytes()
+
+    def test_a_call_does_not_change_the_gradient_it_returned(self):
+        data = TestGateMatchesReference.table(3, seed=3)
+        step = neural._GateStep(data.X.T, data.labels)
+        _, dw, db = step(np.zeros(3), np.zeros(1))
+        kept = dw.copy()
+        step(np.array([5.0, -5.0, 5.0]), np.array([2.0]))
+        assert dw.tobytes() == kept.tobytes()
 
 
 class TestSgdMatchesReference:

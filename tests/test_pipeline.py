@@ -734,6 +734,20 @@ class TestCliExitCodes:
         assert "was made from another input" in err
         assert _files(out) == before
 
+    @pytest.mark.parametrize("mode", ["rrw", "ae"])
+    def test_foreign_input_is_refused_before_its_body_is_parsed(self, fs_run, tmp_path,
+                                                                capsys, monkeypatch, mode):
+        # the digest pass already names the input, so its rows are never read
+        for parse in ("_parse_body", "_parse_cells"):
+            monkeypatch.setattr(dataset, parse,
+                                lambda *a, parse=parse: pytest.fail(f"{parse} ran"))
+        path = tmp_path / "foreign.csv"
+        write_csv(planted_dataset(5, 0, 500, seed=4), path, "label")
+        argv = [mode, "--input", str(path), "--fs-report", str(fs_run[1] / "fs_report.json"),
+                "--out", str(tmp_path / "out")]
+        err = self._data_error(capsys, argv + ["--bottleneck", "2"] * (mode == "ae"), "load")
+        assert "was made from another input" in err
+
     @staticmethod
     def _doc(fs_run) -> dict:
         return json.loads(json.dumps(fs_run[0]))

@@ -1,7 +1,7 @@
 """From-scratch differentiable models with seeded deterministic training:
 a linear hinge-loss gate classifier, the rectangle MLP detector and the
-bottleneck autoencoder.  numpy only, full IEEE doubles; the matrix
-products run on as many threads as the BLAS library uses.
+bottleneck autoencoder.  numpy only, full IEEE doubles; the products other
+than the gate's full-batch einsum run on as many threads as BLAS uses.
 """
 
 from __future__ import annotations
@@ -24,11 +24,10 @@ MODEL_FORMAT_VERSION = 1
 
 @dataclass
 class NeuralModel:
-    """Dense feed-forward network: per-layer weights, biases, activations."""
+    """Dense feed-forward network: relu layers under a sigmoid output."""
 
-    kind: str  # linear_gate | mlp | autoencoder
+    kind: str  # mlp | autoencoder
     layer_dims: list[int]
-    activations: list[str]  # one per non-input layer: relu | sigmoid | linear
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     seed: int
@@ -65,7 +64,9 @@ def _relu(z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0, out=z)
 
 
-_ACTIVATIONS = {"relu": _relu, "sigmoid": _sigmoid, "linear": lambda z: z}
+def _activations(n_layers: int) -> list:
+    """The activation of each of ``n_layers`` layers: relu, then a sigmoid output."""
+    return [_relu] * (n_layers - 1) + [_sigmoid]
 
 
 def _forward(a: np.ndarray, layers) -> np.ndarray:
@@ -81,9 +82,9 @@ def _forward(a: np.ndarray, layers) -> np.ndarray:
 def _output(model: NeuralModel, X: np.ndarray, n_layers: int | None = None) -> np.ndarray:
     """The output of the first ``n_layers`` layers (default: all), with at
     most two layer outputs alive; a sigmoid's exp overflows on its way to 0."""
-    layers = zip(model.weights[:n_layers], model.biases, model.activations)
+    layers = zip(model.weights[:n_layers], model.biases, _activations(len(model.weights)))
     with np.errstate(over="ignore"):
-        return _forward(X, ((W, b, np.empty((len(X), W.shape[1])), _ACTIVATIONS[act])
+        return _forward(X, ((W, b, np.empty((len(X), W.shape[1])), act)
                             for W, b, act in layers))
 
 
@@ -98,19 +99,9 @@ def _init_layers(dims: list[int], rng: np.random.Generator):
 
 # --- linear hinge-loss gate ------------------------------------------------
 
-def gate_new(n_features: int) -> NeuralModel:
-    return NeuralModel(
-        kind="linear_gate",
-        layer_dims=[n_features, 1],
-        activations=["linear"],
-        weights=[np.zeros((n_features, 1))],
-        biases=[np.zeros(1)],
-        seed=0,
-    )
-
-
-def gate_predict(model: NeuralModel, X: np.ndarray) -> np.ndarray:
-    return (_output(model, X)[:, 0] >= 0.0).astype(np.int64)
+def gate_predict(gate: tuple, X: np.ndarray) -> np.ndarray:
+    w, b = gate
+    return (X @ w + b >= 0.0).astype(np.int64)
 
 
 class _GateStep:
@@ -151,20 +142,19 @@ class _GateStep:
         return loss, self.g + 2.0 * GATE_LAMBDA * w, self.db
 
 
-def gate_train(A: np.ndarray, labels: np.ndarray, epochs: int = GATE_EPOCHS) -> NeuralModel:
-    """Full-batch hinge-loss descent from zero, on feature-major rows ``A`` and their labels."""
+def gate_train(A: np.ndarray, labels: np.ndarray, epochs: int = GATE_EPOCHS) -> tuple:
+    """Weights (F,) and bias (1,) by full-batch hinge-loss descent from zero on ``A`` (F x n)."""
     if not 0 < labels.sum() < labels.size:
         raise TrainingError("gate training needs both classes")
     gate = _GateStep(A, labels)
-    model = gate_new(len(gate.A))
-    w, b = model.weights[0][:, 0], model.biases[0]  # views: the steps update the model
+    w, b = np.zeros(len(gate.A)), np.zeros(1)
     for epoch in range(epochs):
         loss, dw, db = gate(w, b)
         if not np.isfinite(loss):
             raise DivergenceDetected(epoch)
         w -= GATE_STEP * dw
         b -= GATE_STEP * db
-    return model
+    return w, b
 
 
 # --- MLP detector ----------------------------------------------------------
@@ -175,7 +165,7 @@ def mlp_new(f: int, seed: int) -> NeuralModel:
         raise TrainingError("need at least one feature")
     dims = [f, 2 * f, 2 * f, 1]
     weights, biases = _init_layers(dims, np.random.default_rng(seed))
-    return NeuralModel("mlp", dims, ["relu", "relu", "sigmoid"], weights, biases, seed)
+    return NeuralModel("mlp", dims, weights, biases, seed)
 
 
 def _targets(loss_kind: str, X: np.ndarray, labels: np.ndarray) -> tuple:
@@ -221,10 +211,6 @@ class _SGDStep:
     ``tests/oracles.py``, so training gives the same bits."""
 
     def __init__(self, model: NeuralModel, loss_kind: str):
-        *hidden, last = model.activations
-        if last != "sigmoid" or any(act != "relu" for act in hidden):
-            raise TrainingError(f"SGD trains relu layers under a sigmoid output, "
-                                f"not {model.activations}")
         self.loss_kind = loss_kind
         self.dims = model.layer_dims
         self.theta = np.concatenate(
@@ -253,7 +239,7 @@ class _SGDStep:
         top = len(widths) - 1
         outs = [np.empty((m, d)) for d in widths]
         deltas = [np.empty((m, d)) for d in widths]
-        forward = tuple(zip(self.weights, self.biases, outs, [_relu] * top + [_sigmoid]))
+        forward = tuple(zip(self.weights, self.biases, outs, _activations(len(widths))))
         backward = tuple(
             (deltas[l], outs[l] if l < top else None, outs[l - 1].T if l else None,
              self.dW[l], self.db[l], self.weights[l].T, deltas[l - 1] if l else None)
@@ -379,8 +365,7 @@ def ae_new(input_dim: int, bottleneck: int, seed: int) -> NeuralModel:
     mid = int(round((input_dim + bottleneck) / 2))
     dims = [input_dim, mid, bottleneck, mid, input_dim]
     weights, biases = _init_layers(dims, np.random.default_rng(seed))
-    return NeuralModel("autoencoder", dims, ["relu", "relu", "relu", "sigmoid"],
-                       weights, biases, seed)
+    return NeuralModel("autoencoder", dims, weights, biases, seed)
 
 
 def ae_train(model: NeuralModel, learn: Dataset, validation: Dataset,
@@ -410,7 +395,7 @@ def model_to_json(model: NeuralModel) -> dict:
         "format_version": MODEL_FORMAT_VERSION,
         "kind": model.kind,
         "layer_dims": list(model.layer_dims),
-        "activations": list(model.activations),
+        "activations": ["relu"] * (len(model.weights) - 1) + ["sigmoid"],
         "seed": int(model.seed),
         "weights": [W.tolist() for W in model.weights],
         "biases": [b.tolist() for b in model.biases],

@@ -13,7 +13,11 @@ Each mutant changes one thing inside one named function:
   ``np.greater_equal``;
 - an expression statement, which becomes ``pass``.
 
-The repository's ``src``, ``tests`` and ``pyproject.toml`` are copied into
+The arguments are checked first: a spec that is not ``module:name``, whose
+module has no file under ``src`` or defines no such function or class, a
+negative ``--sample`` or a ``--workdir`` that is not a directory exits 2
+with argparse's message and creates nothing.  Then the
+repository's ``src``, ``tests`` and ``pyproject.toml`` are copied into
 the work directory (a new temporary one by default).  The unmutated copy
 must pass ``pytest -x tests``; then each mutant is written into the copy in
 turn and the tests run again.  A failing run kills the mutant, and so does a
@@ -62,11 +66,14 @@ def _offset(lines: list[str], lineno: int, col: int) -> int:
     return sum(len(s) for s in lines[:lineno - 1]) + len(line.encode()[:col].decode())
 
 
-def _find(tree: ast.AST, qualname: str) -> ast.AST:
+def _find(tree: ast.AST, qualname: str) -> ast.AST | None:
+    """The function or class ``qualname`` names in ``tree``, or None."""
     node = tree
     for part in qualname.split("."):
-        node = next(n for n in ast.iter_child_nodes(node)
-                    if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == part)
+        node = next((n for n in ast.iter_child_nodes(node)
+                     if isinstance(n, (ast.FunctionDef, ast.ClassDef)) and n.name == part), None)
+        if node is None:
+            return None
     return node
 
 
@@ -128,22 +135,31 @@ def main(argv=None) -> int:
     parser.add_argument("--sample", type=int, help="run this many mutants, drawn at random")
     parser.add_argument("--workdir", help="where the copy goes (default: a temporary directory)")
     args = parser.parse_args(argv)
+    # every argument is checked before anything is copied
+    if args.workdir is not None and not Path(args.workdir).is_dir():
+        parser.error(f"--workdir {args.workdir} is not a directory")
+    if args.sample is not None and args.sample < 0:
+        parser.error(f"--sample {args.sample} is negative")
+    todo = []
+    for spec in args.functions:
+        module, colon, qualname = spec.partition(":")
+        if not colon:
+            parser.error(f"{spec} is not module:qualified.name")
+        relative = Path("src", *module.split(".")).with_suffix(".py")
+        if not (ROOT / relative).is_file():
+            parser.error(f"{spec}: there is no {relative}")
+        text = (ROOT / relative).read_text(encoding="utf-8")
+        if _find(ast.parse(text), qualname) is None:
+            parser.error(f"{spec}: {relative} defines no {qualname}")
+        todo += [(spec, what, relative, text, mutated) for what, mutated in mutants(text, qualname)]
+    if args.sample is not None and args.sample < len(todo):
+        todo = random.Random(0).sample(todo, args.sample)
 
     work = Path(tempfile.mkdtemp(prefix="mutants-", dir=args.workdir))
     for name in ("src", "tests"):
         shutil.copytree(ROOT / name, work / name,
                         ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
     shutil.copy2(ROOT / "pyproject.toml", work / "pyproject.toml")
-
-    todo = []
-    for spec in args.functions:
-        module, qualname = spec.split(":")
-        relative = Path("src", *module.split(".")).with_suffix(".py")
-        text = (ROOT / relative).read_text(encoding="utf-8")
-        copy = work / relative
-        todo += [(spec, what, copy, text, mutated) for what, mutated in mutants(text, qualname)]
-    if args.sample is not None and args.sample < len(todo):
-        todo = random.Random(0).sample(todo, args.sample)
 
     # every mutant would count as killed if the copy failed unmutated
     started = time.perf_counter()
@@ -152,7 +168,8 @@ def main(argv=None) -> int:
         return 1
     timeout = TIMEOUT_FACTOR * (time.perf_counter() - started)
     survived = []
-    for spec, what, copy, text, mutated in todo:
+    for spec, what, relative, text, mutated in todo:
+        copy = work / relative
         copy.write_text(mutated, encoding="utf-8")
         started = time.perf_counter()
         try:

@@ -31,7 +31,7 @@ from midistill.errors import (
     NonNumericValue,
     TrainingError,
 )
-from midistill.neural import GATE_EPOCHS, GATE_LAMBDA, GATE_STEP, TrainingCurve, gate_new
+from midistill.neural import GATE_EPOCHS, GATE_LAMBDA, GATE_STEP, TrainingCurve
 from midistill.ranking import CountTable, rank
 
 
@@ -123,35 +123,35 @@ def reference_elimination_order(dataset, binning, algorithm, beta=1.0):
     return order
 
 
-def reference_hinge_loss_and_grads(model, X, labels, lam=GATE_LAMBDA):
-    """L2-regularized mean hinge loss of a linear gate and its parameter
-    gradients, by the formula on the row-major X."""
+def reference_hinge_loss_and_grads(gate, X, labels, lam=GATE_LAMBDA):
+    """L2-regularized mean hinge loss of a linear gate ``(w, b)`` and its
+    gradients ``dw`` and ``db``, by the formula on the row-major X."""
+    w, b = gate
     t = 2.0 * np.asarray(labels, dtype=np.float64) - 1.0
-    s = (X @ model.weights[0] + model.biases[0])[:, 0]
+    s = X @ w + b
     margin = 1.0 - t * s
     active = margin > 0.0
-    loss = float(np.mean(np.maximum(margin, 0.0)) + lam * np.sum(model.weights[0] ** 2))
+    loss = float(np.mean(np.maximum(margin, 0.0)) + lam * np.sum(w ** 2))
     ds = -(t * active) / len(t)
-    dW = X.T @ ds[:, None] + 2.0 * lam * model.weights[0]
+    dw = X.T @ ds + 2.0 * lam * w
     db = np.array([ds.sum()])
-    return loss, [dW], [db]
+    return loss, dw, db
 
 
 def reference_gate_train(learn, lam=GATE_LAMBDA, epochs=GATE_EPOCHS, step=GATE_STEP):
     """The gate by its definition: full-batch gradient descent on the hinge
-    loss from zero, one ``reference_hinge_loss_and_grads`` call per epoch."""
+    loss from zero, one ``reference_hinge_loss_and_grads`` call per epoch:
+    the weights ``w``, one per feature, and the bias ``b`` of shape (1,)."""
     y = learn.labels
     if len(np.unique(y)) < 2:
         raise TrainingError("gate training needs both classes")
-    model = gate_new(learn.n_features)
-    X = learn.X
+    w, b = np.zeros(learn.n_features), np.zeros(1)
     for epoch in range(epochs):
-        loss, dWs, dbs = reference_hinge_loss_and_grads(model, X, y, lam)
+        loss, dw, db = reference_hinge_loss_and_grads((w, b), learn.X, y, lam)
         if not np.isfinite(loss):
             raise DivergenceDetected(epoch)
-        model.weights[0] = model.weights[0] - step * dWs[0]
-        model.biases[0] = model.biases[0] - step * dbs[0]
-    return model
+        w, b = w - step * dw, b - step * db
+    return w, b
 
 
 def _reference_activate(z, kind):
@@ -159,16 +159,16 @@ def _reference_activate(z, kind):
         return np.maximum(z, 0.0)
     if kind == "sigmoid":
         return 1.0 / (1.0 + np.exp(-z))
-    if kind == "linear":
-        return z
     raise ValueError(f"unknown activation {kind!r}")
 
 
 def reference_forward(model, X):
-    """All layer outputs, input first; result[-1] is the network output."""
+    """All layer outputs, input first; result[-1] is the network output.
+    Every layer is a relu but the output layer, a sigmoid."""
     outs = [X]
-    for W, b, act in zip(model.weights, model.biases, model.activations):
-        outs.append(_reference_activate(outs[-1] @ W + b, act))
+    top = len(model.weights) - 1
+    for layer, (W, b) in enumerate(zip(model.weights, model.biases)):
+        outs.append(_reference_activate(outs[-1] @ W + b, "sigmoid" if layer == top else "relu"))
     return outs
 
 
@@ -194,19 +194,14 @@ def _reference_backprop(model, outs, target, loss_kind):
         delta = residual / out.shape[0]
     else:
         delta = 2.0 * residual / residual.size
-        if model.activations[-1] == "sigmoid":
-            delta = delta * out * (1.0 - out)
+        delta = delta * out * (1.0 - out)  # the sigmoid output's derivative
 
     dWs = [None] * len(model.weights)
     dbs = [None] * len(model.biases)
     for layer in range(len(model.weights) - 1, -1, -1):
         a_cur = outs[layer + 1]
-        if layer < len(model.weights) - 1:
-            act = model.activations[layer]
-            if act == "relu":
-                delta = delta * (a_cur > 0.0)
-            elif act == "sigmoid":
-                delta = delta * a_cur * (1.0 - a_cur)
+        if layer < len(model.weights) - 1:  # a relu layer
+            delta = delta * (a_cur > 0.0)
         dWs[layer] = outs[layer].T @ delta
         dbs[layer] = delta.sum(axis=0)
         if layer > 0:

@@ -1,0 +1,52 @@
+"""``tests/mutants.py`` refuses a bad argument before it copies anything.
+No test here starts a pytest run: ``_pytest`` is replaced."""
+
+import pytest
+
+import mutants
+
+
+@pytest.fixture
+def no_pytest(monkeypatch):
+    def forbidden(work, timeout=None):
+        raise AssertionError("a pytest run was started")
+
+    monkeypatch.setattr(mutants, "_pytest", forbidden)
+
+
+@pytest.mark.parametrize("args, message", [
+    (["midistill.neural.gate_train"], "midistill.neural.gate_train is not module:qualified.name"),
+    (["midistill.nosuch:f"], "midistill.nosuch:f: there is no src/midistill/nosuch.py"),
+    (["midistill.neural:nosuch"],
+     "midistill.neural:nosuch: src/midistill/neural.py defines no nosuch"),
+    (["midistill.neural:_SGDStep.nosuch"],
+     "midistill.neural:_SGDStep.nosuch: src/midistill/neural.py defines no _SGDStep.nosuch"),
+    (["--workdir", "{tmp}/missing"], "--workdir {tmp}/missing is not a directory"),
+    (["--sample", "-1"], "--sample -1 is negative"),
+])
+def test_bad_argument_exits_2_and_copies_nothing(tmp_path, capsys, no_pytest, args, message):
+    args = [a.format(tmp=tmp_path) for a in args]
+    workdir = [] if "--workdir" in args else ["--workdir", str(tmp_path)]
+    # a good spec first: a bad one after it is still found before the copy
+    with pytest.raises(SystemExit) as exc:
+        mutants.main(workdir + ["midistill.neural:gate_predict"] + args)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f": error: {message.format(tmp=tmp_path)}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_good_spec_runs_each_mutant_and_removes_the_copy(tmp_path, capsys, monkeypatch):
+    # gate_predict has two mutants, '+' -> '-' and '>=' -> '>'; the
+    # stand-in run passes the unmutated copy and fails each mutant
+    source = (mutants.ROOT / "src/midistill/neural.py").read_text(encoding="utf-8")
+    runs = []
+
+    def run(work, timeout=None):
+        runs.append((work / "src/midistill/neural.py").read_text(encoding="utf-8") == source)
+        return 0 if runs[-1] else 1
+
+    monkeypatch.setattr(mutants, "_pytest", run)
+    assert mutants.main(["--workdir", str(tmp_path), "midistill.neural:gate_predict"]) == 0
+    assert runs == [True, False, False]
+    assert capsys.readouterr().out.splitlines()[-1] == "2 killed, 0 survived of 2"
+    assert list(tmp_path.iterdir()) == []

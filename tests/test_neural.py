@@ -13,7 +13,6 @@ from midistill.neural import (
     ae_encode,
     ae_new,
     ae_train,
-    gate_new,
     gate_predict,
     gate_train,
     mlp_new,
@@ -30,10 +29,11 @@ from oracles import (
 )
 
 
-def finite_diff_param_grads(loss_fn, model, h=1e-5):
-    """Central finite differences of loss_fn() over every model parameter."""
+def finite_diff_param_grads(loss_fn, weights, biases, h=1e-5):
+    """Central finite differences of loss_fn() over every entry of the
+    ``weights`` and ``biases`` arrays, which loss_fn() reads."""
     dWs, dbs = [], []
-    for arrs, grads in ((model.weights, dWs), (model.biases, dbs)):
+    for arrs, grads in ((weights, dWs), (biases, dbs)):
         for arr in arrs:
             g = np.zeros_like(arr)
             it = np.nditer(arr, flags=["multi_index"])
@@ -52,13 +52,14 @@ def finite_diff_param_grads(loss_fn, model, h=1e-5):
 
 def loss_and_grads(model, X, target, loss_kind):
     """(loss, dWs, dbs) at ``model``'s parameters from the package's own
-    kernels, which criterion 8 differentiates: for "hinge" one epoch of the
-    gate's ``_GateStep`` on the feature-major ``X.T``, else one backward pass
-    of the SGD step, on ``X`` as one batch, against ``target`` (0/1 labels for
-    "bce", the output matrix for "mse")."""
+    kernels, which criterion 8 differentiates: for "hinge", where ``model``
+    is the gate ``(w, b)``, one epoch of the gate's ``_GateStep`` on the
+    feature-major ``X.T``, else one backward pass of the SGD step, on ``X``
+    as one batch, against ``target`` (0/1 labels for "bce", the output
+    matrix for "mse")."""
     if loss_kind == "hinge":
-        loss, dw, db = neural._GateStep(X.T, target)(model.weights[0][:, 0], model.biases[0])
-        return float(loss), [dw[:, None]], [np.array([db])]
+        loss, dw, db = neural._GateStep(X.T, target)(*model)
+        return float(loss), [dw], [np.array([db])]
     step = neural._SGDStep(model, loss_kind)
     loss = step.backward(np.asarray(X, dtype=np.float64),
                          neural._targets(loss_kind, np.asarray(target, dtype=np.float64), target))
@@ -82,6 +83,12 @@ class TestGate:
         gate = gate_train(data.X.T, data.labels)
         preds = gate_predict(gate, data.X)
         assert np.mean(preds == data.labels) == 1.0
+
+    def test_a_row_on_the_boundary_is_class_1(self):
+        # the class is X @ w + b >= 0: a score of exactly 0 is class 1
+        X = np.array([[0.5, 0.5], [0.5, 0.25], [0.25, 0.5]])
+        gate = np.array([1.0, -1.0]), np.array([0.0])
+        np.testing.assert_array_equal(gate_predict(gate, X), [1, 1, 0])
 
     @pytest.mark.parametrize("labels", [[1, 1, 1], [0, 0, 0], []])
     def test_single_class_error(self, labels):
@@ -107,7 +114,7 @@ class TestGate:
         # single-column model (decision values differ: duplicates double the
         # effective step along that direction)
         gd = gate_train(double.X.T, y)
-        assert gd.weights[0][0, 0] == pytest.approx(gd.weights[0][1, 0], abs=1e-12)
+        assert gd[0][0] == pytest.approx(gd[0][1], abs=1e-12)
         p1 = gate_predict(gate_train(single.X.T, y), single.X)
         p2 = gate_predict(gd, double.X)
         assert np.mean(p1 == p2) > 0.95  # disagreement confined to the margin
@@ -119,7 +126,7 @@ class TestGate:
         gate = gate_train(data.X.T, data.labels, epochs=3)
         _, dWs, dbs = loss_and_grads(gate, data.X, data.labels, "hinge")
         fdW, fdb = finite_diff_param_grads(
-            lambda: loss_and_grads(gate, data.X, data.labels, "hinge")[0], gate)
+            lambda: loss_and_grads(gate, data.X, data.labels, "hinge")[0], [gate[0]], [gate[1]])
         assert_grads_close(dWs, fdW)
         assert_grads_close(dbs, fdb)
 
@@ -141,11 +148,13 @@ class TestGateMatchesReference:
     def assert_same_gate(self, data, **kwargs):
         gate = gate_train(data.X.T, data.labels, **kwargs)
         ref = reference_gate_train(data, **kwargs)
-        assert gate.weights[0].shape == ref.weights[0].shape == (data.n_features, 1)
-        assert gate.biases[0].shape == ref.biases[0].shape == (1,)
+        (w, b), (ref_w, ref_b) = gate, ref
+        assert w.shape == ref_w.shape == (data.n_features,)
+        assert b.shape == ref_b.shape == (1,)
+        assert w.dtype == b.dtype == np.float64
         np.testing.assert_array_equal(gate_predict(gate, data.X), gate_predict(ref, data.X))
-        np.testing.assert_allclose(gate.weights[0], ref.weights[0], rtol=1e-9)
-        np.testing.assert_allclose(gate.biases[0], ref.biases[0], rtol=1e-9)
+        np.testing.assert_allclose(w, ref_w, rtol=1e-9)
+        np.testing.assert_allclose(b, ref_b, rtol=1e-9)
 
     @pytest.mark.parametrize("epochs", [1, 3, 200])
     @pytest.mark.parametrize("f", [1, 2, 8])
@@ -186,13 +195,12 @@ class TestGateMatchesReference:
         # the formula takes the row as inactive
         X = np.array([[1.0, 0.5], [0.0, -2.0], [-1.5, 1.0], [2.0, 0.25]])
         labels = np.array([1, 0, 0, 1])
-        gate = gate_new(2)
-        gate.weights[0], gate.biases[0] = np.array(w)[:, None], np.array(b)
+        gate = np.array(w), np.array(b)
         loss, dWs, dbs = loss_and_grads(gate, X, labels, "hinge")
-        ref_loss, ref_dWs, ref_dbs = reference_hinge_loss_and_grads(gate, X, labels)
+        ref_loss, ref_dw, ref_db = reference_hinge_loss_and_grads(gate, X, labels)
         assert loss == ref_loss
-        assert dWs[0].tobytes() == ref_dWs[0].tobytes()
-        assert dbs[0].tobytes() == ref_dbs[0].tobytes()
+        assert dWs[0].tobytes() == ref_dw.tobytes()
+        assert dbs[0].tobytes() == ref_db.tobytes()
 
     def test_single_class(self):
         data = make_dataset({"x": [0.1, 0.5, 0.9]}, [0, 0, 0])
@@ -228,9 +236,9 @@ class TestGateStepsAlongHingeGradient:
             _, dw, db = step(w, b)
             w = w - GATE_STEP * dw
             b = b - GATE_STEP * db
-        trained = gate_train(data.X.T, data.labels, epochs=epochs)
-        assert trained.weights[0][:, 0].tobytes() == w.tobytes()
-        assert trained.biases[0].tobytes() == b.tobytes()
+        trained_w, trained_b = gate_train(data.X.T, data.labels, epochs=epochs)
+        assert trained_w.tobytes() == w.tobytes()
+        assert trained_b.tobytes() == b.tobytes()
 
 
 class TestGateStepFlippedRows:
@@ -496,7 +504,7 @@ class TestMlp:
         y = rng.integers(0, 2, 8).astype(float)
         _, dWs, dbs = loss_and_grads(model, X, y, "bce")
         fdW, fdb = finite_diff_param_grads(
-            lambda: loss_and_grads(model, X, y, "bce")[0], model)
+            lambda: loss_and_grads(model, X, y, "bce")[0], model.weights, model.biases)
         assert_grads_close(dWs, fdW)
         assert_grads_close(dbs, fdb)
 
@@ -538,6 +546,12 @@ class TestAutoencoder:
         assert latent.feature_names == ("f1", "f2", "f3")
         assert latent.n_samples == 40
         np.testing.assert_array_equal(latent.labels, data.labels)
+
+    def test_encode_needs_an_autoencoder(self, rng):
+        # the model's kind is checked, not its shape: an MLP's layers would encode
+        data = make_dataset({f"f{i}": rng.random(8) for i in range(3)}, rng.integers(0, 2, 8))
+        with pytest.raises(TrainingError, match="^ae_encode needs an autoencoder model$"):
+            ae_encode(mlp_new(3, 0), data)
 
     def test_encode_duplicated_rows(self, rng):
         row = rng.random(5)
@@ -599,7 +613,7 @@ class TestAutoencoder:
         X = rng.random((6, 4))
         _, dWs, dbs = loss_and_grads(model, X, X, "mse")
         fdW, fdb = finite_diff_param_grads(
-            lambda: loss_and_grads(model, X, X, "mse")[0], model)
+            lambda: loss_and_grads(model, X, X, "mse")[0], model.weights, model.biases)
         assert_grads_close(dWs, fdW)
         assert_grads_close(dbs, fdb)
 

@@ -177,7 +177,7 @@ class TestEngineProperties:
 
     def test_unknown_algorithm(self, rng):
         data = random_discrete_dataset(rng)
-        with pytest.raises(DataError):
+        with pytest.raises(DataError, match="^unknown ranking algorithm 'PCA'$"):
             rank(CountTable(data, BINNING), "PCA")
 
     def test_json_serialization(self, rng):

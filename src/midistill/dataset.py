@@ -97,11 +97,6 @@ class DataSplit:
     learn_idx: np.ndarray
     test_idx: np.ndarray
     validation_idx: np.ndarray
-    seed: int
-
-    def __post_init__(self):
-        for name in ("learn_idx", "test_idx", "validation_idx"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.int64))
 
 
 def load_csv(path, label_column: str, check_digest=None) -> Dataset:
@@ -302,7 +297,7 @@ def split(dataset: Dataset, seed: int) -> DataSplit:
     val = np.sort(perm[:n_val])
     test = np.sort(perm[n_val:n_val + n_test])
     learn = np.sort(perm[n_val + n_test:])
-    return DataSplit(learn, test, val, seed)
+    return DataSplit(learn, test, val)
 
 
 def folds(n_samples: int, k: int, seed: int) -> list[np.ndarray]:

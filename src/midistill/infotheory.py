@@ -34,7 +34,6 @@ class DiscreteColumn:
 
     codes: np.ndarray
     k: int
-    origin: str = ""
 
     def __post_init__(self):
         codes = np.asarray(self.codes, dtype=np.int64)
@@ -50,13 +49,14 @@ class DiscreteColumn:
 
 
 def discretize(column, config: BinningConfig, origin: str = "") -> DiscreteColumn:
-    """Bin a numeric column into integer codes.
+    """Bin a numeric column into integer codes by one rule.
 
-    Columns that are already integer-coded with at most n_bins distinct
-    values pass through unchanged (codes = rank of distinct value).
-    Equal-width bins are right-closed, so a value sitting exactly on an
-    interior edge falls in the lower bin; equal-frequency edges come from
-    empirical quantiles, merging duplicate edges (k may shrink).
+    The edges are the column's distinct values when it is integer-coded with
+    at most n_bins of them, and otherwise the interior cuts of n_bins
+    equal-width bins over [min, max] or the column's empirical quantiles,
+    duplicate edges merged.  A value's code is the number of edges below it,
+    so a value sitting exactly on an edge falls in the lower bin, and empty
+    bins are dropped (k may shrink, to 1 for a constant column).
     """
     x = np.asarray(column, dtype=np.float64)
     if x.size == 0:
@@ -64,24 +64,21 @@ def discretize(column, config: BinningConfig, origin: str = "") -> DiscreteColum
     if not np.all(np.isfinite(x)):
         raise ValueError("column contains non-finite values")
 
-    lo, hi = x.min(), x.max()
-    if lo == hi:
-        return DiscreteColumn(np.zeros(x.size, dtype=np.int64), 1, origin)
-    if np.all(x == np.floor(x)):
-        distinct = np.unique(x)
-        if distinct.size <= config.n_bins:
-            return DiscreteColumn(np.searchsorted(distinct, x), distinct.size, origin)
-
-    if config.strategy == "equal_width":
-        edges = np.linspace(lo, hi, config.n_bins + 1)[1:-1]
-    else:
-        qs = np.arange(1, config.n_bins) / config.n_bins
-        edges = np.unique(np.quantile(x, qs))
+    # distinct values and quantiles read the column sorted; equal-width cuts
+    # of a non-integer column need no sort, which would cost them more
+    integer = np.all(x == np.floor(x))
+    s = np.sort(x) if integer or config.strategy == "equal_frequency" else x
+    edges = s[np.concatenate(([True], s[1:] != s[:-1]))] if integer else None
+    if edges is None or edges.size > config.n_bins:
+        if config.strategy == "equal_width":
+            edges = np.linspace(x.min(), x.max(), config.n_bins + 1)[1:-1]
+        else:
+            edges = np.unique(np.quantile(s, np.arange(1, config.n_bins) / config.n_bins))
     codes = np.searchsorted(edges, x, side="left")
     # drop empty bins so codes stay dense in 0..k-1: each bin's new code is
     # the number of filled bins below it
     filled = np.bincount(codes) > 0
-    return DiscreteColumn((np.cumsum(filled) - 1)[codes], int(filled.sum()), origin)
+    return DiscreteColumn((np.cumsum(filled) - 1)[codes], int(filled.sum()))
 
 
 def _entropy_from_counts(counts: np.ndarray) -> float:
@@ -127,7 +124,7 @@ def _pair_codes(x: DiscreteColumn, y: DiscreteColumn) -> np.ndarray:
 
 def pair_column(x: DiscreteColumn, y: DiscreteColumn) -> DiscreteColumn:
     """Product-coded joint variable (X, Y) as a single discrete column."""
-    return DiscreteColumn(_pair_codes(x, y), x.k * y.k, f"({x.origin},{y.origin})")
+    return DiscreteColumn(_pair_codes(x, y), x.k * y.k)
 
 
 def joint_entropy(x: DiscreteColumn, y: DiscreteColumn) -> float:

@@ -32,10 +32,6 @@ class NeuralModel:
     biases: list[np.ndarray]
     seed: int
 
-    @property
-    def input_dim(self) -> int:
-        return self.layer_dims[0]
-
 
 @dataclass
 class TrainingCurve:
@@ -273,8 +269,8 @@ class _SGDStep:
 
 
 def _check_width(model: NeuralModel, n_features: int) -> None:
-    if n_features != model.input_dim:
-        raise TrainingError(f"model expects {model.input_dim} features, got {n_features}")
+    if n_features != model.layer_dims[0]:
+        raise TrainingError(f"model expects {model.layer_dims[0]} features, got {n_features}")
 
 
 def _sgd_train(model: NeuralModel, learn: Dataset, validation: Dataset, loss_kind: str,

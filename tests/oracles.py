@@ -1,7 +1,8 @@
 """Independent brute-force oracles used by the tests.
 
 Deliberately naive: plain-Python counting over value tuples, no shared code
-with the package's estimators or the greedy ranking engine.  The CSV
+with the package's estimators or the greedy ranking engine.  The binning
+reference is the package's original three-exit ``discretize``, the CSV
 references are the package's original one-cell-at-a-time parse and its
 original ``repr``-per-cell writer, the gate reference the package's
 original training loop along its original hinge gradient
@@ -110,6 +111,29 @@ def bf_greedy_ranking(algorithm, columns, label, beta=1.0, tie_tol=1e-12):
     return order
 
 
+def reference_discretize(column, config):
+    """The package's original binning as ``(codes, k)``: a constant column
+    returns one code, an integer-coded column with at most n_bins distinct
+    values returns each value's rank, and any other column is binned at
+    equal-width or merged equal-frequency edges with empty bins dropped."""
+    x = np.asarray(column, dtype=np.float64)
+    lo, hi = x.min(), x.max()
+    if lo == hi:
+        return np.zeros(x.size, dtype=np.int64), 1
+    if np.all(x == np.floor(x)):
+        distinct = np.unique(x)
+        if distinct.size <= config.n_bins:
+            return np.searchsorted(distinct, x), distinct.size
+    if config.strategy == "equal_width":
+        edges = np.linspace(lo, hi, config.n_bins + 1)[1:-1]
+    else:
+        qs = np.arange(1, config.n_bins) / config.n_bins
+        edges = np.unique(np.quantile(x, qs))
+    codes = np.searchsorted(edges, x, side="left")
+    filled = np.bincount(codes) > 0
+    return (np.cumsum(filled) - 1)[codes], int(filled.sum())
+
+
 def reference_elimination_order(dataset, binning, algorithm, beta=1.0):
     """The features backward elimination drops, in order, by its per-step
     definition: each step ranks a fresh count table of the remaining columns
@@ -215,9 +239,9 @@ def reference_sgd_train(model, learn, validation, loss_kind, epochs, batch, step
     array at every step.  'mse' reconstructs the input, 'bce' fits the
     labels."""
     for data in (learn, validation):
-        if data.n_features != model.input_dim:
+        if data.n_features != model.layer_dims[0]:
             raise TrainingError(
-                f"model expects {model.input_dim} features, got {data.n_features}")
+                f"model expects {model.layer_dims[0]} features, got {data.n_features}")
     X, Xval = learn.X, validation.X
     target, val_target = (X, Xval) if loss_kind == "mse" else (learn.labels, validation.labels)
     rng = np.random.default_rng(model.seed)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from midistill.errors import DataError
 from midistill.infotheory import (
+    BINNING_STRATEGIES,
     BinningConfig,
     DiscreteColumn,
     conditional_mutual_information,
@@ -17,7 +18,7 @@ from midistill.infotheory import (
     row_entropies,
 )
 
-from oracles import bf_cmi, bf_entropy, bf_mi
+from oracles import bf_cmi, bf_entropy, bf_mi, reference_discretize
 
 EW = BinningConfig(2, "equal_width")
 
@@ -31,6 +32,31 @@ class TestBinningConfig:
     def test_unknown_strategy(self):
         with pytest.raises(ValueError, match="^unknown binning strategy 'kmeans'$"):
             BinningConfig(4, "kmeans")
+
+
+def _edge_columns(n_bins):
+    """The binning rule's edge cases at ``n_bins``, by name."""
+    rng = np.random.default_rng(n_bins)
+    # an outlier, so that binning these would not give each value its rank
+    values = np.append(np.arange(n_bins - 1) - 5.0, 100.0 * n_bins)
+    exact = rng.permutation(np.repeat(values, 2))
+    return {
+        "constant_integer": [4.0] * 6,
+        "constant_fraction": [2.5] * 6,
+        "n_bins_distinct": exact,
+        "n_bins_plus_one_distinct": np.append(exact, -100.0),
+        "negative_integers": -rng.integers(0, 2 * n_bins, 40).astype(np.float64),
+        "signed_zeros": [0.0, -0.0, -0.0, 0.0, 0.0],
+        "signed_zeros_and_fractions": [0.0, -0.0, 0.5, -0.0, 1.25, 0.0],
+        "equal_width_edges": np.repeat(np.linspace(-1.5, 2.25, n_bins + 1), 2),
+        "integer_equal_width_edges": np.arange(2 * n_bins + 1.0),
+        "merged_quantiles": [0.5] * 50 + [1.5] * 5 + [2.5] * 5,
+        "merged_integer_quantiles": [0.0] * 90 + list(range(1, n_bins + 2)),
+        "one_row": [3.5],
+        "one_negative_zero": [-0.0],
+        "two_rows": [-0.25, 0.75],
+        "two_integer_rows": [-2.0, 9.0],
+    }
 
 
 class TestDiscretize:
@@ -66,6 +92,15 @@ class TestDiscretize:
         col = discretize(values, binning)
         assert col.codes.tolist() == [0, 0, 0, 1]
         assert col.k == 2
+
+    @pytest.mark.parametrize("strategy", BINNING_STRATEGIES)
+    @pytest.mark.parametrize("n_bins", [2, 10, 64])
+    def test_codes_and_k_equal_the_original_three_exit_rule(self, n_bins, strategy):
+        config = BinningConfig(n_bins, strategy)
+        for name, column in _edge_columns(n_bins).items():
+            col = discretize(column, config)
+            codes, k = reference_discretize(column, config)
+            assert (col.codes.tolist(), col.k) == (codes.tolist(), k), name
 
     def test_empty_column(self):
         with pytest.raises(DataError, match="^column <anonymous> is empty$"):

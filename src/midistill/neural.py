@@ -101,33 +101,31 @@ def gate_predict(gate: tuple, X: np.ndarray) -> np.ndarray:
 
 
 class _GateStep:
-    """L2-regularized mean hinge loss of a linear gate and its gradient, on
+    """Gradient of the L2-regularized mean hinge loss of a linear gate, on
     the feature-major rows ``A`` (features x rows).  The first call sums the
     gradient over all rows in one einsum, whose sums no BLAS thread splits;
     a later call adds only the rows whose hinge state flipped since the
-    last.  Each call writes into the same n-length buffers."""
+    last.  Each call leaves the margins t * (w @ A + b) in ``margin``."""
 
     def __init__(self, A: np.ndarray, labels: np.ndarray):
         self.A = np.ascontiguousarray(A, dtype=np.float64)
         n = self.A.shape[1]
         self.t = 2.0 * np.asarray(labels, dtype=np.float64) - 1.0
         self.c = -self.t / n  # ds = c * active is -(t * active) / n, signed zeros included
-        self.s, self.margin = np.empty(n), np.empty(n)
+        self.margin = np.empty(n)
         self.active, self.prev, self.flip = (np.empty(n, dtype=bool) for _ in range(3))
         self.g = None
 
     def __call__(self, w: np.ndarray, b: np.ndarray):
-        """(loss, dw, db) at the weight vector ``w`` and the bias ``b``."""
-        s, margin = self.s, self.margin
-        np.matmul(w, self.A, out=s)
-        s += b
-        np.multiply(self.t, s, out=margin)
-        np.subtract(1.0, margin, out=margin)
-        loss = np.maximum(margin, 0.0, out=s).sum() / s.size + GATE_LAMBDA * np.sum(w ** 2)
+        """(dw, db) at the weight vector ``w`` and the bias ``b``."""
+        margin = self.margin
+        np.matmul(w, self.A, out=margin)
+        margin += b
+        margin *= self.t
         self.active, self.prev = self.prev, self.active
-        active = np.greater(margin, 0.0, out=self.active)
+        active = np.less(margin, 1.0, out=self.active)
         if self.g is None:
-            ds = np.multiply(self.c, active, out=s)
+            ds = self.c * active
             self.g, self.db = np.einsum("fn,n->f", self.A, ds), ds.sum()
         else:
             idx = np.not_equal(active, self.prev, out=self.flip).nonzero()[0]
@@ -135,7 +133,7 @@ class _GateStep:
                 d = self.c.take(idx) * np.where(active.take(idx), 1.0, -1.0)
                 self.g += self.A.take(idx, axis=1) @ d
                 self.db += d.sum()
-        return loss, self.g + 2.0 * GATE_LAMBDA * w, self.db
+        return self.g + 2.0 * GATE_LAMBDA * w, self.db
 
 
 def gate_train(A: np.ndarray, labels: np.ndarray, epochs: int = GATE_EPOCHS) -> tuple:
@@ -145,8 +143,8 @@ def gate_train(A: np.ndarray, labels: np.ndarray, epochs: int = GATE_EPOCHS) -> 
     gate = _GateStep(A, labels)
     w, b = np.zeros(len(gate.A)), np.zeros(1)
     for epoch in range(epochs):
-        loss, dw, db = gate(w, b)
-        if not np.isfinite(loss):
+        dw, db = gate(w, b)
+        if not np.isfinite(gate.margin.sum()):
             raise DivergenceDetected(epoch)
         w -= GATE_STEP * dw
         b -= GATE_STEP * db

@@ -10,7 +10,8 @@ Each mutant changes one thing inside one named function:
   ``is`` and ``is not``;
 - a numpy operation, ``np.add`` and ``np.subtract``, ``np.multiply`` and
   ``np.divide``, ``np.maximum`` and ``np.minimum``, ``np.greater`` and
-  ``np.greater_equal``;
+  ``np.greater_equal``, ``np.less`` and ``np.less_equal``, ``np.equal``
+  and ``np.not_equal``;
 - an expression statement, which becomes ``pass``.
 
 The arguments are checked first: a spec that is not ``module:name``, whose
@@ -56,7 +57,8 @@ OPERATORS = {
 NUMPY_SWAPS = {
     "add": "subtract", "subtract": "add", "multiply": "divide", "divide": "multiply",
     "maximum": "minimum", "minimum": "maximum", "greater": "greater_equal",
-    "greater_equal": "greater",
+    "greater_equal": "greater", "less": "less_equal", "less_equal": "less",
+    "equal": "not_equal", "not_equal": "equal",
 }
 
 

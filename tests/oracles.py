@@ -6,8 +6,10 @@ reference is the package's original three-exit ``discretize``, the CSV
 references are the package's original one-cell-at-a-time parse and its
 original ``repr``-per-cell writer, the gate reference the package's
 original training loop along its original hinge gradient
-(``reference_hinge_loss_and_grads``; criterion 8 differentiates one call
-of the package's ``_GateStep``, the epoch ``gate_train`` runs), and
+(``reference_hinge_loss_and_grads``, the only definition of the hinge
+loss: the package computes none, and criterion 8 differentiates this loss
+against the gradient of one call of the package's ``_GateStep``, the epoch
+``gate_train`` runs), and
 the SGD reference the package's original mini-batch loop with its own
 forward pass (``reference_forward``, which tests also read layer outputs
 from), losses and backpropagation.  The exception is the elimination

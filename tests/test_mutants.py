@@ -50,3 +50,22 @@ def test_good_spec_runs_each_mutant_and_removes_the_copy(tmp_path, capsys, monke
     assert runs == [True, False, False]
     assert capsys.readouterr().out.splitlines()[-1] == "2 killed, 0 survived of 2"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_the_gate_step_comparisons_are_mutated(tmp_path, capsys, monkeypatch):
+    # the hinge test np.less and the flip test np.not_equal each get the
+    # swap of their pair; the stand-in run fails every mutant
+    source = (mutants.ROOT / "src/midistill/neural.py").read_text(encoding="utf-8")
+
+    def run(work, timeout=None):
+        return int((work / "src/midistill/neural.py").read_text(encoding="utf-8") != source)
+
+    monkeypatch.setattr(mutants, "_pytest", run)
+    assert mutants.main(["--workdir", str(tmp_path), "midistill.neural:_GateStep.__call__"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    for old, new in (("less", "less_equal"), ("not_equal", "equal")):
+        assert sum(line.startswith("killed") and f"{old!r} -> {new!r}" in line
+                   for line in out) == 1
+    n = len(list(mutants.mutants(source, "_GateStep.__call__")))
+    assert out[-1] == f"{n} killed, 0 survived of {n}"
+    assert list(tmp_path.iterdir()) == []

@@ -7,7 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from midistill import cli, dataset, pipeline, selection
+from midistill import cli, dataset, pipeline, rrw, selection
 from midistill.dataset import Dataset, load_csv, write_csv
 from midistill.errors import ConfigError, TrainingError
 from midistill.infotheory import BINNING_STRATEGIES
@@ -25,6 +25,7 @@ from midistill.pipeline import (
 from midistill.ranking import ALGORITHMS
 
 from conftest import make_dataset, planted_dataset
+from test_golden import COMMANDS
 
 
 @pytest.fixture(scope="module")
@@ -284,6 +285,30 @@ class TestRrwMode:
         run_rrw(fs_config(planted_csv, tmp_path, mode="rrw",
                           fs_report=str(fs_out / "fs_report.json")))
         assert (tmp_path / "rrw_report.json").read_bytes() == first
+
+
+class TestGateInputs:
+    def test_fs_and_rrw_train_every_gate_on_rows_in_the_unit_interval(
+            self, tmp_path, monkeypatch):
+        # the premise of gate_train's divergence check being out of a run's
+        # reach: every gate of the golden chain's fs and rrw runs trains on
+        # min-max scaled rows, where the gradient and the forward sums stay
+        # finite
+        write_csv(planted_dataset(5, 3, 600, seed=3), tmp_path / "planted.csv", "label")
+        ranges = []
+
+        def checked(A, *args, **kwargs):
+            ranges.append((float(A.min()), float(A.max())))
+            return gate_train(A, *args, **kwargs)
+
+        monkeypatch.setattr(selection, "gate_train", checked)
+        monkeypatch.setattr(rrw, "gate_train", checked)
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(COMMANDS[0]) == 0
+        n_fs = len(ranges)
+        assert cli_main(COMMANDS[1]) == 0
+        assert 0 < n_fs < len(ranges)
+        assert all(0.0 <= lo and hi <= 1.0 for lo, hi in ranges)
 
 
 class TestAeMode:

@@ -40,4 +40,4 @@ class NonNumericValue(DataError):
 class DivergenceDetected(TrainingError):
     def __init__(self, epoch):
         self.epoch = epoch
-        super().__init__(f"loss became non-finite at epoch {epoch}")
+        super().__init__(f"training diverged at epoch {epoch}: a non-finite value")

@@ -121,8 +121,9 @@ def _publish(config: PipelineConfig, report: dict, files: dict) -> dict:
     ``write_csv`` writes with its sidecar, or text.  A run that fails before
     the first rename leaves --out as it was."""
     out = config.out_dir
+    report = {"mode": config.mode, "config": config.to_json(), **report}
     report["artifacts"] = {key: os.path.join(out, name) for key, (name, _) in files.items()}
-    report_name = f"{report['mode']}_report.json"
+    report_name = f"{config.mode}_report.json"
     target = out
     with _stage("write_artifacts"):
         try:
@@ -199,23 +200,18 @@ def run_fs(config: PipelineConfig) -> dict:
     # second gate: drop algorithms whose reduced-set metrics fall below gamma
     final_suite = [alg for alg in surviving if post_bfe[alg].passes(config.gamma)]
 
-    best_alg, optimized, mdrt = None, None, None
+    best_alg, optimized, mdrt, files = None, None, None, {}
     if final_suite:
         best_alg = max(final_suite, key=lambda a: (post_bfe[a].accuracy, -final_suite.index(a)))
         optimized = normalized.select_features(
             traces[best_alg].optimized_features,
             note=f"backward_elimination[{best_alg}], gamma={config.gamma}")
         mdrt = traces[best_alg].mdrt
-
-    files = {}
-    if optimized is not None:
         files["optimized_csv"] = ("optimized.csv", optimized)
     for alg, trace in traces.items():
         files[f"elimination_csv[{alg}]"] = (f"elimination_{alg}.csv", trace.metrics_csv())
 
     report = {
-        "mode": "fs",
-        "config": config.to_json(),
         "estimator_notes": {
             "mi_estimator": "plug-in histogram, log2",
             "binning": {"n_bins": config.n_bins, "strategy": config.binning_strategy},
@@ -363,8 +359,6 @@ def run_rrw(config: PipelineConfig) -> dict:
         weighted = apply_weights(optimized, weights)
 
     report = {
-        "mode": "rrw",
-        "config": config.to_json(),
         "avg_f1": avg_f1,
         "weights": weights.to_json(),
         "optimized_features": list(fs["optimized_features"]),
@@ -393,8 +387,6 @@ def run_ae(config: PipelineConfig) -> dict:
         encoded = ae_encode(model, normalized)
 
     report = {
-        "mode": "ae",
-        "config": config.to_json(),
         "bottleneck": int(bottleneck),
         "curve": curve.to_json(),
     }
@@ -421,8 +413,6 @@ def run_evaluate(config: PipelineConfig) -> dict:
         metrics = compute_metrics(preds, test.labels)
 
     report = {
-        "mode": "evaluate",
-        "config": config.to_json(),
         "metrics": metrics.to_json(),
         "curve": curve.to_json(),
     }

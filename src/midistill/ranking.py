@@ -66,8 +66,9 @@ class CountTable:
     skip zero cells.  Each quantity feeds the entropy the same non-zero
     cells, in the same order, as the row-level estimators in ``infotheory``,
     so the values match them bit for bit: pairs in (min, max) column order,
-    (x, label) cells interleaved as ``x*2+y``, and conditional terms summed
-    over strata in ascending code order, weighted ``n_z / n``.
+    (x, label) cells interleaved as ``x*2+y``, and both conditional
+    quantities one ascending cumulative sum over strata (classes or X_j's
+    codes) weighted ``n_z / n``, to which an empty class adds +0.0.
 
     Quantities: ``relevance[i]`` = I(X_i;c), ``single_sr[i]`` = SR(X_i;c),
     and F x F matrices ``mi`` = I(X_i;X_j), ``cmi_pair_given_label`` =
@@ -132,13 +133,9 @@ class CountTable:
         self.symmetrical_relevance[a, b] = self.symmetrical_relevance[b, a] = _ratio(
             _clamp(h_ab + self._h_label - h_abc), h_abc)
 
-        total = np.zeros(m)
-        for c, n_c in enumerate(self.label_counts):
-            if n_c:
-                h_ab_in_class = row_entropies(cells[..., c].reshape(m, -1))
-                total = total + (n_c / self.n) * _clamp(
-                    self._h_in_class[a, c] + self._h_in_class[b, c] - h_ab_in_class)
-        self.cmi_pair_given_label[a, b] = self.cmi_pair_given_label[b, a] = _clamp(total)
+        in_class = row_entropies(cells.transpose(0, 3, 1, 2).reshape(2 * m, -1)).reshape(m, 2)
+        self.cmi_pair_given_label[a, b] = self.cmi_pair_given_label[b, a] = _stratified(
+            self.label_counts / self.n, self._h_in_class[a], self._h_in_class[b], in_class)
 
         # I(X_i; c | X_j) both ways; strata[p, z] holds the (x_i, c) cells
         # and x_counts[p, z] the x_i counts where X_j = z
@@ -147,11 +144,14 @@ class CountTable:
                 (b, a, cells, pair_counts)):
             h_x = row_entropies(x_counts.reshape(m * w, w)).reshape(m, w)
             h_xc = row_entropies(strata.reshape(m * w, 2 * w)).reshape(m, w)
-            terms = _clamp(h_x + self._h_label_in_stratum[j] - h_xc)
-            total = np.zeros(m)
-            for z in range(w):  # an empty stratum has weight 0 and adds +0.0
-                total = total + self._stratum_weight[j, z] * terms[:, z]
-            self.cmi_label_given_feature[i, j] = _clamp(total)
+            self.cmi_label_given_feature[i, j] = _stratified(
+                self._stratum_weight[j], h_x, self._h_label_in_stratum[j], h_xc)
+
+
+def _stratified(weight, h_a, h_b, h_ab) -> np.ndarray:
+    """Per row, clamp(sum over strata s of weight_s * clamp(H(A|s) + H(B|s) - H(A,B|s))),
+    added in ascending stratum order as the row-level estimator adds them."""
+    return _clamp(np.cumsum(weight * _clamp(h_a + h_b - h_ab), axis=1)[:, -1])
 
 
 def _clamp(v: np.ndarray) -> np.ndarray:

@@ -69,3 +69,21 @@ def test_the_gate_step_comparisons_are_mutated(tmp_path, capsys, monkeypatch):
     n = len(list(mutants.mutants(source, "_GateStep.__call__")))
     assert out[-1] == f"{n} killed, 0 survived of {n}"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_the_stratified_sum_is_mutated(tmp_path, capsys, monkeypatch):
+    # the ascending sum over strata, np.cumsum, becomes np.cumprod; the
+    # stand-in run fails every mutant
+    source = (mutants.ROOT / "src/midistill/ranking.py").read_text(encoding="utf-8")
+
+    def run(work, timeout=None):
+        return int((work / "src/midistill/ranking.py").read_text(encoding="utf-8") != source)
+
+    monkeypatch.setattr(mutants, "_pytest", run)
+    assert mutants.main(["--workdir", str(tmp_path), "midistill.ranking:_stratified"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith("killed") and "'cumsum' -> 'cumprod'" in line
+               for line in out) == 1
+    n = len(list(mutants.mutants(source, "_stratified")))
+    assert out[-1] == f"{n} killed, 0 survived of {n}"
+    assert list(tmp_path.iterdir()) == []

@@ -423,7 +423,7 @@ class TestCli:
                          "--out", str(out)])
         assert code == 3
         assert capsys.readouterr().err == (
-            "training failure: [stage mlp_train] loss became non-finite at epoch 1\n")
+            "training failure: [stage mlp_train] training diverged at epoch 1: a non-finite value\n")
         assert _files(out) == before
 
     def test_label_named_like_an_encoded_feature(self, tmp_path, rng, capsys):

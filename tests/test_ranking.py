@@ -355,6 +355,49 @@ class TestCountTable:
         with pytest.raises(DataError, match="at least one feature"):
             rank(table, "JMI")
 
+    def _check_equal_to_row_estimators(self, data, binning):
+        table = CountTable(data, binning)
+        cols = [discretize(data.X[:, i], binning) for i in range(data.n_features)]
+        label = DiscreteColumn(data.labels, 2)
+        for i in range(data.n_features):
+            rel = mutual_information(cols[i], label)
+            h = joint_entropy(cols[i], label)
+            assert (table.relevance[i], table.single_sr[i]) == (rel, rel / h if h > 0 else 0.0)
+            for j in range(data.n_features):
+                if i == j:
+                    continue
+                a, b = cols[min(i, j)], cols[max(i, j)]
+                pair = pair_column(a, b)
+                h = joint_entropy(pair, label)
+                assert (table.mi[i, j], table.cmi_pair_given_label[i, j],
+                        table.cmi_label_given_feature[i, j],
+                        table.symmetrical_relevance[i, j]) == (
+                    mutual_information(a, b), conditional_mutual_information(a, b, label),
+                    conditional_mutual_information(cols[i], label, cols[j]),
+                    mutual_information(pair, label) / h if h > 0 else 0.0)
+
+    @pytest.mark.parametrize("strategy, n_bins, one_class", [
+        *((s, b, False) for s in ("equal_width", "equal_frequency") for b in (2, 10, 64)),
+        ("equal_frequency", 10, True)])
+    def test_paper_like_columns_equal_row_estimators(self, rng, strategy, n_bins, one_class):
+        # the column kinds of a traffic table: an exact duplicate, a constant,
+        # a 0/1 flag that agrees with the label on 90% of rows, a count, a
+        # column that is 90% zeros and one spanning 1e-3 to 1e9
+        n = 300
+        labels = np.ones(n, dtype=int) if one_class else rng.integers(0, 2, n)
+        informative = labels + rng.normal(0.0, 0.7, n)
+        span = 10.0 ** rng.uniform(-3.0, 9.0, n)
+        span[:2] = 1e-3, 1e9
+        data = make_dataset({
+            "inf": informative, "dup": informative.copy(), "const": np.full(n, 3.0),
+            "flag": np.where(rng.permutation(n) < n // 10, 1 - labels, labels),
+            "count": rng.poisson(3.0, n),
+            "zeros": np.where(rng.permutation(n) < 9 * n // 10, 0.0, rng.exponential(5.0, n)),
+            "span": span}, labels)
+        binning = BinningConfig(n_bins, strategy)
+        self._check_equal_to_row_estimators(data, binning)
+        self._check_against_oracles(data, binning)
+
 
 COLUMN_KINDS = ("random", "integer", "constant", "duplicate", "near_duplicate")
 

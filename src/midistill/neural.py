@@ -162,33 +162,22 @@ def mlp_new(f: int, seed: int) -> NeuralModel:
     return NeuralModel("mlp", dims, weights, biases, seed)
 
 
-def _targets(loss_kind: str, X: np.ndarray, labels: np.ndarray) -> tuple:
-    """What the loss compares the output with: for 'mse' the input X, for
-    'bce' the label column y and the factors -y and 1 - y of its terms."""
-    if loss_kind == "mse":
-        return (X,)
-    y = np.asarray(labels, dtype=np.float64).reshape(-1, 1)
-    return y, -y, 1.0 - y
-
-
-def _loss(loss_kind: str, out: np.ndarray, targets: tuple, residual: np.ndarray,
+def _loss(loss_kind: str, out: np.ndarray, y: np.ndarray, residual: np.ndarray,
           scratch: np.ndarray) -> float:
-    """Mean loss of the network output ``out``; ``out - y`` is left in
-    ``residual``.  ``targets`` comes from ``_targets``."""
+    """Mean loss of ``out`` against ``y``, the input X for 'mse' and the label
+    column for 'bce'; ``out - y`` is left in ``residual``."""
     if loss_kind == "bce":
-        y, neg_y, one_minus_y = targets
         # np.clip(out, 1e-12, 1 - 1e-12): the same selections, without
         # np.clip's Python-level argument handling
-        p = np.minimum(np.maximum(out, 1e-12, out=scratch), 1.0 - 1e-12, out=scratch)
-        np.multiply(neg_y, np.log(p, out=residual), out=residual)
-        np.subtract(1.0, p, out=p)
-        np.multiply(one_minus_y, np.log(p, out=p), out=p)
-        terms = np.subtract(residual, p, out=p)
+        p = np.minimum(np.maximum(out, 1e-12, out=residual), 1.0 - 1e-12, out=residual)
+        q = np.subtract(1.0, p, out=scratch)  # each row's own-class probability
+        np.putmask(q, y, p)
+        total = -np.add.reduce(np.log(q, out=q), axis=None)
         np.subtract(out, y, out=residual)
     else:
-        np.subtract(out, targets[0], out=residual)
-        terms = np.multiply(residual, residual, out=scratch)
-    return float(np.add.reduce(terms, axis=None) / terms.size)
+        np.subtract(out, y, out=residual)
+        total = np.add.reduce(np.multiply(residual, residual, out=scratch), axis=None)
+    return float(total / out.size)
 
 
 class _SGDStep:
@@ -200,9 +189,15 @@ class _SGDStep:
     Products are ``np.dot`` with ``out=``, the ``cblas_dgemm`` call of
     ``@`` at less dispatch cost.  Each batch size gets one plan: the layer
     outputs and deltas it writes into and the transposed views its backward
-    products read, so a step allocates no buffer and builds no list.  Each
-    operation and its order is that of the reference loop in
-    ``tests/oracles.py``, so training gives the same bits."""
+    products read, so a step builds no list and allocates no buffer but the
+    m-byte mask ``np.putmask`` casts from the bce labels.  Each operation
+    and its order is that of the reference loop in ``tests/oracles.py``, or
+    gives its bits: bce drops the other class's term, 0 * log(p or 1 - p),
+    a signed zero; r / (size / 2) and 2r / size round the same real and
+    differ only when |r| > DBL_MAX / 2, where r * r is inf; relu' as
+    np.sign or as greater(relu, 0) cast to float agree on every relu output
+    but NaN, which makes the output NaN.  In both exceptions the batch loss
+    is not finite, so the step raises ``DivergenceDetected`` before its update."""
 
     def __init__(self, model: NeuralModel, loss_kind: str):
         self.loss_kind = loss_kind
@@ -240,25 +235,24 @@ class _SGDStep:
             for l in range(top, -1, -1))
         return self._plans.setdefault(m, (forward, deltas[-1], np.empty((m, widths[-1])), backward))
 
-    def backward(self, xb: np.ndarray, targets: tuple) -> float:
-        """The loss of one batch; its gradient is left in ``grad``."""
+    def backward(self, xb: np.ndarray, y: np.ndarray) -> float:
+        """The loss of one batch against ``y``; its gradient is left in ``grad``."""
         m = xb.shape[0]
         forward, delta, scratch, layers = self._plans.get(m) or self._plan(m)
         out = _forward(xb, forward)
-        loss = _loss(self.loss_kind, out, targets, delta, scratch)
+        loss = _loss(self.loss_kind, out, y, delta, scratch)
         # delta becomes the gradient w.r.t. the output layer's pre-activation
         if self.loss_kind == "bce":
             np.divide(delta, m, out=delta)
         else:
-            np.multiply(2.0, delta, out=delta)
-            np.divide(delta, delta.size, out=delta)
+            np.divide(delta, delta.size / 2, out=delta)
             np.multiply(delta, out, out=delta)
             np.multiply(delta, np.subtract(1.0, out, out=scratch), out=delta)
         for delta, relu, a_T, dW, db, W_T, below in layers:
             if relu is not None:
-                # relu'(z) as 1.0 or 0.0, written over this layer's output,
+                # relu'(z) as 1.0 or +0.0, written over this layer's output,
                 # which the layer above has already used
-                np.multiply(delta, np.greater(relu, 0.0, out=relu), out=delta)
+                np.multiply(delta, np.sign(relu, out=relu), out=delta)
             np.dot(xb.T if a_T is None else a_T, delta, out=dW)
             np.add.reduce(delta, axis=0, out=db)
             if below is not None:
@@ -289,11 +283,10 @@ def _sgd_train(model: NeuralModel, learn: Dataset, validation: Dataset, loss_kin
     theta, grad, scaled = sgd.theta, sgd.grad, np.empty_like(sgd.theta)
     n = learn.n_samples
     X = np.empty_like(learn.X)
-    # 'mse' compares the output with X itself; the 'bce' label columns are
-    # derived once and gathered in the same order as X
-    sources = _targets(loss_kind, learn.X, learn.labels) if loss_kind == "bce" else ()
-    targets = tuple(np.empty_like(t) for t in sources) or (X,)
-    batches = [(X[s:s + batch], tuple(t[s:s + batch] for t in targets), min(batch, n - s))
+    # 'mse' compares the output with X itself, 'bce' with the labels gathered alike
+    labels = None if loss_kind == "mse" else learn.labels.reshape(-1, 1).astype(np.float64)
+    target = X if labels is None else np.empty_like(labels)
+    batches = [(X[s:s + batch], target[s:s + batch], min(batch, n - s))
                for s in range(0, n, batch)]
     snapshots = np.empty((epochs, theta.size))
     train_losses = []
@@ -307,11 +300,11 @@ def _sgd_train(model: NeuralModel, learn: Dataset, validation: Dataset, loss_kin
                 # mode="clip" writes straight into X; "raise" gathers into a copy first
                 order = rng.permutation(n)
                 np.take(learn.X, order, axis=0, out=X, mode="clip")
-                for source, target in zip(sources, targets):
-                    np.take(source, order, axis=0, out=target, mode="clip")
+                if labels is not None:
+                    np.take(labels, order, axis=0, out=target, mode="clip")
                 acc = 0.0
-                for xb, tb, m in batches:
-                    loss = sgd.backward(xb, tb)
+                for xb, yb, m in batches:
+                    loss = sgd.backward(xb, yb)
                     if not math.isfinite(loss):
                         raise DivergenceDetected(epoch + 1)
                     np.subtract(theta, np.multiply(MLP_STEP, grad, out=scaled), out=theta)
@@ -324,12 +317,12 @@ def _sgd_train(model: NeuralModel, learn: Dataset, validation: Dataset, loss_kin
         # later training divergence, as when each epoch ended with its
         # validation pass
         trained = theta.copy()
-        val_targets = _targets(loss_kind, validation.X, validation.labels)
+        val_target = validation.X if loss_kind == "mse" else validation.labels.reshape(-1, 1)
         curve = TrainingCurve()
         for epoch, train_loss in enumerate(train_losses):
             theta[:] = snapshots[epoch]
             out = _output(model, validation.X)
-            val_loss = _loss(loss_kind, out, val_targets, np.empty_like(out), np.empty_like(out))
+            val_loss = _loss(loss_kind, out, val_target, np.empty_like(out), np.empty_like(out))
             if not math.isfinite(val_loss):
                 raise DivergenceDetected(epoch + 1)
             curve.epochs.append((train_loss, val_loss))

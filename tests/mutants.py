@@ -11,7 +11,9 @@ Each mutant changes one thing inside one named function:
 - a numpy operation, ``np.add`` and ``np.subtract``, ``np.multiply`` and
   ``np.divide``, ``np.maximum`` and ``np.minimum``, ``np.greater`` and
   ``np.greater_equal``, ``np.less`` and ``np.less_equal``, ``np.equal``
-  and ``np.not_equal``, and ``np.cumsum`` becomes ``np.cumprod``;
+  and ``np.not_equal``, ``np.cumsum`` becomes ``np.cumprod`` and
+  ``np.sign`` becomes ``np.abs`` (on a relu output, the activation in
+  place of its derivative);
 - an expression statement, which becomes ``pass``.
 
 The arguments are checked first: a spec that is not ``module:name``, whose
@@ -58,7 +60,7 @@ NUMPY_SWAPS = {
     "add": "subtract", "subtract": "add", "multiply": "divide", "divide": "multiply",
     "maximum": "minimum", "minimum": "maximum", "greater": "greater_equal",
     "greater_equal": "greater", "less": "less_equal", "less_equal": "less",
-    "equal": "not_equal", "not_equal": "equal", "cumsum": "cumprod",
+    "equal": "not_equal", "not_equal": "equal", "cumsum": "cumprod", "sign": "abs",
 }
 
 

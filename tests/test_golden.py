@@ -6,11 +6,12 @@ CLI.
 These digests are the "unchanged behaviour" gate for refactors and speedups.
 Re-pin them only when a change alters a report on purpose, and record why.
 
-Each mode runs in a subprocess with ``OPENBLAS_NUM_THREADS=1``, so the
-digests never rest on how the BLAS library splits a product across
-threads: the gate's weights are checked to be the same at 1 and 2 threads
-(``tests/test_acceptance.py``), but the SGD and validation products are
-not.  All paths are relative to a temporary working directory, so no
+Each chain runs twice, its modes in subprocesses with
+``OPENBLAS_NUM_THREADS=1`` and then ``=2``, and both runs must give the
+pinned digests: no report rests on how the BLAS library splits a product
+across threads, the gate's (``tests/test_acceptance.py`` also checks its
+weights at 1 and 2 threads), the SGD steps' and the validation passes'
+alike.  All paths are relative to a temporary working directory, so no
 report embeds a temporary path.
 """
 
@@ -28,6 +29,8 @@ from midistill.dataset import Dataset, write_csv
 from conftest import planted_dataset
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+# every chain runs once at each OPENBLAS_NUM_THREADS
+BLAS_THREADS = ("1", "2")
 
 GOLDEN = {
     "fs/fs_report.json":
@@ -155,71 +158,69 @@ CHUNKED_COMMAND = ["fs", "--input", "planted.csv", "--out", "fs", "--seed", "3",
                    "--gamma", "0", "--tamper-threshold", "0.8", "--bins", "32"]
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _run_chain(tmp_path_factory, name: str, table: Dataset, commands) -> list[Path]:
+    """One working directory per BLAS thread count, each with ``table`` as
+    ``name``.csv and what ``commands`` wrote there at that count."""
+    dirs = []
+    for threads in BLAS_THREADS:
+        work = tmp_path_factory.mktemp(f"golden_{name}_{threads}")
+        write_csv(table, work / f"{name}.csv", "label")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+        for args in commands:
+            done = subprocess.run([sys.executable, "-m", "midistill.cli", *args],
+                                  cwd=work, env=env, capture_output=True, text=True)
+            assert done.returncode == 0, (threads, args[0], done.stderr)
+        dirs.append(work)
+    return dirs
 
 
-def _run_cli(work: Path, commands) -> None:
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    for args in commands:
-        done = subprocess.run([sys.executable, "-m", "midistill.cli", *args],
-                              cwd=work, env=env, capture_output=True, text=True)
-        assert done.returncode == 0, (args[0], done.stderr)
+def _digests(dirs: list[Path], artifact: str) -> list[str]:
+    return [hashlib.sha256((work / artifact).read_bytes()).hexdigest() for work in dirs]
 
 
 @pytest.fixture(scope="module")
-def chain_dir(tmp_path_factory):
-    work = tmp_path_factory.mktemp("golden")
-    write_csv(planted_dataset(5, 3, 600, seed=3), work / "planted.csv", "label")
-    _run_cli(work, COMMANDS)
-    return work
+def chain_dirs(tmp_path_factory):
+    return _run_chain(tmp_path_factory, "planted", planted_dataset(5, 3, 600, seed=3), COMMANDS)
 
 
 @pytest.fixture(scope="module")
-def step1_dir(tmp_path_factory):
-    work = tmp_path_factory.mktemp("golden_step1")
+def step1_dirs(tmp_path_factory):
     clean = planted_dataset(4, 0, 600, seed=3)
     flip = np.random.default_rng(3).random(clean.n_samples) < 0.1
     noisy = Dataset(clean.feature_names, clean.X,
                     np.where(flip, 1 - clean.labels, clean.labels))
-    write_csv(noisy, work / "noisy.csv", "label")
-    _run_cli(work, [STEP1_COMMAND])
-    return work
+    return _run_chain(tmp_path_factory, "noisy", noisy, [STEP1_COMMAND])
 
 
 @pytest.fixture(scope="module")
-def full_depth_dir(tmp_path_factory):
-    work = tmp_path_factory.mktemp("golden_full_depth")
-    write_csv(planted_dataset(5, 3, 600, seed=3), work / "planted.csv", "label")
-    _run_cli(work, [FULL_DEPTH_COMMAND])
-    return work
+def full_depth_dirs(tmp_path_factory):
+    return _run_chain(tmp_path_factory, "planted", planted_dataset(5, 3, 600, seed=3),
+                      [FULL_DEPTH_COMMAND])
 
 
 @pytest.fixture(scope="module")
-def chunked_dir(tmp_path_factory):
-    work = tmp_path_factory.mktemp("golden_chunked")
-    write_csv(planted_dataset(5, 3, 600, seed=3), work / "planted.csv", "label")
-    _run_cli(work, [CHUNKED_COMMAND])
-    return work
+def chunked_dirs(tmp_path_factory):
+    return _run_chain(tmp_path_factory, "planted", planted_dataset(5, 3, 600, seed=3),
+                      [CHUNKED_COMMAND])
 
 
 @pytest.mark.parametrize("artifact", sorted(GOLDEN))
-def test_golden_digest(chain_dir, artifact):
-    assert _sha256(chain_dir / artifact) == GOLDEN[artifact]
+def test_golden_digest(chain_dirs, artifact):
+    assert _digests(chain_dirs, artifact) == [GOLDEN[artifact]] * len(BLAS_THREADS)
 
 
 @pytest.mark.parametrize("artifact", sorted(GOLDEN_STEP1))
-def test_golden_digest_step1_stop(step1_dir, artifact):
-    assert _sha256(step1_dir / artifact) == GOLDEN_STEP1[artifact]
+def test_golden_digest_step1_stop(step1_dirs, artifact):
+    assert _digests(step1_dirs, artifact) == [GOLDEN_STEP1[artifact]] * len(BLAS_THREADS)
 
 
 @pytest.mark.parametrize("artifact", sorted(GOLDEN_FULL_DEPTH))
-def test_golden_digest_full_depth(full_depth_dir, artifact):
-    assert _sha256(full_depth_dir / artifact) == GOLDEN_FULL_DEPTH[artifact]
+def test_golden_digest_full_depth(full_depth_dirs, artifact):
+    assert _digests(full_depth_dirs, artifact) == [GOLDEN_FULL_DEPTH[artifact]] * len(BLAS_THREADS)
 
 
 @pytest.mark.parametrize("artifact", sorted(GOLDEN_CHUNKED))
-def test_golden_digest_chunked_pairs(chunked_dir, artifact):
-    assert _sha256(chunked_dir / artifact) == GOLDEN_CHUNKED[artifact]
+def test_golden_digest_chunked_pairs(chunked_dirs, artifact):
+    assert _digests(chunked_dirs, artifact) == [GOLDEN_CHUNKED[artifact]] * len(BLAS_THREADS)

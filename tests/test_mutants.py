@@ -87,3 +87,20 @@ def test_the_stratified_sum_is_mutated(tmp_path, capsys, monkeypatch):
     n = len(list(mutants.mutants(source, "_stratified")))
     assert out[-1] == f"{n} killed, 0 survived of {n}"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_the_relu_derivative_is_mutated(tmp_path, capsys, monkeypatch):
+    # relu' as np.sign of the relu output becomes np.abs, the output
+    # itself; the stand-in run fails every mutant
+    source = (mutants.ROOT / "src/midistill/neural.py").read_text(encoding="utf-8")
+
+    def run(work, timeout=None):
+        return int((work / "src/midistill/neural.py").read_text(encoding="utf-8") != source)
+
+    monkeypatch.setattr(mutants, "_pytest", run)
+    assert mutants.main(["--workdir", str(tmp_path), "midistill.neural:_SGDStep.backward"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert sum(line.startswith("killed") and "'sign' -> 'abs'" in line for line in out) == 1
+    n = len(list(mutants.mutants(source, "_SGDStep.backward")))
+    assert out[-1] == f"{n} killed, 0 survived of {n}"
+    assert list(tmp_path.iterdir()) == []

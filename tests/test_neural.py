@@ -22,6 +22,7 @@ from midistill.neural import (
 
 from conftest import make_dataset, planted_dataset
 from oracles import (
+    _reference_loss,
     reference_forward,
     reference_gate_train,
     reference_hinge_loss_and_grads,
@@ -63,7 +64,7 @@ def loss_and_grads(model, X, target, loss_kind):
         return reference_hinge_loss_and_grads(model, X, target)[0], [dw], [np.array([db])]
     step = neural._SGDStep(model, loss_kind)
     loss = step.backward(np.asarray(X, dtype=np.float64),
-                         neural._targets(loss_kind, np.asarray(target, dtype=np.float64), target))
+                         np.asarray(target, dtype=np.float64).reshape(len(X), -1))
     return loss, step.dW, step.db
 
 
@@ -380,6 +381,52 @@ class TestSgdMatchesReference:
             with pytest.raises(DivergenceDetected) as reference:
                 reference_sgd_train(ref, learn, validation, kind, 4, 10, 0.05)
         assert fused.value.epoch == reference.value.epoch > 0
+
+
+class TestSgdRewritesKeepTheBits:
+    """The three places where ``_SGDStep`` computes what the reference loop
+    computes by other operations, each on the values where the two could
+    part.  A NaN loss is compared as NaN: it only ever raises."""
+
+    OUTPUTS = [0.0, 1e-300, 1e-12, 0.5, 1.0 - 1e-12, 1.0, np.nan]
+
+    @staticmethod
+    def bits(x: float):
+        return "nan" if np.isnan(x) else np.float64(x).tobytes()
+
+    @pytest.mark.parametrize("m", [1, 7, 10])
+    def test_bce_loss_is_the_reference_loss(self, m):
+        # every (output, label) pair, in every batch position of a size-m
+        # window over their cycle
+        pairs = [(o, y) for o in self.OUTPUTS for y in (0.0, 1.0)]
+        for start in range(len(pairs)):
+            window = [pairs[(start + k) % len(pairs)] for k in range(m)]
+            out = np.array([[o] for o, _ in window])
+            y = np.array([[y] for _, y in window])
+            with np.errstate(invalid="ignore"):
+                want, want_residual = _reference_loss(out, y[:, 0], "bce")
+            # training passes a float label column, validation the int64 one
+            for labels in (y, y.astype(np.int64)):
+                residual, scratch = np.empty_like(out), np.empty_like(out)
+                loss = neural._loss("bce", out, labels, residual, scratch)
+                assert self.bits(loss) == self.bits(want)
+                assert residual.tobytes() == want_residual.tobytes()
+
+    def test_mse_scale_is_one_division(self):
+        # ±0, subnormals, every binade up to DBL_MAX / 2, at an odd size
+        rng = np.random.default_rng(0)
+        r = np.ldexp(rng.uniform(0.5, 1.0, (7, 33)), rng.integers(-1074, 1024, (7, 33)))
+        r[rng.random(r.shape) < 0.5] *= -1.0
+        big = np.finfo(np.float64).max / 2
+        r.flat[:10] = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308,
+                       -2.2250738585072e-308, big, -big, 1.0, -1.0]
+        assert np.all(np.abs(r) <= big)
+        assert np.divide(r, r.size / 2).tobytes() == (2.0 * r / r.size).tobytes()
+
+    def test_relu_derivative_is_a_sign(self):
+        z = np.array([-0.0, 0.0, 5e-324, -5e-324, 1.0, -1.0, np.inf, -np.inf])
+        relu = np.maximum(z, 0.0)
+        assert np.sign(relu).tobytes() == np.greater(relu, 0.0).astype(float).tobytes()
 
 
 class TestValidationAfterTraining:

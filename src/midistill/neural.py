@@ -162,27 +162,36 @@ def mlp_new(f: int, seed: int) -> NeuralModel:
     return NeuralModel("mlp", dims, weights, biases, seed)
 
 
-def _loss(loss_kind: str, out: np.ndarray, y: np.ndarray, residual: np.ndarray,
-          scratch: np.ndarray) -> float:
-    """Mean loss of ``out`` against ``y``, the input X for 'mse' and the label
-    column for 'bce'; ``out - y`` is left in ``residual``."""
-    if loss_kind == "bce":
-        # np.clip(out, 1e-12, 1 - 1e-12): the same selections, without
-        # np.clip's Python-level argument handling
-        p = np.minimum(np.maximum(out, 1e-12, out=residual), 1.0 - 1e-12, out=residual)
-        q = np.subtract(1.0, p, out=scratch)  # each row's own-class probability
-        np.putmask(q, y, p)
-        total = -np.add.reduce(np.log(q, out=q), axis=None)
-        np.subtract(out, y, out=residual)
-    else:
-        np.subtract(out, y, out=residual)
-        total = np.add.reduce(np.multiply(residual, residual, out=scratch), axis=None)
+def _bce(out: np.ndarray, x: np.ndarray, y: np.ndarray, delta: np.ndarray,
+         scratch: np.ndarray) -> float:
+    """Mean cross-entropy of ``out`` against the labels ``y``; its gradient
+    w.r.t. the output's pre-activation, (out - y) / m, is left in ``delta``."""
+    # np.clip(out, 1e-12, 1 - 1e-12): the same selections, without
+    # np.clip's Python-level argument handling
+    p = np.minimum(np.maximum(out, 1e-12, out=delta), 1.0 - 1e-12, out=delta)
+    q = np.subtract(1.0, p, out=scratch)  # each row's own-class probability
+    np.putmask(q, y, p)
+    total = -np.add.reduce(np.log(q, out=q), axis=None)
+    np.divide(np.subtract(out, y, out=delta), len(out), out=delta)
+    return float(total / out.size)
+
+
+def _mse(out: np.ndarray, x: np.ndarray, y: np.ndarray, delta: np.ndarray,
+         scratch: np.ndarray) -> float:
+    """Mean squared error of ``out`` against the input ``x``; its gradient w.r.t.
+    the pre-activation, (out - x) / (size / 2) * out * (1 - out), is left in ``delta``."""
+    np.subtract(out, x, out=delta)
+    total = np.add.reduce(np.multiply(delta, delta, out=scratch), axis=None)
+    np.divide(delta, delta.size / 2, out=delta)
+    np.multiply(delta, out, out=delta)
+    np.multiply(delta, np.subtract(1.0, out, out=scratch), out=delta)
     return float(total / out.size)
 
 
 class _SGDStep:
     """Loss and gradient of a relu network with a sigmoid output, one batch
-    at a time, in a fixed sequence of numpy calls that write into buffers.
+    at a time, on the loss its kind picks once (``_bce`` for the MLP, ``_mse``
+    for the autoencoder), in a fixed sequence of numpy calls into buffers.
 
     The weights and biases are views into one flat ``theta`` and their
     gradients views into one flat ``grad``, so an update is two calls.
@@ -199,8 +208,8 @@ class _SGDStep:
     but NaN, which makes the output NaN.  In both exceptions the batch loss
     is not finite, so the step raises ``DivergenceDetected`` before its update."""
 
-    def __init__(self, model: NeuralModel, loss_kind: str):
-        self.loss_kind = loss_kind
+    def __init__(self, model: NeuralModel):
+        self.loss = _bce if model.kind == "mlp" else _mse
         self.dims = model.layer_dims
         self.theta = np.concatenate(
             [p.ravel() for W, b in zip(model.weights, model.biases) for p in (W, b)])
@@ -235,19 +244,10 @@ class _SGDStep:
             for l in range(top, -1, -1))
         return self._plans.setdefault(m, (forward, deltas[-1], np.empty((m, widths[-1])), backward))
 
-    def backward(self, xb: np.ndarray, y: np.ndarray) -> float:
-        """The loss of one batch against ``y``; its gradient is left in ``grad``."""
-        m = xb.shape[0]
-        forward, delta, scratch, layers = self._plans.get(m) or self._plan(m)
-        out = _forward(xb, forward)
-        loss = _loss(self.loss_kind, out, y, delta, scratch)
-        # delta becomes the gradient w.r.t. the output layer's pre-activation
-        if self.loss_kind == "bce":
-            np.divide(delta, m, out=delta)
-        else:
-            np.divide(delta, delta.size / 2, out=delta)
-            np.multiply(delta, out, out=delta)
-            np.multiply(delta, np.subtract(1.0, out, out=scratch), out=delta)
+    def backward(self, xb: np.ndarray, yb: np.ndarray) -> float:
+        """The loss of the batch ``xb`` with labels ``yb``; its gradient is left in ``grad``."""
+        forward, delta, scratch, layers = self._plans.get(len(xb)) or self._plan(len(xb))
+        loss = self.loss(_forward(xb, forward), xb, yb, delta, scratch)
         for delta, relu, a_T, dW, db, W_T, below in layers:
             if relu is not None:
                 # relu'(z) as 1.0 or +0.0, written over this layer's output,
@@ -265,29 +265,29 @@ def _check_width(model: NeuralModel, n_features: int) -> None:
         raise TrainingError(f"model expects {model.layer_dims[0]} features, got {n_features}")
 
 
-def _sgd_train(model: NeuralModel, learn: Dataset, validation: Dataset, loss_kind: str,
+def _sgd_train(model: NeuralModel, kind: str, learn: Dataset, validation: Dataset,
                epochs: int, batch: int) -> TrainingCurve:
-    """Seeded mini-batch SGD.  'mse' reconstructs the input (autoencoder),
-    'bce' fits the labels.  The model's weights and biases become views of
-    the step's parameter vector, so they follow every update.
+    """Seeded mini-batch SGD of a model of ``kind``, on its kind's loss.
+    The model's weights and biases become views of the step's parameter
+    vector, so they follow every update.
 
-    Each epoch gathers the learn rows in shuffled order into one buffer,
-    whose batch views are made once.  The validation set is scored after
-    training, on a copy of the parameters kept at the end of each epoch:
+    Each epoch gathers the learn rows and their labels in shuffled order
+    into one buffer each, whose batch views are made once.  The validation
+    set is scored after training, by the same loss (its output delta is
+    discarded), on a copy of the parameters kept at the end of each epoch:
     its products are large enough for the BLAS library to wake worker
     threads, which would then spin next to the single-threaded steps."""
+    if model.kind != kind:
+        raise TrainingError(f"{kind} training got a model of kind {model.kind}")
     for data in (learn, validation):
         _check_width(model, data.n_features)
-    sgd = _SGDStep(model, loss_kind)
+    sgd = _SGDStep(model)
     model.weights, model.biases = sgd.weights, sgd.biases
     theta, grad, scaled = sgd.theta, sgd.grad, np.empty_like(sgd.theta)
     n = learn.n_samples
-    X = np.empty_like(learn.X)
-    # 'mse' compares the output with X itself, 'bce' with the labels gathered alike
-    labels = None if loss_kind == "mse" else learn.labels.reshape(-1, 1).astype(np.float64)
-    target = X if labels is None else np.empty_like(labels)
-    batches = [(X[s:s + batch], target[s:s + batch], min(batch, n - s))
-               for s in range(0, n, batch)]
+    labels = learn.labels.reshape(-1, 1).astype(np.float64)
+    X, y = np.empty_like(learn.X), np.empty_like(labels)
+    batches = [(X[s:s + batch], y[s:s + batch]) for s in range(0, n, batch)]
     snapshots = np.empty((epochs, theta.size))
     train_losses = []
     rng = np.random.default_rng(model.seed)
@@ -300,15 +300,14 @@ def _sgd_train(model: NeuralModel, learn: Dataset, validation: Dataset, loss_kin
                 # mode="clip" writes straight into X; "raise" gathers into a copy first
                 order = rng.permutation(n)
                 np.take(learn.X, order, axis=0, out=X, mode="clip")
-                if labels is not None:
-                    np.take(labels, order, axis=0, out=target, mode="clip")
+                np.take(labels, order, axis=0, out=y, mode="clip")
                 acc = 0.0
-                for xb, yb, m in batches:
+                for xb, yb in batches:
                     loss = sgd.backward(xb, yb)
                     if not math.isfinite(loss):
                         raise DivergenceDetected(epoch + 1)
                     np.subtract(theta, np.multiply(MLP_STEP, grad, out=scaled), out=theta)
-                    acc += loss * m
+                    acc += loss * len(xb)
                 train_losses.append(acc / n)
                 snapshots[epoch] = theta
         except DivergenceDetected as exc:
@@ -317,12 +316,12 @@ def _sgd_train(model: NeuralModel, learn: Dataset, validation: Dataset, loss_kin
         # later training divergence, as when each epoch ended with its
         # validation pass
         trained = theta.copy()
-        val_target = validation.X if loss_kind == "mse" else validation.labels.reshape(-1, 1)
+        val_labels = validation.labels.reshape(-1, 1)
         curve = TrainingCurve()
         for epoch, train_loss in enumerate(train_losses):
             theta[:] = snapshots[epoch]
             out = _output(model, validation.X)
-            val_loss = _loss(loss_kind, out, val_target, np.empty_like(out), np.empty_like(out))
+            val_loss = sgd.loss(out, validation.X, val_labels, *np.empty((2, *out.shape)))
             if not math.isfinite(val_loss):
                 raise DivergenceDetected(epoch + 1)
             curve.epochs.append((train_loss, val_loss))
@@ -335,7 +334,7 @@ def _sgd_train(model: NeuralModel, learn: Dataset, validation: Dataset, loss_kin
 def mlp_train(model: NeuralModel, learn: Dataset, validation: Dataset,
               epochs: int = 10, batch: int = 10) -> TrainingCurve:
     """Mini-batch SGD on binary cross-entropy; records TLC/VLC per epoch."""
-    return _sgd_train(model, learn, validation, "bce", epochs, batch)
+    return _sgd_train(model, "mlp", learn, validation, epochs, batch)
 
 
 def mlp_predict(model: NeuralModel, dataset: Dataset) -> np.ndarray:
@@ -358,7 +357,7 @@ def ae_new(input_dim: int, bottleneck: int, seed: int) -> NeuralModel:
 def ae_train(model: NeuralModel, learn: Dataset, validation: Dataset,
              epochs: int = 10, batch: int = 10) -> TrainingCurve:
     """Mini-batch SGD on mean squared reconstruction error."""
-    return _sgd_train(model, learn, validation, "mse", epochs, batch)
+    return _sgd_train(model, "autoencoder", learn, validation, epochs, batch)
 
 
 def ae_encode(model: NeuralModel, dataset: Dataset) -> Dataset:

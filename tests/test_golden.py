@@ -158,6 +158,78 @@ CHUNKED_COMMAND = ["fs", "--input", "planted.csv", "--out", "fs", "--seed", "3",
                    "--gamma", "0", "--tamper-threshold", "0.8", "--bins", "32"]
 
 
+# The column kinds of a traffic table on one desk-scale table, through the
+# whole chain.  At gamma 0.85 and the tampering audit at 0.8 all six
+# criteria pass the audit and walk all 11 elimination steps down to `flag`;
+# at gamma 0.9 the full-feature gate (accuracy 0.883) already misses.  ae
+# and evaluate read the input itself, so both SGD losses see every column.
+GOLDEN_PAPER_LIKE = {
+    "fs/fs_report.json":
+        "a0f66cfc39b2fa07744e4863d12ceb16de665e7a409a095463b1ce473c4c2c3a",
+    "fs/optimized.csv":
+        "74fe1fae69734a4ca419019cbbf2018ec32f6ef6fe4599a84ae329cbc3d4e86b",
+    "fs/optimized.csv.meta.json":
+        "f53e2a2364624e2412fe85ebdf244a9dc1ce18d70affc53bb1a25046fb7b0ec6",
+    **{f"fs/elimination_{alg}.csv":
+       "d130516b318bc1c06e4e51b8c94ff265033a469b6c44b50eff9cdda0fb22d03a"
+       for alg in ("mRMR", "MIFS", "CIFE", "JMI", "CMIM", "DISR")},
+    "rrw/rrw_report.json":
+        "a0447a34016532096813fbbfdd0b968fbc244cd520fbac83b409eaf06edb14c7",
+    "rrw/rrw_optimized.csv":
+        "74fe1fae69734a4ca419019cbbf2018ec32f6ef6fe4599a84ae329cbc3d4e86b",
+    "rrw/rrw_optimized.csv.meta.json":
+        "b8c9f6ddf38989f8e08e4b24df55adc7139fccaf394889016af34ad8c98cde27",
+    "rrw/rrw_weights.json":
+        "51cbd1f7a81911dc24953e3dc3977e7d4f021be1e91f4a3e8ac7471954755463",
+    "ae/ae_report.json":
+        "e938ae2d0aa06ea408d0d2b5d35ccd0cf3a03e36bd3f027ce35e5094c17d19b4",
+    "ae/ae_generated.csv":
+        "dfbc774f7add2a4c7c0abdecb575ad0a2935afa0cea29858f5563aa02e246b7c",
+    "ae/ae_generated.csv.meta.json":
+        "45d51d78dfe1015b21483276dc61a3d957b8e008c6875f1737930e0407bcfc33",
+    "ae/ae_model.json":
+        "4725b0dbab6c38d2bfa5a27836cce00e08eff9bde29d80538a4cbf393c41837d",
+    "ae/ae_curve.csv":
+        "29357be7258df7fa283816265ad1a0b7440268e0a73fc7ce292eb65148385b5c",
+    "evaluate/evaluate_report.json":
+        "08db29e62b1a046f53fac785523efb753fc554b7f3804e86093e8abb8074e0af",
+    "evaluate/mlp_curve.csv":
+        "073a61e9934123dba21f1b4a7935a465b730fd92f10dd901c8ab45cf1d1997bc",
+}
+
+PAPER_LIKE_COMMANDS = (
+    ["fs", "--input", "paper.csv", "--out", "fs", "--seed", "3",
+     "--gamma", "0.85", "--tamper-threshold", "0.8"],
+    ["rrw", "--input", "paper.csv", "--out", "rrw", "--seed", "3",
+     "--fs-report", "fs/fs_report.json"],
+    ["ae", "--input", "paper.csv", "--out", "ae", "--seed", "3",
+     "--fs-report", "fs/fs_report.json", "--epochs", "3"],
+    ["evaluate", "--input", "paper.csv", "--out", "evaluate", "--seed", "3",
+     "--epochs", "3", "--normalize"],
+)
+
+
+def paper_like_table() -> Dataset:
+    """``planted_dataset(4, 2, 600, 7)`` and six more columns: an exact
+    copy of inf0, a constant, a 0/1 flag that agrees with the label on 90%
+    of rows, a Poisson count, a column that is 90% zeros and one spanning
+    1e-3 to 1e9."""
+    base = planted_dataset(4, 2, 600, seed=7)
+    n, labels = base.n_samples, base.labels
+    rng = np.random.default_rng(7)
+    span = 10.0 ** rng.uniform(-3.0, 9.0, n)
+    span[:2] = 1e-3, 1e9
+    extra = {
+        "dup": base.X[:, 0],
+        "const": np.full(n, 3.0),
+        "flag": np.where(rng.permutation(n) < n // 10, 1 - labels, labels),
+        "count": rng.poisson(3.0, n),
+        "zeros": np.where(rng.permutation(n) < 9 * n // 10, 0.0, rng.exponential(5.0, n)),
+        "span": span}
+    return Dataset(base.feature_names + tuple(extra),
+                   np.column_stack([base.X, *extra.values()]), labels)
+
+
 def _run_chain(tmp_path_factory, name: str, table: Dataset, commands) -> list[Path]:
     """One working directory per BLAS thread count, each with ``table`` as
     ``name``.csv and what ``commands`` wrote there at that count."""
@@ -224,3 +296,13 @@ def test_golden_digest_full_depth(full_depth_dirs, artifact):
 @pytest.mark.parametrize("artifact", sorted(GOLDEN_CHUNKED))
 def test_golden_digest_chunked_pairs(chunked_dirs, artifact):
     assert _digests(chunked_dirs, artifact) == [GOLDEN_CHUNKED[artifact]] * len(BLAS_THREADS)
+
+
+@pytest.fixture(scope="module")
+def paper_like_dirs(tmp_path_factory):
+    return _run_chain(tmp_path_factory, "paper", paper_like_table(), PAPER_LIKE_COMMANDS)
+
+
+@pytest.mark.parametrize("artifact", sorted(GOLDEN_PAPER_LIKE))
+def test_golden_digest_paper_like_columns(paper_like_dirs, artifact):
+    assert _digests(paper_like_dirs, artifact) == [GOLDEN_PAPER_LIKE[artifact]] * len(BLAS_THREADS)

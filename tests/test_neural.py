@@ -57,12 +57,13 @@ def loss_and_grads(model, X, target, loss_kind):
     the loss is the formula's (``reference_hinge_loss_and_grads``; the
     package computes none) and the gradient that of one epoch of the gate's
     ``_GateStep`` on the feature-major ``X.T``.  Else both come from one
-    backward pass of the SGD step, on ``X`` as one batch, against
-    ``target`` (0/1 labels for "bce", the output matrix for "mse")."""
+    backward pass of the SGD step, on ``X`` as one batch, with the loss
+    ``model``'s kind picks: against ``target``, 0/1 labels, for an MLP's
+    "bce", against ``X`` itself for an autoencoder's "mse"."""
     if loss_kind == "hinge":
         dw, db = neural._GateStep(X.T, target)(*model)
         return reference_hinge_loss_and_grads(model, X, target)[0], [dw], [np.array([db])]
-    step = neural._SGDStep(model, loss_kind)
+    step = neural._SGDStep(model)
     loss = step.backward(np.asarray(X, dtype=np.float64),
                          np.asarray(target, dtype=np.float64).reshape(len(X), -1))
     return loss, step.dW, step.db
@@ -386,7 +387,8 @@ class TestSgdMatchesReference:
 class TestSgdRewritesKeepTheBits:
     """The three places where ``_SGDStep`` computes what the reference loop
     computes by other operations, each on the values where the two could
-    part.  A NaN loss is compared as NaN: it only ever raises."""
+    part, and the output delta each loss writes.  A NaN loss is compared as
+    NaN: it only ever raises."""
 
     OUTPUTS = [0.0, 1e-300, 1e-12, 0.5, 1.0 - 1e-12, 1.0, np.nan]
 
@@ -408,9 +410,27 @@ class TestSgdRewritesKeepTheBits:
             # training passes a float label column, validation the int64 one
             for labels in (y, y.astype(np.int64)):
                 residual, scratch = np.empty_like(out), np.empty_like(out)
-                loss = neural._loss("bce", out, labels, residual, scratch)
+                loss = neural._bce(out, None, labels, residual, scratch)
                 assert self.bits(loss) == self.bits(want)
-                assert residual.tobytes() == want_residual.tobytes()
+                assert residual.tobytes() == (want_residual / m).tobytes()
+
+    @pytest.mark.parametrize("m", [1, 7, 10])
+    def test_mse_loss_is_the_reference_loss(self, m):
+        # every (output, input) pair, in every cell of a size-m window of
+        # 3-wide rows over their cycle; 1e200 makes the squares overflow
+        pairs = [(o, x) for o in self.OUTPUTS for x in (0.0, 0.3, 1.0, -2.5, 1e200)]
+        for start in range(len(pairs)):
+            window = [pairs[(start + k) % len(pairs)] for k in range(3 * m)]
+            out = np.array([o for o, _ in window]).reshape(m, 3)
+            x = np.array([x for _, x in window]).reshape(m, 3)
+            delta, scratch = np.empty_like(out), np.empty_like(out)
+            with np.errstate(over="ignore", invalid="ignore"):
+                want, r = _reference_loss(out, x, "mse")
+                # the output layer's delta in _reference_backprop
+                want_delta = 2.0 * r / r.size * out * (1.0 - out)
+                loss = neural._mse(out, x, None, delta, scratch)
+            assert self.bits(loss) == self.bits(want)
+            assert delta.tobytes() == want_delta.tobytes()
 
     def test_mse_scale_is_one_division(self):
         # ±0, subnormals, every binade up to DBL_MAX / 2, at an odd size
@@ -667,6 +687,19 @@ class TestAutoencoder:
         with pytest.raises(TrainingError, match="^model expects 4 features, got 3$"):
             ae_train(model, learn, validation, epochs=1)
         assert all((W == W0).all() for W, W0 in zip(model.weights, before))
+
+    @pytest.mark.parametrize("train, new, message", [
+        (mlp_train, lambda: ae_new(4, 2, 0), "^mlp training got a model of kind autoencoder$"),
+        (ae_train, lambda: mlp_new(4, 0), "^autoencoder training got a model of kind mlp$"),
+    ], ids=["mlp_train", "ae_train"])
+    def test_each_trainer_refuses_the_other_kind(self, rng, train, new, message):
+        data = make_dataset({f"f{i}": rng.random(20) for i in range(4)}, rng.integers(0, 2, 20))
+        model = new()
+        before = [p.copy() for p in model.weights + model.biases]
+        with pytest.raises(TrainingError, match=message):
+            train(model, data, data, epochs=1)
+        after = model.weights + model.biases
+        assert all(p.tobytes() == p0.tobytes() for p, p0 in zip(after, before, strict=True))
 
     def test_mse_gradient_check(self, rng):
         model = ae_new(4, 2, 13)

@@ -40,7 +40,6 @@ from .selection import (
     EliminationTrace,
     LearnRows,
     TamperingAudit,
-    average_fold_ranks,
     backward_eliminate,
     tampering_audit,
 )

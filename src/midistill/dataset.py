@@ -114,10 +114,10 @@ def load_csv(path, label_column: str, check_digest=None) -> Dataset:
         raise DataError(f"input {path} does not exist")
     if not os.path.isfile(path):
         raise DataError(f"input {path} is not a regular file")
-    sha256, n_lines = _file_digest(path)
-    if check_digest is not None:
-        check_digest(sha256)
     try:
+        sha256, n_lines = _file_digest(path)
+        if check_digest is not None:
+            check_digest(sha256)
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             try:
@@ -136,6 +136,8 @@ def load_csv(path, label_column: str, check_digest=None) -> Dataset:
         X, labels = body or _parse_cells(path, header, label_pos)
     except UnicodeDecodeError as exc:
         raise DataError(f"input {path} is not valid UTF-8: {exc.reason}") from None
+    except OSError as exc:
+        raise DataError(f"cannot read input {path}: {exc.strerror}") from None
     meta = {
         "source_path": str(path),
         "source_sha256": sha256,

@@ -75,7 +75,8 @@ class PipelineConfig:
         unknown = [a for a in self.algorithms if a not in ALGORITHMS]
         if unknown:
             raise ConfigError(f"unknown ranking algorithm(s): {', '.join(unknown)}")
-        if self.bottleneck is not None and self.bottleneck < 1:
+        if self.bottleneck is not None and (not isinstance(self.bottleneck, int)
+                                            or self.bottleneck < 1):
             raise ConfigError(f"invalid bottleneck: {self.bottleneck}")
 
     def binning(self) -> BinningConfig:
@@ -202,7 +203,7 @@ def run_fs(config: PipelineConfig) -> dict:
 
     best_alg, optimized, mdrt, files = None, None, None, {}
     if final_suite:
-        best_alg = max(final_suite, key=lambda a: (post_bfe[a].accuracy, -final_suite.index(a)))
+        best_alg = max(final_suite, key=lambda a: post_bfe[a].accuracy)
         optimized = normalized.select_features(
             traces[best_alg].optimized_features,
             note=f"backward_elimination[{best_alg}], gamma={config.gamma}")

@@ -83,20 +83,6 @@ def _cell(v) -> str:
     return "" if v is None else repr(float(v))
 
 
-def average_fold_ranks(rankings: list[FeatureRanking]) -> dict:
-    """Arithmetic mean of 1-based rank positions per feature across folds."""
-    if not rankings:
-        raise DataError("no rankings to average")
-    reference = set(rankings[0].features)
-    sums: dict[str, float] = {name: 0.0 for name in reference}
-    for ranking in rankings:
-        if set(ranking.features) != reference:
-            raise DataError("rankings cover different feature sets")
-        for pos, name in enumerate(ranking.features, start=1):
-            sums[name] += pos
-    return {name: total / len(rankings) for name, total in sums.items()}
-
-
 def tampering_audit(dataset: Dataset, algorithms, folds: int = 5, seed: int = 0,
                     threshold: float = 0.30,
                     binning: BinningConfig | None = None,
@@ -104,26 +90,25 @@ def tampering_audit(dataset: Dataset, algorithms, folds: int = 5, seed: int = 0,
     """Inject the three random features, rank each fold with each algorithm,
     and pass an algorithm iff all three random features' fold-averaged ranks
     fall in the bottom ``threshold`` fraction of positions.  Each fold is
-    counted once and its table serves every algorithm."""
+    counted once, its table serves every algorithm, and only the random
+    features' 1-based positions are summed."""
     binning = binning or BinningConfig()
     tampered = inject_random_features(dataset, seed)
     n_total = tampered.n_features
-    fold_rankings = {alg: [] for alg in algorithms}
+    position_sums = {alg: dict.fromkeys(RESERVED_RANDOM_NAMES, 0) for alg in algorithms}
     for rows in row_folds(tampered.n_samples, folds, seed):
         table = CountTable(tampered.take(rows), binning)
-        for alg, rankings in fold_rankings.items():
-            rankings.append(rank(table, alg, beta=beta))
+        for alg, sums in position_sums.items():
+            features = rank(table, alg, beta=beta).features
+            for name in RESERVED_RANDOM_NAMES:
+                sums[name] += features.index(name) + 1
         del table  # one fold's table alive at a time
 
     cutoff = (1.0 - threshold) * n_total  # positions strictly above are "bottom"
     per_algorithm = {}
-    for alg, rankings in fold_rankings.items():
-        means = average_fold_ranks(rankings)
-        rand_means = {name: means[name] for name in RESERVED_RANDOM_NAMES}
-        per_algorithm[alg] = {
-            "avg_ranks": rand_means,
-            "pass": all(v > cutoff for v in rand_means.values()),
-        }
+    for alg, sums in position_sums.items():
+        means = {name: total / folds for name, total in sums.items()}
+        per_algorithm[alg] = {"avg_ranks": means, "pass": all(v > cutoff for v in means.values())}
     return TamperingAudit(per_algorithm, folds, threshold, seed, n_total)
 
 

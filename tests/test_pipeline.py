@@ -95,6 +95,13 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="^unknown binning strategy 'kmeans'$"):
             run(config)
 
+    def test_non_integer_bottleneck_rejected_before_io(self, planted_csv, tmp_path):
+        # 2.5 used to reach ae_new, after --out was made, as a numpy TypeError
+        config = PipelineConfig("ae", planted_csv, bottleneck=2.5, out_dir=str(tmp_path / "out"))
+        with pytest.raises(ConfigError, match=r"^invalid bottleneck: 2\.5$"):
+            run(config)
+        assert not (tmp_path / "out").exists()
+
     def test_mode_mismatch(self, planted_csv, tmp_path):
         with pytest.raises(ConfigError):
             run_rrw(fs_config(planted_csv, tmp_path))
@@ -714,6 +721,40 @@ class TestCliExitCodes:
         assert err.startswith("data error: ")
         assert "not a regular file" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("text, failing_open", [
+        ("a,label\n1,0\n2,1\n", 1),
+        ("a,label\n1,0\n2,1\n", 2),
+        ('a,label\n"1",0\n2,1\n', 3),  # a quoted cell takes the per-cell parse
+    ], ids=["digest", "block_parse", "cell_parse"])
+    def test_unreadable_input(self, tmp_path, capsys, monkeypatch, text, failing_open):
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        opens = []
+
+        def refusing_open(file, *args, **kwargs):
+            if os.fspath(file) == str(path):
+                opens.append(file)
+                if len(opens) == failing_open:
+                    raise PermissionError(13, "Permission denied", str(file))
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(dataset, "open", refusing_open, raising=False)
+        code = cli_main(["evaluate", "--input", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"data error: [stage load] cannot read input {path}: Permission denied\n")
+        assert len(opens) == failing_open
+
+    @pytest.mark.skipif(os.geteuid() == 0, reason="root reads a file of mode 000")
+    def test_input_of_mode_000(self, tmp_path, capsys):
+        path = tmp_path / "locked.csv"
+        path.write_text("a,label\n1,0\n2,1\n")
+        path.chmod(0)
+        code = cli_main(["fs", "--input", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"data error: [stage load] cannot read input {path}: Permission denied\n")
 
     def _data_error(self, capsys, argv, stage):
         code = cli_main(argv)

@@ -7,16 +7,18 @@ import pytest
 from midistill import selection
 from midistill.metrics import compute_metrics
 from midistill.neural import gate_predict, gate_train
-from midistill.dataset import apply_minmax, fit_minmax, split
+from midistill.dataset import (
+    RESERVED_RANDOM_NAMES,
+    apply_minmax,
+    fit_minmax,
+    folds,
+    inject_random_features,
+    split,
+)
 from midistill.errors import DataError
 from midistill.infotheory import BinningConfig
 from midistill.ranking import ALGORITHMS, CountTable, FeatureRanking, rank
-from midistill.selection import (
-    LearnRows,
-    average_fold_ranks,
-    backward_eliminate,
-    tampering_audit,
-)
+from midistill.selection import LearnRows, backward_eliminate, tampering_audit
 
 from conftest import make_dataset, planted_dataset
 from oracles import reference_gate_train
@@ -28,27 +30,28 @@ def ranking_of(names):
     return FeatureRanking("mRMR", tuple((n, 0.0) for n in names))
 
 
-class TestAverageFoldRanks:
-    def test_identical_rankings(self):
-        means = average_fold_ranks([ranking_of("abc"), ranking_of("abc")])
-        assert means == {"a": 1.0, "b": 2.0, "c": 3.0}
-
-    def test_mixed_positions(self):
-        means = average_fold_ranks([ranking_of("fgh"), ranking_of("hgf")])
-        assert means["f"] == 2.0 and means["h"] == 2.0 and means["g"] == 2.0
-
-    def test_random_permutations_bounded(self, rng):
-        names = [f"c{i}" for i in range(36)]
-        rankings = [ranking_of(rng.permutation(names).tolist()) for _ in range(5)]
-        means = average_fold_ranks(rankings)
-        assert all(1.0 <= v <= 36.0 for v in means.values())
-
-    def test_feature_set_mismatch(self):
-        with pytest.raises(DataError, match="^rankings cover different feature sets$"):
-            average_fold_ranks([ranking_of("ab"), ranking_of("ac")])
-
-
 class TestTamperingAudit:
+    def test_avg_ranks_are_the_fold_mean_positions(self):
+        # 4 noise columns beside 3 informative ones move the random features
+        # from fold to fold, so some means are not whole numbers
+        raw = planted_dataset(3, 4, 300, seed=4)
+        data = apply_minmax(raw, fit_minmax(raw))
+        n_folds, seed = 4, 4
+        audit = tampering_audit(data, ALGORITHMS, folds=n_folds, seed=seed, threshold=0.5,
+                                binning=BINNING)
+        tampered = inject_random_features(data, seed)
+        tables = [CountTable(tampered.take(rows), BINNING)
+                  for rows in folds(data.n_samples, n_folds, seed)]
+        for alg in ALGORITHMS:
+            orders = [rank(table, alg).features for table in tables]
+            expected = {name: float(np.mean([order.index(name) + 1 for order in orders]))
+                        for name in RESERVED_RANDOM_NAMES}
+            record = audit.per_algorithm[alg]
+            assert list(record["avg_ranks"].items()) == list(expected.items())
+            assert record["pass"] is all(v > 0.5 * 10 for v in expected.values())
+        assert any(v != int(v) for record in audit.per_algorithm.values()
+                   for v in record["avg_ranks"].values())
+
     def test_vacuous_threshold_passes_everything(self):
         data = planted_dataset(3, 1, 200, seed=0)
         audit = tampering_audit(data, ("mRMR", "DISR"), folds=2, seed=0,

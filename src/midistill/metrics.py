@@ -9,6 +9,20 @@ import numpy as np
 from .errors import DataError
 
 
+GATED = ("accuracy", "precision", "recall")  # kept >= gamma by a reduced set, in report order
+
+# ratio: (numerator, the other count in its denominator, why it is undefined at 0)
+RATIOS = {
+    "precision": ("tp", "fp", "no positive predictions"),
+    "recall": ("tp", "fn", "no positive labels"),
+    "tpr": ("tp", "fn", "no positive labels"),
+    "tnr": ("tn", "fp", "no negative labels"),
+    "fpr": ("fp", "tn", "no negative labels"),
+    "fnr": ("fn", "tp", "no positive labels"),
+    "fdr": ("fp", "tp", "no positive predictions"),
+}
+
+
 @dataclass(frozen=True)
 class ClassifierMetrics:
     """All fields are fractions in [0,1]; a field is None when its ratio is
@@ -30,54 +44,32 @@ class ClassifierMetrics:
     undefined: dict = field(default_factory=dict)
 
     def passes(self, gamma: float) -> bool:
-        """True iff accuracy, precision and recall are all defined and >= gamma."""
-        return all(v is not None and v >= gamma
-                   for v in (self.accuracy, self.precision, self.recall))
+        """True iff every ``GATED`` metric is defined and >= gamma."""
+        values = [getattr(self, name) for name in GATED]
+        return all(v is not None and v >= gamma for v in values)
 
     def to_json(self) -> dict:
         return asdict(self)
 
 
 def compute_metrics(predictions, labels) -> ClassifierMetrics:
-    predictions = np.asarray(predictions).astype(np.int64)
-    labels = np.asarray(labels).astype(np.int64)
+    predictions, labels = np.asarray(predictions), np.asarray(labels)
     if predictions.shape != labels.shape:
         raise DataError(f"shapes differ: predictions {predictions.shape}, labels {labels.shape}")
     if predictions.size == 0:
         raise DataError("no predictions")
-
-    tp = int(np.sum((predictions == 1) & (labels == 1)))
-    fp = int(np.sum((predictions == 1) & (labels == 0)))
-    tn = int(np.sum((predictions == 0) & (labels == 0)))
-    fn = int(np.sum((predictions == 0) & (labels == 1)))
-
-    undefined: dict[str, str] = {}
-
-    def ratio(num, denom, name, reason):
-        if denom == 0:
-            undefined[name] = reason
-            return None
-        return num / denom
-
-    precision = ratio(tp, tp + fp, "precision", "no positive predictions")
-    recall = ratio(tp, tp + fn, "recall", "no positive labels")
-    tpr = recall
-    if tpr is None:
-        undefined["tpr"] = "no positive labels"
-    tnr = ratio(tn, tn + fp, "tnr", "no negative labels")
-    fpr = ratio(fp, fp + tn, "fpr", "no negative labels")
-    fnr = ratio(fn, fn + tp, "fnr", "no positive labels")
-    fdr = ratio(fp, fp + tp, "fdr", "no positive predictions")
-    if precision is None or recall is None or precision + recall == 0:
-        f1 = None
+    for name, values in (("predictions", predictions), ("labels", labels)):
+        if not np.all((values == 0) | (values == 1)):
+            raise DataError(f"{name} must be 0 or 1")
+    cells = np.bincount((2 * labels + predictions).astype(np.intp).ravel(), minlength=4)
+    counts = dict(zip(("tn", "fp", "fn", "tp"), map(int, cells)))  # cell 2·label + prediction
+    denoms = {name: counts[num] + counts[other] for name, (num, other, _) in RATIOS.items()}
+    undefined = {name: why for name, (_, _, why) in RATIOS.items() if denoms[name] == 0}
+    ratios = {name: counts[num] / denoms[name] if denoms[name] else None
+              for name, (num, _, _) in RATIOS.items()}
+    p, r = ratios["precision"], ratios["recall"]
+    f1 = 2 * p * r / (p + r) if p is not None and r is not None and p + r != 0 else None
+    if f1 is None:
         undefined["f1"] = "precision+recall undefined or zero"
-    else:
-        f1 = 2 * precision * recall / (precision + recall)
-
-    return ClassifierMetrics(
-        tp=tp, fp=fp, tn=tn, fn=fn,
-        accuracy=(tp + tn) / predictions.size,
-        precision=precision, recall=recall, f1=f1,
-        tpr=tpr, tnr=tnr, fpr=fpr, fnr=fnr, fdr=fdr,
-        undefined=undefined,
-    )
+    return ClassifierMetrics(**counts, accuracy=(counts["tp"] + counts["tn"]) / predictions.size,
+                             f1=f1, **ratios, undefined=undefined)

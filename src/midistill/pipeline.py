@@ -19,7 +19,7 @@ import numpy as np
 from . import dataset as ds
 from .errors import ConfigError, DataError, MidistillError
 from .infotheory import BINNING_STRATEGIES, BinningConfig
-from .metrics import compute_metrics
+from .metrics import GATED, compute_metrics
 from .neural import (
     ae_encode,
     ae_new,
@@ -201,14 +201,13 @@ def run_fs(config: PipelineConfig) -> dict:
     # second gate: drop algorithms whose reduced-set metrics fall below gamma
     final_suite = [alg for alg in surviving if post_bfe[alg].passes(config.gamma)]
 
-    best_alg, optimized, mdrt, files = None, None, None, {}
-    if final_suite:
-        best_alg = max(final_suite, key=lambda a: post_bfe[a].accuracy)
-        optimized = normalized.select_features(
-            traces[best_alg].optimized_features,
-            note=f"backward_elimination[{best_alg}], gamma={config.gamma}")
-        mdrt = traces[best_alg].mdrt
-        files["optimized_csv"] = ("optimized.csv", optimized)
+    best_alg = max(final_suite, key=lambda a: post_bfe[a].accuracy, default=None)
+    best = traces.get(best_alg)
+    files = {}
+    if best is not None:
+        note = f"backward_elimination[{best_alg}], gamma={config.gamma}"
+        files["optimized_csv"] = ("optimized.csv",
+                                  normalized.select_features(best.optimized_features, note=note))
     for alg, trace in traces.items():
         files[f"elimination_csv[{alg}]"] = (f"elimination_{alg}.csv", trace.metrics_csv())
 
@@ -226,8 +225,8 @@ def run_fs(config: PipelineConfig) -> dict:
         "post_bfe_metrics": {alg: m.to_json() for alg, m in post_bfe.items()},
         "final_suite": final_suite,
         "best_algorithm": best_alg,
-        "mdrt": mdrt,
-        "optimized_features": list(optimized.feature_names) if optimized else None,
+        "mdrt": None if best is None else best.mdrt,
+        "optimized_features": None if best is None else list(best.optimized_features),
         "rankings": {alg: trace.ranking.to_json() for alg, trace in traces.items()},
         "source_sha256": normalized.meta["source_sha256"],
     }
@@ -246,7 +245,7 @@ def _why_no_suite(report: dict) -> str:
         gamma = report["config"]["gamma"]
         misses = []
         for alg, metrics in report["post_bfe_metrics"].items():
-            missed = next((name for name in ("accuracy", "precision", "recall")
+            missed = next((name for name in GATED
                            if metrics[name] is None or not metrics[name] >= gamma), None)
             if alg not in ALGORITHMS or missed is None:
                 return ""
@@ -282,7 +281,8 @@ def _read_fs_report(config: PipelineConfig) -> dict:
     """The fields of ``--fs-report`` that rrw and ae read, after a check of
     the whole report: the types; each final-suite criterion is known, with a
     trace and a ranking; each ranking is a permutation of its trace's initial
-    features; ``optimized_features`` is one of their optimized sets, of
+    features, which hold ``optimized_features`` and the criterion's own
+    optimized set; ``optimized_features`` is one of their optimized sets, of
     length ``mdrt``.  A report that fails a check is a ConfigError."""
     path = config.fs_report
     if not path:
@@ -327,6 +327,10 @@ def _read_fs_report(config: PipelineConfig) -> dict:
         if sorted(seen) != sorted(initial[alg]):
             raise ConfigError(f"fs report ranking of {alg} is not a permutation of its "
                               "trace's initial_features")
+        lost = [name for name in optimized + own[alg] if name not in seen]
+        if lost:  # rrw_scores would find rankings of different feature sets
+            raise ConfigError(f"fs report initial_features of {alg} lack the optimized "
+                              f"feature {lost[0]!r}")
     if optimized not in own.values() or mdrt != len(optimized):
         raise ConfigError("fs report optimized_features and mdrt are not the optimized "
                           "set of a final-suite criterion and its length")

@@ -12,7 +12,8 @@ against the gradient of one call of the package's ``_GateStep``, the epoch
 ``gate_train`` runs), and
 the SGD reference the package's original mini-batch loop with its own
 forward pass (``reference_forward``, which tests also read layer outputs
-from), losses and backpropagation.  The exception is the elimination
+from), losses and backpropagation, and the metrics reference the package's
+original eight-mask ``compute_metrics``.  The exception is the elimination
 path's per-step definition, which ranks with the package's engine (that
 engine is checked against the brute force above).
 """
@@ -34,6 +35,7 @@ from midistill.errors import (
     NonNumericValue,
     TrainingError,
 )
+from midistill.metrics import ClassifierMetrics
 from midistill.neural import GATE_EPOCHS, GATE_LAMBDA, GATE_STEP, TrainingCurve
 from midistill.ranking import CountTable, rank
 
@@ -338,3 +340,50 @@ def reference_write_csv(data, path, label_column):
                                               data.labels[block].tolist()))
     with open(os.fspath(path) + ".meta.json", "w", newline="", encoding="utf-8") as fh:
         json.dump(data.meta, fh, indent=2, sort_keys=True)
+
+
+def reference_compute_metrics(predictions, labels):
+    """The package's original ``compute_metrics``: the four confusion cells
+    from eight comparison masks, then each ratio by hand."""
+    predictions = np.asarray(predictions).astype(np.int64)
+    labels = np.asarray(labels).astype(np.int64)
+    if predictions.shape != labels.shape:
+        raise DataError(f"shapes differ: predictions {predictions.shape}, labels {labels.shape}")
+    if predictions.size == 0:
+        raise DataError("no predictions")
+
+    tp = int(np.sum((predictions == 1) & (labels == 1)))
+    fp = int(np.sum((predictions == 1) & (labels == 0)))
+    tn = int(np.sum((predictions == 0) & (labels == 0)))
+    fn = int(np.sum((predictions == 0) & (labels == 1)))
+
+    undefined: dict[str, str] = {}
+
+    def ratio(num, denom, name, reason):
+        if denom == 0:
+            undefined[name] = reason
+            return None
+        return num / denom
+
+    precision = ratio(tp, tp + fp, "precision", "no positive predictions")
+    recall = ratio(tp, tp + fn, "recall", "no positive labels")
+    tpr = recall
+    if tpr is None:
+        undefined["tpr"] = "no positive labels"
+    tnr = ratio(tn, tn + fp, "tnr", "no negative labels")
+    fpr = ratio(fp, fp + tn, "fpr", "no negative labels")
+    fnr = ratio(fn, fn + tp, "fnr", "no positive labels")
+    fdr = ratio(fp, fp + tp, "fdr", "no positive predictions")
+    if precision is None or recall is None or precision + recall == 0:
+        f1 = None
+        undefined["f1"] = "precision+recall undefined or zero"
+    else:
+        f1 = 2 * precision * recall / (precision + recall)
+
+    return ClassifierMetrics(
+        tp=tp, fp=fp, tn=tn, fn=fn,
+        accuracy=(tp + tn) / predictions.size,
+        precision=precision, recall=recall, f1=f1,
+        tpr=tpr, tnr=tnr, fpr=fpr, fnr=fnr, fdr=fdr,
+        undefined=undefined,
+    )

@@ -1,7 +1,11 @@
+import itertools
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import reference_compute_metrics
 
 from midistill.errors import DataError
 from midistill.metrics import compute_metrics
@@ -67,3 +71,26 @@ def test_identities_on_random_confusions(seed):
         assert abs(m.f1 - 2 * m.precision * m.recall / (m.precision + m.recall)) < 1e-12
     if m.precision is not None and m.fdr is not None:
         assert abs(m.precision + m.fdr - 1.0) < 1e-12
+
+
+def test_every_short_confusion_equals_the_eight_mask_original():
+    # all 4**1 + ... + 4**6 = 5460 prediction/label pairs of length 1 to 6;
+    # the JSON text compares the bytes of each float and the order of undefined
+    cases = 0
+    for n in range(1, 7):
+        for preds in itertools.product((0, 1), repeat=n):
+            for labels in itertools.product((0, 1), repeat=n):
+                got = json.dumps(compute_metrics(preds, labels).to_json())
+                assert got == json.dumps(reference_compute_metrics(preds, labels).to_json())
+                cases += 1
+    assert cases == 5460
+
+
+@pytest.mark.parametrize("side", ["predictions", "labels"])
+@pytest.mark.parametrize("value", [0.7, 2, -1, float("nan")], ids=["0.7", "2", "-1", "nan"])
+def test_values_other_than_0_and_1_are_refused(side, value):
+    # a probability was truncated to 0, and a 2 or a -1 counted in no cell
+    good, bad = [1, 0, 1], [1, value, 0]
+    args = (bad, good) if side == "predictions" else (good, bad)
+    with pytest.raises(DataError, match=f"^{side} must be 0 or 1$"):
+        compute_metrics(*args)

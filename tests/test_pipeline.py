@@ -835,19 +835,44 @@ class TestCliExitCodes:
         assert "ranking of mRMR is not a permutation of its trace's initial_features" in err
 
     @pytest.mark.parametrize("mode", ["rrw", "ae"])
-    @pytest.mark.parametrize("change", ["not_a_trace_set", "mdrt_off_by_one"])
+    @pytest.mark.parametrize("change", ["not_a_trace_set", "mdrt_off_by_one",
+                                        "initial_lacks_the_report_set",
+                                        "initial_lacks_its_own_set"])
     def test_optimized_features_disagree(self, fs_run, planted_csv, tmp_path, capsys,
-                                         change, mode):
+                                         monkeypatch, change, mode):
+        # refused as the report is read: no gate, SGD step or --out
+        for stage in ("avg_f1_cv", "ae_train"):
+            monkeypatch.setattr(pipeline, stage,
+                                lambda *a, stage=stage, **k: pytest.fail(f"{stage} ran"))
         doc = self._doc(fs_run)
         if change == "not_a_trace_set":
             doc["optimized_features"] = doc["optimized_features"][1:]
             doc["mdrt"] -= 1
-        else:
+        elif change == "mdrt_off_by_one":
             doc["mdrt"] += 1
+        else:
+            # JMI joins the suite with mRMR's trace and ranking, less one
+            # feature: one the report keeps, or one only JMI's own set keeps
+            doc["final_suite"].append("JMI")
+            trace = doc["traces"]["JMI"] = json.loads(json.dumps(doc["traces"]["mRMR"]))
+            kept = doc["optimized_features"]
+            if change == "initial_lacks_the_report_set":
+                lost = kept[0]
+                trace["optimized_features"].remove(lost)
+            else:
+                lost = next(n for n in trace["initial_features"] if n not in kept)
+                trace["optimized_features"].append(lost)
+            trace["initial_features"].remove(lost)
+            doc["rankings"]["JMI"] = {"entries": [e for e in doc["rankings"]["mRMR"]["entries"]
+                                                 if e["feature"] != lost]}
         argv = self._rrw(planted_csv, tmp_path, json.dumps(doc))
         argv[0] = mode
         err = self._config_error(capsys, argv)
-        assert "optimized_features and mdrt are not the optimized set" in err
+        if change in ("not_a_trace_set", "mdrt_off_by_one"):
+            assert "optimized_features and mdrt are not the optimized set" in err
+        else:
+            assert err.endswith(f"initial_features of JMI lack the optimized feature {lost!r}\n")
+        assert not (tmp_path / "out").exists()
 
     def test_final_suite_names_an_unknown_criterion(self, fs_run, planted_csv, tmp_path,
                                                     capsys):
